@@ -3,22 +3,17 @@
 // Every bench prints: the experiment banner, the workload provenance
 // (synthetic generator or real SNAP file, scale, seed), then the table
 // itself with clearly-marked [paper] reference columns next to our
-// measured columns. Synthesized graphs are cached on disk (binary
-// format) so the nine datasets are generated once across the whole
-// bench suite.
+// measured columns.
 //
 // Knobs: TCIM_SCALE (default 0.25, applied to the seven large
 // datasets; =1 reproduces full Table II sizes), TCIM_SEED,
 // TCIM_DATA_DIR (drop real SNAP edge lists to replace the stand-ins).
 #pragma once
 
-#include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "graph/datasets.h"
-#include "graph/io.h"
 #include "util/env.h"
 #include "util/table.h"
 
@@ -31,42 +26,10 @@ inline double DatasetScale(graph::PaperDataset id) {
   return util::WorkloadScale(0.25);
 }
 
-inline std::string CacheDir() {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = (tmp != nullptr && *tmp) ? tmp : "/tmp";
-  dir += "/tcim_bench_cache";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-/// Loads (or synthesizes-and-caches) one paper dataset.
+/// Loads one paper dataset: the real SNAP file when TCIM_DATA_DIR
+/// provides it, otherwise the seeded synthetic stand-in.
 inline graph::DatasetInstance LoadDataset(graph::PaperDataset id) {
-  const double scale = DatasetScale(id);
-  const std::uint64_t seed = util::BaseSeed();
-  const auto& ref = graph::GetPaperRef(id);
-
-  // Real file takes precedence (never cached — trust the source).
-  if (const char* dir = std::getenv("TCIM_DATA_DIR");
-      dir != nullptr && *dir != '\0') {
-    return graph::LoadOrSynthesize(id, scale, seed);
-  }
-
-  char cache_name[256];
-  std::snprintf(cache_name, sizeof cache_name, "%s/%s_s%.4f_r%llu.bin",
-                CacheDir().c_str(), ref.name, scale,
-                static_cast<unsigned long long>(seed));
-  if (std::filesystem::exists(cache_name)) {
-    graph::DatasetInstance inst;
-    inst.id = id;
-    inst.graph = graph::ReadBinaryFile(cache_name);
-    inst.is_real = false;
-    inst.scale = scale;
-    inst.source = std::string("cache:") + cache_name;
-    return inst;
-  }
-  graph::DatasetInstance inst = graph::SynthesizePaperGraph(id, scale, seed);
-  graph::WriteBinaryFile(inst.graph, cache_name);
-  return inst;
+  return graph::LoadOrSynthesize(id, DatasetScale(id), util::BaseSeed());
 }
 
 inline void PrintProvenance(std::ostream& os,

@@ -325,9 +325,7 @@ int Finish(const Options& opt, int rc) {
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   Options opt;
   if (!Parse(argc, argv, opt)) {
     Usage();
@@ -616,4 +614,18 @@ int main(int argc, char** argv) {
         t.AddRow({"TCIM latency (parallel)",
                   util::FormatSeconds(r.perf.parallel_seconds)});
       }));
+}
+
+}  // namespace
+
+// Any error the per-step handlers above do not catch (e.g. a delta op
+// the stream layer rejects) ends the run with its message and exit
+// status 1, never with std::terminate.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "tcim_cli: " << e.what() << "\n";
+    return 1;
+  }
 }

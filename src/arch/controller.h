@@ -61,14 +61,6 @@ struct ExecStats {
   /// multiplier; core::TcimAccelerator owns that interpretation).
   std::uint64_t accumulated_bitcount = 0;
 
-  /// Host-kernel adaptive-policy routing (bit::PairPathCounters): how
-  /// many valid pairs each kernel path consumed on the host Eq. (5)
-  /// paths. Always zero for hardware-model runs — the simulated array
-  /// never routes through the host dispatch.
-  std::uint64_t host_pairs_batched = 0;
-  std::uint64_t host_pairs_zero_copy = 0;
-  std::uint64_t host_pairs_per_pair = 0;
-
   /// Per-subarray AND / WRITE counts — the inputs of the
   /// critical-path ("parallel") latency model in core::PerfModel.
   std::vector<std::uint64_t> per_subarray_ands;

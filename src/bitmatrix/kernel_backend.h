@@ -19,30 +19,27 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 namespace tcim::bit {
 
 /// One vectorization of the fused AND+popcount span kernel.
 enum class KernelBackend : std::uint8_t {
-  kScalar,         ///< per-word loop (hardware POPCNT when the CPU has it)
-  kSwar64x4,       ///< 4-way unrolled SWAR, no special instructions
+  kScalar,         ///< per-word std::popcount (POPCNT when the CPU has it)
   kAvx2,           ///< AVX2 Harley–Seal CSA + byte-shuffle popcount
   kAvx512Vpopcnt,  ///< AVX-512 VPOPCNTDQ, 8 words per instruction
   kNeon,           ///< AArch64 NEON vcnt + horizontal add
 };
 
-inline constexpr std::size_t kNumKernelBackends = 5;
+inline constexpr std::size_t kNumKernelBackends = 4;
 
-/// Stable lowercase name ("scalar", "swar64x4", "avx2",
-/// "avx512vpopcnt", "neon") — the TCIM_KERNEL vocabulary.
+/// Stable lowercase name ("scalar", "avx2", "avx512vpopcnt", "neon") —
+/// the TCIM_KERNEL vocabulary.
 [[nodiscard]] const char* ToString(KernelBackend backend) noexcept;
 
-/// Inverse of ToString; also accepts the "swar" and "avx512" aliases.
+/// Inverse of ToString; also accepts the "avx512" alias.
 /// Returns nullopt for unknown names (including "auto").
 [[nodiscard]] std::optional<KernelBackend> ParseKernelBackend(
     std::string_view name) noexcept;
@@ -58,18 +55,13 @@ inline constexpr std::size_t kNumKernelBackends = 5;
 /// guard: e.g. kNeon is never compiled into an x86 binary).
 [[nodiscard]] bool BackendCompiledIn(KernelBackend backend) noexcept;
 
-/// True when the kScalar backend executes the hardware POPCNT
-/// instruction on this CPU. Whenever this holds, auto-dispatch must
-/// never pick kSwar64x4: the SWAR reduction only earns its keep as the
-/// fallback on machines without a popcount instruction.
-[[nodiscard]] bool ScalarHasPopcntInstruction() noexcept;
-
 /// True when the backend is compiled in *and* this CPU can execute it
-/// (runtime feature detection). kScalar and kSwar64x4 are always
-/// supported; they need nothing beyond baseline ISA.
+/// (runtime feature detection). kScalar is always supported; it needs
+/// nothing beyond baseline ISA.
 [[nodiscard]] bool BackendSupported(KernelBackend backend) noexcept;
 
-/// The widest supported backend — what auto-dispatch picks.
+/// The widest supported backend — what auto-dispatch picks; kScalar
+/// when no SIMD backend executes here.
 [[nodiscard]] KernelBackend BestSupportedBackend() noexcept;
 
 /// The backend behind every PopcountKind::kBuiltin span call. Resolved
@@ -109,98 +101,16 @@ KernelBackend RefreshActiveBackendFromEnv();
                                                 std::size_t n) noexcept;
 
 // ---------------------------------------------------------------------------
-// Batched pair kernel.
-//
-// A per-slice-pair AndPopcount call pays the full dispatch bill —
-// atomic backend load, kind switch, SIMD prologue/epilogue — for a
-// payload of 1–8 words, which is why the |S|=64 end-to-end numbers in
-// the schema-v1 BENCH_kernels.json seed LOST to scalar on 13 of 18
-// rows while the span kernel won 5x in isolation (see docs/KERNELS.md,
-// "Dispatch cost and batching"). The batched form restores the
-// microbenchmark economics: callers gather matched (row-slice,
-// col-slice) word pairs into a PairArena and hand the whole block to
-// AndPopcountPairs — ONE dispatch resolution per block, and because the
-// two sides are stored as parallel contiguous word streams, pair
-// boundaries vanish: Σ_pairs Σ_k popcount(a_k & b_k) is exactly the
-// span kernel over the concatenation, so every backend amortizes its
-// setup and reduction tree across thousands of pairs.
-
-/// Reusable gather arena for the batched Eq. (5) kernel. Not
-/// thread-safe; give each thread its own arena and reuse it across
-/// batches (Clear() keeps the capacity).
-class PairArena {
- public:
-  /// Appends one matched pair: `width` words from `a` and `width`
-  /// words from `b` (the words of one row slice and one column slice).
-  void Push(const std::uint64_t* a, const std::uint64_t* b,
-            std::size_t width) {
-    if (size_ + width > a_.size()) Grow(size_ + width);
-    std::memcpy(a_.data() + size_, a, width * sizeof(std::uint64_t));
-    std::memcpy(b_.data() + size_, b, width * sizeof(std::uint64_t));
-    size_ += width;
-    ++pairs_;
-  }
-
-  /// Forgets the gathered pairs but keeps the allocation.
-  void Clear() noexcept {
-    size_ = 0;
-    pairs_ = 0;
-  }
-
-  /// Pre-sizes the backing blocks (optional; Push grows on demand).
-  void Reserve(std::size_t words) {
-    if (words > a_.size()) Grow(words);
-  }
-
-  [[nodiscard]] bool Empty() const noexcept { return size_ == 0; }
-  /// Gathered words per side (Σ width over pairs).
-  [[nodiscard]] std::size_t word_count() const noexcept { return size_; }
-  /// Number of Push calls since the last Clear — the "valid pairs"
-  /// accounting of the gathered block.
-  [[nodiscard]] std::size_t pair_count() const noexcept { return pairs_; }
-
-  /// The two contiguous word blocks (equal length word_count()).
-  [[nodiscard]] std::span<const std::uint64_t> a() const noexcept {
-    return {a_.data(), size_};
-  }
-  [[nodiscard]] std::span<const std::uint64_t> b() const noexcept {
-    return {b_.data(), size_};
-  }
-
- private:
-  void Grow(std::size_t need);
-
-  std::vector<std::uint64_t> a_;
-  std::vector<std::uint64_t> b_;
-  std::size_t size_ = 0;
-  std::size_t pairs_ = 0;
-};
-
-/// Σ popcount(a & b) over every pair gathered in `arena`, evaluated by
-/// the active backend with one dispatch resolution for the whole
-/// block — the batched Eq. (5) hot path.
-[[nodiscard]] std::uint64_t AndPopcountPairs(const PairArena& arena) noexcept;
-
-/// Same with an explicit backend (parity tests, perf harness). Throws
-/// std::invalid_argument when the backend is not supported.
-[[nodiscard]] std::uint64_t AndPopcountPairsBackend(const PairArena& arena,
-                                                    KernelBackend backend);
-
-// ---------------------------------------------------------------------------
 // Zero-copy pair kernel.
 //
-// The batched arena above trades one memcpy per gathered word for one
-// dispatch per block. That trade wins when pairs are narrow (1–2 words:
-// the copy is cheap and the amortized dispatch dominates) but LOSES
-// when pairs are wide and scattered — the schema-v3 BENCH_kernels.json
-// records the |S|=512 road-graph rows up to 19% SLOWER batched than
-// per-pair, because copying 8+8 words per pair costs more than the one
-// indirect call it saves. The zero-copy form keeps the single dispatch
-// resolution (the backend function pointer is resolved once per list)
-// but consumes (a_ptr, b_ptr, words) descriptors in place, software-
-// prefetching the next pair's words while the current one is summed.
-// No gather copy, no arena traffic — the only per-pair cost is one
-// indirect call on already-prefetched L1 lines.
+// A per-slice-pair AndPopcountActive call pays the full dispatch bill
+// (atomic backend load + indirect call) for a payload of 1–8 words.
+// The zero-copy form resolves the backend function pointer once per
+// list and consumes (a_ptr, b_ptr, words) descriptors in place,
+// software-prefetching the next pairs' words while the current one is
+// summed: no gather copy, and the only per-pair cost is one indirect
+// call on already-prefetched lines (docs/KERNELS.md, "The Eq. (5)
+// pair path").
 
 /// One matched slice pair, referenced in place. `words` is the slice
 /// width (≤ 8 for every slice geometry the matrix layer produces, but
@@ -222,126 +132,5 @@ struct PairRef {
 /// std::invalid_argument when the backend is not supported.
 [[nodiscard]] std::uint64_t AndPopcountPairsZeroCopyBackend(
     std::span<const PairRef> pairs, KernelBackend backend);
-
-// ---------------------------------------------------------------------------
-// Adaptive pair policy.
-//
-// Three ways to evaluate a gathered pair list, with measured crossovers
-// (docs/KERNELS.md "Adaptive pair policy"):
-//   kBatched  — memcpy into a PairArena, one span call per block. The
-//               schema-v3 fix for per-pair dispatch; superseded as a
-//               default by kZeroCopy, kept as a forced mode and as the
-//               harness baseline.
-//   kZeroCopy — descriptor list in place, prefetched, one dispatch
-//               resolution. Measured ≥ batched at every (width, pairs)
-//               cell: it keeps the same once-per-list dispatch
-//               amortization while deleting the gather copy entirely.
-//   kPerPair  — one full dispatch per pair (atomic backend load each
-//               call). Never chosen per flush; the forced
-//               counterfactual the perf harness gates against. The
-//               pass-level ChooseDirectPairLoop rule routes one regime
-//               here adaptively (cold no-reuse wide stores), where
-//               immediate dispatch during enumeration beats any
-//               deferred descriptor flush.
-
-enum class PairPolicy : std::uint8_t {
-  kBatched,   ///< arena gather + one span call per block
-  kZeroCopy,  ///< in-place descriptors + prefetch, one resolution
-  kPerPair,   ///< full dispatch per pair (counterfactual / forced only)
-};
-
-inline constexpr std::size_t kNumPairPolicies = 3;
-
-/// Stable lowercase name ("batched", "zerocopy", "perpair") — the
-/// TCIM_PAIR_POLICY vocabulary.
-[[nodiscard]] const char* ToString(PairPolicy policy) noexcept;
-
-/// Inverse of ToString; also accepts "zero_copy"/"zero-copy" and
-/// "per_pair"/"per-pair". Returns nullopt for unknown names
-/// (including "auto").
-[[nodiscard]] std::optional<PairPolicy> ParsePairPolicy(
-    std::string_view name) noexcept;
-
-/// Crossover constants for ChoosePairPolicy. The defaults are derived
-/// from the measured BENCH_kernels.json cells (schema v4, which times
-/// all three paths per row): zero-copy matches or beats the batched
-/// arena at EVERY (width, pair-count) cell — both paths resolve the
-/// backend once per list, so the arena's memcpy is pure overhead
-/// (3–15% end-to-end at |S|=64, up to 19% vs per-pair at the |S|=512
-/// road rows). The default min-width of 1 therefore routes every
-/// slice geometry zero-copy; the knobs remain so tests can pin the
-/// crossover logic and ports to hardware where a contiguous stream
-/// does beat gathered loads can re-open the batched window.
-struct PairPolicyConfig {
-  /// When set, every decision returns this policy (TCIM_PAIR_POLICY or
-  /// SetActivePairPolicy) — the adaptive rule is bypassed entirely.
-  std::optional<PairPolicy> forced;
-  /// Slice widths ≥ this many words always route zero-copy.
-  std::uint32_t zero_copy_min_width = 1;
-  /// Pair lists shorter than this route zero-copy even at narrow
-  /// widths — too few pairs to amortize the arena memcpy. Only
-  /// reachable when zero_copy_min_width is raised above 1.
-  std::size_t batched_min_pairs = 16;
-
-  // Pass-level direct route (ChooseDirectPairLoop). One measured
-  // regime defeats every gathered formulation: wide slices whose store
-  // both spills the cache hierarchy AND has no slice reuse (sparse
-  // near-uniform graphs — the roadNet |S|=512 rows). There every pair
-  // is a cold DRAM touch, and dispatching it immediately during
-  // enumeration lets out-of-order execution overlap the misses with
-  // enumeration work — a deferred descriptor flush, even prefetched,
-  // trails by ~5%. Hub-skewed stores of the same byte size
-  // (com-youtube, com-lj) stay zero-copy: their reused slices are
-  // cache-hot, and zero-copy wins 1.3–1.5x there. Thresholds
-  // calibrated on the schema-v4 matrix; see docs/KERNELS.md.
-  /// Direct route needs at least this slice width (words).
-  std::uint32_t direct_min_width = 8;
-  /// Direct route needs the pass's two stores to exceed this many
-  /// heap bytes (default 32 MiB ≈ one LLC; sysconf reports
-  /// socket-aggregate LLC on chiplet parts, so a fixed knob beats
-  /// detection).
-  std::uint64_t direct_min_store_bytes = 32ull << 20;
-  /// Direct route needs average valid slices per vector at or below
-  /// this (low ⇒ no reuse ⇒ cold stream; hub-skewed graphs sit
-  /// well above it and keep the zero-copy win).
-  double direct_max_avg_valid_slices = 1.6;
-};
-
-/// The adaptive decision for one flush batch of `pair_count` pairs of
-/// `width_words`-word slices. Forced policy wins; otherwise wide or
-/// short batches go zero-copy and everything else goes batched.
-/// kPerPair is only ever returned when forced.
-[[nodiscard]] PairPolicy ChoosePairPolicy(std::size_t width_words,
-                                          std::size_t pair_count,
-                                          const PairPolicyConfig& cfg) noexcept;
-
-/// The pass-level adaptive decision made once per AndPopcountRows-style
-/// sweep, before any gathering: true routes the whole pass through the
-/// direct merge loop — immediate per-pair dispatch during enumeration,
-/// no descriptor stream (counted as the per-pair path). Never true
-/// when a policy is forced: forced modes pin the gathered executor so
-/// baselines and tests exercise exactly the path they name.
-/// `store_bytes` is the summed heap footprint of the two stores the
-/// pass reads; `avg_valid_slices` is valid_slice_count()/num_vectors()
-/// of the pivot-row store.
-[[nodiscard]] bool ChooseDirectPairLoop(std::size_t width_words,
-                                        std::uint64_t store_bytes,
-                                        double avg_valid_slices,
-                                        const PairPolicyConfig& cfg) noexcept;
-
-/// The process-wide policy config: default crossover constants plus
-/// the forced override resolved once from TCIM_PAIR_POLICY
-/// (auto|batched|zerocopy|perpair; unknown values warn once and mean
-/// auto) or set by SetActivePairPolicy.
-[[nodiscard]] PairPolicyConfig ActivePairPolicy() noexcept;
-
-/// Forces (or, with nullopt, un-forces) the process-wide policy —
-/// tests and benches. Unlike backends there is no support gate: every
-/// policy executes everywhere.
-void SetActivePairPolicy(std::optional<PairPolicy> forced) noexcept;
-
-/// Re-resolves the forced policy from TCIM_PAIR_POLICY (for tests that
-/// setenv() after process start). Returns the new active config.
-PairPolicyConfig RefreshPairPolicyFromEnv();
 
 }  // namespace tcim::bit

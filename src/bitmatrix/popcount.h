@@ -12,9 +12,9 @@
 // backend (kernel_backend.h) — the vectorized host stand-in for the
 // in-MRAM AND+BitCount unit. A per-slice-pair AndPopcount call pays
 // the whole dispatch bill for a 1–8 word payload, so the Eq. (5) hot
-// paths gather their pairs and use the batched form instead
-// (bit::PairArena + bit::AndPopcountPairs; see docs/KERNELS.md,
-// "Dispatch cost and batching"). The hardware-model strategies (kSwar,
+// paths gather their pairs and use the zero-copy form instead
+// (bit::PairRef + bit::AndPopcountPairsZeroCopy; see docs/KERNELS.md,
+// "The Eq. (5) pair path"). The hardware-model strategies (kSwar,
 // kLut8, kLut16) always run the exact per-word loop so pim::BitCounter
 // and the ablations stay faithful to the modeled structure.
 //

@@ -61,30 +61,33 @@ MatrixPatchStats SlicedMatrix::ApplyArcEdits(std::span<const ArcEdit> edits,
   return stats;
 }
 
+bool ChooseDirectPairLoop(std::size_t width_words, std::uint64_t store_bytes,
+                          double avg_valid_slices) noexcept {
+  return width_words >= kDirectMinWidthWords &&
+         store_bytes > kDirectMinStoreBytes &&
+         avg_valid_slices <= kDirectMaxAvgValidSlices;
+}
+
 namespace {
 
-// Flush granularity of the Eq. (5) gather: 2 Ki words = 16 KiB per
-// side keeps a batched block L1-resident (the regime where the span
-// kernel's SIMD advantage peaks) while still amortizing one backend
-// dispatch over hundreds-to-thousands of slice pairs. The zero-copy
-// path flushes at the same boundary so the adaptive decision sees
-// comparable batch sizes on every route.
+// Flush window of the Eq. (5) gather: 2 Ki words = 16 KiB of slice
+// data per side keeps one window L1/L2-resident while still amortizing
+// one backend dispatch over hundreds-to-thousands of slice pairs.
 constexpr std::size_t kGatherFlushWords = std::size_t{1} << 11;
 
-// Adaptive Eq. (5) pair stream: valid slice pairs are always gathered
-// as in-place (a, b, width) descriptors first — a descriptor is 20
+// Eq. (5) pair stream: valid slice pairs are gathered into a fixed
+// window of in-place (a, b, width) descriptors — a descriptor is 16
 // bytes regardless of slice width, so enumeration itself copies no
-// slice words — and each flush batch picks its kernel path from the
-// measured policy crossovers (zero-copy descriptors at every default
-// cell; batched arena and per-pair dispatch reachable via forced
-// policy or a raised zero_copy_min_width).
+// slice words — and each full window runs through the zero-copy kernel
+// with one dispatch resolution. Pair boundaries don't affect the sum,
+// so a window may close mid-arc or mid-row (a single hub row can
+// gather far past the L1 budget).
 class PairStreamExecutor {
  public:
   PairStreamExecutor(std::size_t width, PairPathCounters* counters)
-      : width_(width), cfg_(ActivePairPolicy()), counters_(counters) {
-    const std::size_t max_pairs = kGatherFlushWords / (width == 0 ? 1 : width);
-    refs_.reserve(max_pairs + 1);
-  }
+      : width_(width),
+        counters_(counters),
+        refs_(kGatherFlushWords / (width == 0 ? 1 : width)) {}
 
   void Push(const std::uint64_t* a, const std::uint64_t* b) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -92,7 +95,7 @@ class PairStreamExecutor {
     // of cycles ahead of the flush that consumes them, which is the
     // prefetch distance a DRAM-resident |S|=512 store needs (the flush
     // loop's own lookahead only hides L2/L3 latency). Locality hint 2
-    // (L2, not L1) — a full flush window of wide pairs overflows L1.
+    // (L2, not L1) — a full window of wide pairs overflows L1.
     __builtin_prefetch(a, 0, 2);
     __builtin_prefetch(b, 0, 2);
     if (width_ > 1) {
@@ -100,144 +103,105 @@ class PairStreamExecutor {
       __builtin_prefetch(b + width_ - 1, 0, 2);
     }
 #endif
-    refs_.push_back(PairRef{a, b, static_cast<std::uint32_t>(width_)});
-    words_ += width_;
+    refs_[size_] = PairRef{a, b, static_cast<std::uint32_t>(width_)};
+    if (++size_ == refs_.size()) Flush();
   }
 
-  [[nodiscard]] bool ShouldFlush() const noexcept {
-    return words_ >= kGatherFlushWords;
-  }
-
-  void Flush(std::uint64_t& total) {
-    if (refs_.empty()) return;
-    switch (ChoosePairPolicy(width_, refs_.size(), cfg_)) {
-      case PairPolicy::kBatched:
-        arena_.Reserve(words_);
-        for (const PairRef& ref : refs_) {
-          arena_.Push(ref.a, ref.b, ref.words);
-        }
-        total += AndPopcountPairs(arena_);
-        arena_.Clear();
-        if (counters_ != nullptr) {
-          counters_->batched_pairs += refs_.size();
-          ++counters_->batched_flushes;
-        }
-        break;
-      case PairPolicy::kZeroCopy:
-        total += AndPopcountPairsZeroCopy(refs_);
-        if (counters_ != nullptr) {
-          counters_->zero_copy_pairs += refs_.size();
-          ++counters_->zero_copy_flushes;
-        }
-        break;
-      case PairPolicy::kPerPair:
-        // The legacy counterfactual: every pair pays the full dispatch
-        // (atomic backend load + call) — what the adaptive policy is
-        // measured against, reachable only by forcing.
-        for (const PairRef& ref : refs_) {
-          total += AndPopcountActive(ref.a, ref.b, ref.words);
-        }
-        if (counters_ != nullptr) counters_->per_pair_pairs += refs_.size();
-        break;
-    }
-    refs_.clear();
-    words_ = 0;
+  /// Flushes the partial window and returns the pass total.
+  std::uint64_t Finish() {
+    Flush();
+    return total_;
   }
 
  private:
+  void Flush() {
+    if (size_ == 0) return;
+    total_ += AndPopcountPairsZeroCopy({refs_.data(), size_});
+    if (counters_ != nullptr) counters_->zero_copy_pairs += size_;
+    size_ = 0;
+  }
+
   std::size_t width_;
-  PairPolicyConfig cfg_;
   PairPathCounters* counters_;
   std::vector<PairRef> refs_;
-  PairArena arena_;
-  std::size_t words_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t total_ = 0;
 };
 
-}  // namespace
-
-std::uint64_t SlicedMatrix::AndPopcountAllEdges(
-    PopcountKind kind, PairPathCounters* counters) const {
-  return AndPopcountRows(0, num_vertices(), kind, counters);
-}
-
-std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
-                                            std::uint32_t row_end,
-                                            PopcountKind kind,
-                                            PairPathCounters* counters) const {
-  if (row_begin > row_end || row_end > num_vertices()) {
-    throw std::out_of_range("SlicedMatrix::AndPopcountRows: invalid range");
-  }
-  std::uint64_t total = 0;
-  if (kind != PopcountKind::kBuiltin) {
-    // Hardware-model strategies (kSwar/kLut8/kLut16) keep the exact
-    // per-word per-pair loop — they model structure, not throughput.
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        ForEachValidPair(i, j, [&](std::uint32_t /*slice*/, std::size_t ra,
-                                   std::size_t cb) {
-          total += AndPopcount(rows_.SliceWords(i, ra),
-                               cols_.SliceWords(j, cb), kind);
-        });
-      });
-    }
-    return total;
-  }
-
-  const std::size_t width = rows_.words_per_slice();
-
-  // Pass-level adaptive escape hatch: a wide-slice store that spills
-  // the cache AND has no slice reuse (sparse near-uniform graphs) is a
-  // pure cold stream — dispatching each pair immediately during
+// The one Eq. (5) pass: rows [row_begin, row_end) of `m` against
+// `cols` (m.cols() or a replica of it), where for_each_arc(i, visit)
+// calls visit(j) for every arc A[i][j] the caller's rectangle/mask
+// enumerates.
+template <typename ForEachArc>
+std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
+                           std::uint32_t row_begin, std::uint32_t row_end,
+                           PopcountKind kind, PairPathCounters* counters,
+                           const ForEachArc& for_each_arc) {
+  const SlicedStore& rows = m.rows();
+  const std::size_t width = rows.words_per_slice();
+  // The one measured exception, decided once per pass from the whole
+  // matrix (so every shard of a partition takes the same route): a
+  // wide-slice store that spills the cache AND has no slice reuse is a
+  // pure cold stream, where dispatching each pair immediately during
   // enumeration lets the OoO window overlap the DRAM misses with
-  // enumeration work, which a deferred descriptor flush cannot match
-  // even with prefetch. Hub-skewed stores keep the gathered zero-copy
-  // path (their reused slices are cache-hot). See ChooseDirectPairLoop.
-  if (rows_.num_vectors() > 0 &&
-      ChooseDirectPairLoop(
-          width, rows_.HeapBytes() + cols_.HeapBytes(),
-          static_cast<double>(rows_.valid_slice_count()) /
-              static_cast<double>(rows_.num_vectors()),
-          ActivePairPolicy())) {
-    std::size_t pairs = 0;
+  // enumeration work.
+  const bool direct =
+      kind == PopcountKind::kBuiltin && rows.num_vectors() > 0 &&
+      ChooseDirectPairLoop(width, m.HeapBytes(),
+                           static_cast<double>(rows.valid_slice_count()) /
+                               static_cast<double>(rows.num_vectors()));
+  // Per-pair merge loop, instantiated for the direct route (the active
+  // backend called straight from the enumeration) and for the
+  // hardware-model strategies (kSwar/kLut8/kLut16 model structure, not
+  // throughput).
+  const auto per_pair_pass = [&](const auto& and_popcount) {
+    std::uint64_t total = 0;
+    std::uint64_t pairs = 0;
     for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        ForEachValidPair(i, j, [&](std::uint32_t /*slice*/, std::size_t ra,
-                                   std::size_t cb) {
-          const std::span<const std::uint64_t> a = rows_.SliceWords(i, ra);
-          const std::span<const std::uint64_t> b = cols_.SliceWords(j, cb);
-          total += AndPopcountActive(a.data(), b.data(), a.size());
-          ++pairs;
-        });
+      const std::span<const std::uint32_t> ri = rows.SliceIndices(i);
+      for_each_arc(i, [&](std::uint32_t j) {
+        ForEachCommonSlice(ri, cols.SliceIndices(j),
+                           [&](std::size_t a, std::size_t b) {
+                             total += and_popcount(rows.SliceWords(i, a),
+                                                   cols.SliceWords(j, b));
+                             ++pairs;
+                           });
       });
     }
-    if (counters != nullptr) counters->per_pair_pairs += pairs;
+    if (direct && counters != nullptr) counters->per_pair_pairs += pairs;
     return total;
+  };
+  using Words = std::span<const std::uint64_t>;
+  if (direct) {
+    return per_pair_pass([](Words a, Words b) {
+      return AndPopcountActive(a.data(), b.data(), a.size());
+    });
+  }
+  if (kind != PopcountKind::kBuiltin) {
+    return per_pair_pass(
+        [kind](Words a, Words b) { return AndPopcount(a, b, kind); });
   }
 
-  // Adaptive host path: one gather pass per pivot row — the row's
+  // Gathered zero-copy path: one gather pass per pivot row — the row's
   // valid slices are indexed ONCE into a sparse lookup table (the
-  // §IV-A row-reuse idea on the host), so each edge pays O(|Cj|)
-  // lookups instead of re-merging the row's whole valid-slice list;
-  // every matched pair lands as a zero-copy descriptor, and each flush
-  // batch routes through the policy-chosen kernel path.
+  // §IV-A row-reuse idea on the host), so each arc pays O(|Cj|)
+  // lookups instead of re-merging the row's whole valid-slice list,
+  // and every matched pair lands as a zero-copy descriptor.
   PairStreamExecutor exec(width, counters);
   // row_ordinal_of_slice[k] = ordinal of slice k within the current
   // pivot row, or -1. Only the row's own entries are ever written and
   // reset, so the table costs O(|Ri|) per row after one O(slots) init.
   std::vector<std::int32_t> row_ordinal_of_slice(
-      static_cast<std::size_t>(rows_.slices_per_vector()), -1);
+      static_cast<std::size_t>(rows.slices_per_vector()), -1);
   for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const SlicedStore::VectorSlices row = rows_.Slices(i);
+    const SlicedStore::VectorSlices row = rows.Slices(i);
     if (row.indices.empty()) continue;
     for (std::size_t a = 0; a < row.indices.size(); ++a) {
       row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
     }
-    rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
+    for_each_arc(i, [&](std::uint32_t j) {
       // Column j holds bit i (the arc exists), so it has valid slices.
-      const SlicedStore::VectorSlices col = cols_.Slices(j);
+      const SlicedStore::VectorSlices col = cols.Slices(j);
       for (std::size_t b = 0; b < col.indices.size(); ++b) {
         const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
         if (a >= 0) {
@@ -245,17 +209,28 @@ std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
                     col.words + b * width);
         }
       }
-      // Flush per edge, not per row: a single hub row can gather far
-      // past the L1 budget otherwise (pair boundaries don't affect
-      // the sum, so flushing mid-row is safe).
-      if (exec.ShouldFlush()) exec.Flush(total);
     });
     for (const std::uint32_t slice : row.indices) {
       row_ordinal_of_slice[slice] = -1;
     }
   }
-  exec.Flush(total);
-  return total;
+  return exec.Finish();
+}
+
+}  // namespace
+
+std::uint64_t SlicedMatrix::AndPopcountAllEdges(
+    PopcountKind kind, PairPathCounters* counters) const {
+  return AndPopcountRect(0, num_vertices(), 0, num_vertices(), nullptr, true,
+                         nullptr, kind, counters);
+}
+
+std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
+                                            std::uint32_t row_end,
+                                            PopcountKind kind,
+                                            PairPathCounters* counters) const {
+  return AndPopcountRect(row_begin, row_end, 0, num_vertices(), nullptr, true,
+                         nullptr, kind, counters);
 }
 
 std::uint64_t SlicedMatrix::AndPopcountRect(
@@ -274,70 +249,24 @@ std::uint64_t SlicedMatrix::AndPopcountRect(
     throw std::invalid_argument(
         "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
   }
-  const auto keep = [&](std::uint32_t j) {
-    return col_mask == nullptr || (col_mask[j] != 0) == mask_value;
-  };
-  std::uint64_t total = 0;
-  if (kind != PopcountKind::kBuiltin) {
-    // Hardware-model strategies keep the exact per-word per-pair loop
-    // (merging against `cols`, which may be the replica store).
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        if (!keep(j)) return;
-        const std::span<const std::uint32_t> ri = rows_.SliceIndices(i);
-        const std::span<const std::uint32_t> cj = cols.SliceIndices(j);
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < ri.size() && b < cj.size()) {
-          if (ri[a] < cj[b]) {
-            ++a;
-          } else if (ri[a] > cj[b]) {
-            ++b;
-          } else {
-            total += AndPopcount(rows_.SliceWords(i, a), cols.SliceWords(j, b),
-                                 kind);
-            ++a;
-            ++b;
-          }
-        }
+  if (col_begin == 0 && col_end == num_vertices() && col_mask == nullptr) {
+    // Every column, no mask: the plain row walk, which skips the
+    // per-row lower_bound of the ranged walk.
+    return EvaluatePass(*this, cols, row_begin, row_end, kind, counters,
+                        [&](std::uint32_t i, const auto& visit) {
+                          rows_.ForEachSetBit(i, [&](std::uint64_t j) {
+                            visit(static_cast<std::uint32_t>(j));
+                          });
+                        });
+  }
+  return EvaluatePass(
+      *this, cols, row_begin, row_end, kind, counters,
+      [&](std::uint32_t i, const auto& visit) {
+        rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
+          const auto j = static_cast<std::uint32_t>(j64);
+          if (col_mask == nullptr || (col_mask[j] != 0) == mask_value) visit(j);
+        });
       });
-    }
-    return total;
-  }
-
-  // Adaptive host path — same shape as AndPopcountRows, with the arc
-  // enumeration restricted to the rectangle/mask and the column
-  // lookups routed through `cols`.
-  const std::size_t width = rows_.words_per_slice();
-  PairStreamExecutor exec(width, counters);
-  std::vector<std::int32_t> row_ordinal_of_slice(
-      static_cast<std::size_t>(rows_.slices_per_vector()), -1);
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const SlicedStore::VectorSlices row = rows_.Slices(i);
-    if (row.indices.empty()) continue;
-    for (std::size_t a = 0; a < row.indices.size(); ++a) {
-      row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
-    }
-    rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      if (!keep(j)) return;
-      const SlicedStore::VectorSlices col = cols.Slices(j);
-      for (std::size_t b = 0; b < col.indices.size(); ++b) {
-        const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
-        if (a >= 0) {
-          exec.Push(row.words + static_cast<std::size_t>(a) * width,
-                    col.words + b * width);
-        }
-      }
-      if (exec.ShouldFlush()) exec.Flush(total);
-    });
-    for (const std::uint32_t slice : row.indices) {
-      row_ordinal_of_slice[slice] = -1;
-    }
-  }
-  exec.Flush(total);
-  return total;
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

@@ -76,31 +76,56 @@ struct SliceStats {
   }
 };
 
-/// Per-path pair accounting of one adaptive Eq. (5) pass: how many
-/// valid slice pairs each kernel path consumed and how many flush
-/// batches it ran. The adaptive policy (kernel_backend.h, "Adaptive
-/// pair policy") is otherwise invisible from outside — these counters
-/// are how tests pin the routing and how ExecStats reports it.
+/// Per-route pair accounting of one host Eq. (5) pass: how many valid
+/// slice pairs the gathered zero-copy path consumed and how many the
+/// direct per-pair route (ChooseDirectPairLoop) did. The route is
+/// otherwise invisible from outside — these counters are how tests pin
+/// it and how the runtime.bank.pairs_*_total metrics report it.
 struct PairPathCounters {
-  std::uint64_t batched_pairs = 0;
   std::uint64_t zero_copy_pairs = 0;
   std::uint64_t per_pair_pairs = 0;
-  std::uint64_t batched_flushes = 0;
-  std::uint64_t zero_copy_flushes = 0;
 
   PairPathCounters& operator+=(const PairPathCounters& o) noexcept {
-    batched_pairs += o.batched_pairs;
     zero_copy_pairs += o.zero_copy_pairs;
     per_pair_pairs += o.per_pair_pairs;
-    batched_flushes += o.batched_flushes;
-    zero_copy_flushes += o.zero_copy_flushes;
     return *this;
   }
 
   [[nodiscard]] std::uint64_t TotalPairs() const noexcept {
-    return batched_pairs + zero_copy_pairs + per_pair_pairs;
+    return zero_copy_pairs + per_pair_pairs;
   }
 };
+
+// The direct route: one measured regime defeats the gathered zero-copy
+// path — wide slices whose stores both spill the cache hierarchy AND
+// have no slice reuse (sparse near-uniform graphs, the roadNet |S|=512
+// rows). There every pair is a cold DRAM touch, and dispatching it
+// immediately during enumeration lets out-of-order execution overlap
+// the misses with enumeration work; a deferred descriptor flush, even
+// prefetched, trails by ~5%. Hub-skewed stores of the same byte size
+// (com-youtube, com-lj) stay zero-copy: their reused slices are
+// cache-hot. Calibrated on the BENCH_kernels.json matrix; see
+// docs/KERNELS.md, "The Eq. (5) pair path".
+
+/// Direct route needs at least this slice width (words).
+inline constexpr std::size_t kDirectMinWidthWords = 8;
+/// Direct route needs the matrix's two stores to exceed this many heap
+/// bytes (32 MiB ≈ one LLC; sysconf reports socket-aggregate LLC on
+/// chiplet parts, so a fixed constant beats detection).
+inline constexpr std::uint64_t kDirectMinStoreBytes = 32ull << 20;
+/// Direct route needs average valid slices per row vector at or below
+/// this (low ⇒ no reuse ⇒ cold stream).
+inline constexpr double kDirectMaxAvgValidSlices = 1.6;
+
+/// The pass-level route decision, made once per Eq. (5) pass before
+/// any gathering: true routes the whole pass through the direct merge
+/// loop — immediate per-pair dispatch during enumeration, counted in
+/// PairPathCounters::per_pair_pairs. `store_bytes` is the heap
+/// footprint of the matrix's two stores; `avg_valid_slices` is
+/// valid_slice_count()/num_vectors() of its row store.
+[[nodiscard]] bool ChooseDirectPairLoop(std::size_t width_words,
+                                        std::uint64_t store_bytes,
+                                        double avg_valid_slices) noexcept;
 
 /// One arc mutation of the oriented adjacency matrix: set (insert) or
 /// clear (remove) A[from][to]. Mirrored automatically into both the
@@ -160,20 +185,8 @@ class SlicedMatrix {
   template <typename Fn>
   void ForEachValidPair(std::uint32_t i, std::uint32_t j, Fn&& fn) const {
     const std::span<const std::uint32_t> ri = rows_.SliceIndices(i);
-    const std::span<const std::uint32_t> cj = cols_.SliceIndices(j);
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < ri.size() && b < cj.size()) {
-      if (ri[a] < cj[b]) {
-        ++a;
-      } else if (ri[a] > cj[b]) {
-        ++b;
-      } else {
-        fn(ri[a], a, b);
-        ++a;
-        ++b;
-      }
-    }
+    ForEachCommonSlice(ri, cols_.SliceIndices(j),
+                       [&](std::size_t a, std::size_t b) { fn(ri[a], a, b); });
   }
 
   /// Software evaluation of Eq. (5) over the compressed stores: for
@@ -181,23 +194,23 @@ class SlicedMatrix {
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
   /// the triangle count; the caller owns that interpretation. At the
   /// default kind (kBuiltin) the valid slice pairs are gathered per
-  /// pivot row and evaluated in flush batches whose kernel path —
-  /// batched arena, zero-copy descriptors, or per-pair dispatch — is
-  /// chosen per batch by the adaptive pair policy (kernel_backend.h,
-  /// "Adaptive pair policy"; forceable via TCIM_PAIR_POLICY); the
+  /// pivot row as zero-copy descriptors and evaluated in flush batches
+  /// (AndPopcountPairsZeroCopy), unless ChooseDirectPairLoop routes the
+  /// whole pass through immediate per-pair dispatch; the
   /// hardware-model kinds run the exact per-word per-pair loop
-  /// instead. When `counters` is non-null the per-path pair/flush
-  /// accounting of this pass is accumulated into it.
+  /// instead. When `counters` is non-null the per-route pair
+  /// accounting of this pass is accumulated into it. Equivalent to
+  /// AndPopcountRect over every row and column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
   /// Eq. (5) over rows [row_begin, row_end) only — the shard unit of
-  /// the multi-bank runtime's host-kernel path (runtime::BankPool::
-  /// HostCount). Column lookups see the whole matrix, so disjoint row
-  /// ranges partition AndPopcountAllEdges() exactly: summing shards
-  /// reproduces the full pass. Throws std::out_of_range on an invalid
-  /// range. Same batching/policy rules as AndPopcountAllEdges.
+  /// the multi-bank runtime's 1D host-kernel path (runtime::BankPool::
+  /// HostCountEpoch). Column lookups see the whole matrix, so disjoint
+  /// row ranges partition AndPopcountAllEdges() exactly: summing
+  /// shards reproduces the full pass. Throws std::out_of_range on an
+  /// invalid range. AndPopcountRect over every column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountRows(
       std::uint32_t row_begin, std::uint32_t row_end,
       PopcountKind kind = PopcountKind::kBuiltin,
@@ -221,7 +234,10 @@ class SlicedMatrix {
   /// ANDs — the per-bank hub-replica store. It must match slice_bits
   /// and num_vectors (throws std::invalid_argument) and must hold
   /// bit-identical data for every enumerated column.
-  /// Throws std::out_of_range on an invalid rectangle.
+  /// Throws std::out_of_range on an invalid rectangle. This is the one
+  /// Eq. (5) enumerator: AndPopcountAllEdges and AndPopcountRows
+  /// forward here, and the route (zero-copy or direct) is chosen as
+  /// for AndPopcountAllEdges.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
       std::uint32_t col_end, const std::uint8_t* col_mask = nullptr,

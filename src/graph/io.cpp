@@ -1,9 +1,7 @@
 #include "graph/io.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -14,24 +12,8 @@
 namespace tcim::graph {
 namespace {
 
-constexpr std::array<char, 8> kMagic = {'T', 'C', 'I', 'M',
-                                        'G', '0', '0', '1'};
-
 [[noreturn]] void Fail(const std::string& what) {
   throw std::runtime_error("graph::io: " + what);
-}
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T ReadPod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) Fail("truncated binary graph");
-  return value;
 }
 
 }  // namespace
@@ -112,63 +94,6 @@ void WriteSnapEdgeList(const Graph& g, std::ostream& out) {
       << g.num_edges() << " edges\n";
   out << "# FromNodeId\tToNodeId\n";
   g.ForEachEdge([&](VertexId u, VertexId v) { out << u << '\t' << v << '\n'; });
-}
-
-void WriteBinary(const Graph& g, std::ostream& out) {
-  out.write(kMagic.data(), kMagic.size());
-  WritePod(out, static_cast<std::uint32_t>(g.num_vertices()));
-  WritePod(out, static_cast<std::uint64_t>(g.adjacency().size()));
-  out.write(reinterpret_cast<const char*>(g.offsets().data()),
-            static_cast<std::streamsize>(g.offsets().size() *
-                                         sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(g.adjacency().data()),
-            static_cast<std::streamsize>(g.adjacency().size() *
-                                         sizeof(VertexId)));
-  if (!out) Fail("binary write failed");
-}
-
-void WriteBinaryFile(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) Fail("cannot open " + path + " for writing");
-  WriteBinary(g, out);
-}
-
-Graph ReadBinary(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) Fail("bad magic in binary graph");
-  const auto n = ReadPod<std::uint32_t>(in);
-  const auto arcs = ReadPod<std::uint64_t>(in);
-  if (arcs % 2 != 0) Fail("binary graph arc count must be even");
-
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1);
-  in.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(offsets.size() *
-                                       sizeof(std::uint64_t)));
-  std::vector<VertexId> adjacency(arcs);
-  in.read(reinterpret_cast<char*>(adjacency.data()),
-          static_cast<std::streamsize>(adjacency.size() * sizeof(VertexId)));
-  if (!in) Fail("truncated binary graph");
-
-  // Rebuild through the builder to re-establish all invariants rather
-  // than trusting the file.
-  GraphBuilder builder(n);
-  builder.ReserveEdges(arcs / 2);
-  for (VertexId u = 0; u < n; ++u) {
-    if (offsets[u] > offsets[u + 1] || offsets[u + 1] > arcs) {
-      Fail("corrupt offsets in binary graph");
-    }
-    for (std::uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-      if (adjacency[e] > u) builder.AddEdge(u, adjacency[e]);
-    }
-  }
-  return std::move(builder).Build();
-}
-
-Graph ReadBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) Fail("cannot open " + path);
-  return ReadBinary(in);
 }
 
 }  // namespace tcim::graph

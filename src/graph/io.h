@@ -1,5 +1,4 @@
-// Graph serialization: SNAP-style text edge lists and a fast binary
-// format.
+// Graph serialization: SNAP-style text edge lists.
 //
 // The paper evaluates on graphs from the SNAP collection [17]
 // distributed as '#'-commented whitespace-separated edge lists; this
@@ -30,13 +29,5 @@ namespace tcim::graph {
 
 /// Writes g as a SNAP-style edge list with one "u v" line per edge.
 void WriteSnapEdgeList(const Graph& g, std::ostream& out);
-
-/// Binary round-trip format ("TCIMG001" magic, little-endian u32/u64
-/// arrays). ~20x faster to load than text for multi-million edge
-/// graphs; used to cache synthesized workloads between bench runs.
-void WriteBinary(const Graph& g, std::ostream& out);
-void WriteBinaryFile(const Graph& g, const std::string& path);
-[[nodiscard]] Graph ReadBinary(std::istream& in);
-[[nodiscard]] Graph ReadBinaryFile(const std::string& path);
 
 }  // namespace tcim::graph

@@ -36,9 +36,6 @@ arch::ExecStats MergeExecStats(std::span<const arch::ExecStats> stats) {
     merged.replica_slice_writes += s.replica_slice_writes;
     merged.bitcount_words += s.bitcount_words;
     merged.accumulated_bitcount += s.accumulated_bitcount;
-    merged.host_pairs_batched += s.host_pairs_batched;
-    merged.host_pairs_zero_copy += s.host_pairs_zero_copy;
-    merged.host_pairs_per_pair += s.host_pairs_per_pair;
     merged.spread = std::max(merged.spread, s.spread);
     caches.push_back(s.cache);
     if (merged.per_subarray_ands.size() < s.per_subarray_ands.size()) {
@@ -78,9 +75,6 @@ arch::ExecStats ToExecStats(const stream::BatchResult& batch) {
                           batch.stats.applied.patch.rows.slices_inserted;
   exec.col_slice_writes = batch.stats.applied.patch.cols.bits_patched +
                           batch.stats.applied.patch.cols.slices_inserted;
-  exec.host_pairs_batched = batch.stats.paths.batched_pairs;
-  exec.host_pairs_zero_copy = batch.stats.paths.zero_copy_pairs;
-  exec.host_pairs_per_pair = batch.stats.paths.per_pair_pairs;
   return exec;
 }
 

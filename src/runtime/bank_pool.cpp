@@ -100,37 +100,20 @@ arch::BankExecPlan MakeBankExecPlan(const TilePlan2d& plan,
   return exec;
 }
 
-/// One hub replica store per bank: a single COW extract of the hub
-/// columns, copied per bank (slab shared_ptr bumps, not data copies).
-std::vector<bit::SlicedStore> MakeReplicas(
-    const bit::SlicedStore& cols, const std::vector<std::uint32_t>& hubs,
-    std::uint32_t num_banks) {
-  std::vector<bit::SlicedStore> replicas;
-  if (hubs.empty()) return replicas;
-  const bit::SlicedStore hub_store =
-      cols.ExtractVectors(std::span<const std::uint32_t>(hubs));
-  replicas.reserve(num_banks);
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    replicas.push_back(hub_store);
-  }
-  return replicas;
-}
-
 void Record2dMetrics(const PartitionStats& stats) {
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
   metrics.replica_bytes.Set(static_cast<double>(stats.replica_bytes));
   metrics.tile_imbalance.Set(stats.tile_imbalance);
 }
 
-/// Sums the per-shard adaptive-policy routing counters (each shard
-/// writes its own slot — RunShards runs them concurrently) into the
-/// registry once per host-count fan-out.
+/// Sums the per-shard route counters (each shard writes its own slot —
+/// RunShards runs them concurrently) into the registry once per
+/// host-count fan-out.
 void RecordPairPathMetrics(std::span<const bit::PairPathCounters> per_bank) {
   bit::PairPathCounters total;
   for (const bit::PairPathCounters& c : per_bank) total += c;
   if (total.TotalPairs() == 0) return;
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
-  metrics.pairs_batched.Add(total.batched_pairs);
   metrics.pairs_zero_copy.Add(total.zero_copy_pairs);
   metrics.pairs_per_pair.Add(total.per_pair_pairs);
 }
@@ -172,7 +155,7 @@ void BankPool::RunShards(
     const GraphPartition& partition,
     const std::function<void(std::uint32_t, const ShardInfo&)>& run_shard)
     const {
-  // One completion latch per call so concurrent Count()/HostCount()
+  // One completion latch per call so concurrent Count()/HostCountEpoch()
   // invocations can interleave on the same worker pool. Local state, so
   // the lock discipline is scope-visible rather than TCIM_GUARDED_BY:
   // `remaining`/`first_error` are only touched under `mu`.
@@ -255,98 +238,48 @@ Partition2dOptions BankPool::Options2d() const noexcept {
   return options;
 }
 
-BankPool::PreparedRun BankPool::Prepare(const graph::Graph& g) const {
-  const graph::OrientedCsr csr =
-      graph::Orient(g, config_.accelerator.orientation);
-  const std::uint32_t slice_bits = banks_.front()->config().slice_bits;
-  bit::SlicedMatrix matrix = bit::SlicedMatrix::FromCsr(
-      csr.num_vertices, csr.offsets, csr.neighbors, slice_bits);
-  GraphPartition partition;
-  if (config_.partition == PartitionStrategy::k2dHubReplicated) {
-    obs::TraceSpan span("partition.plan2d", "bank", "");
-    partition = Partition2dCsr(csr, num_banks(), Options2d());
-    Record2dMetrics(partition.stats);
-  } else {
-    partition = PartitionOrientedCsr(csr, num_banks(), config_.partition);
-  }
-  return PreparedRun{std::move(matrix), std::move(partition)};
-}
-
 ClusterResult BankPool::Count(const graph::Graph& g) const {
   util::Timer timer;
   const graph::Orientation orientation = config_.accelerator.orientation;
-  PreparedRun run = Prepare(g);
+
+  // The offline stages (Fig. 4 "data slicing"): orient, slice,
+  // partition. The oriented CSR is freed before the shards run.
+  bit::SlicedMatrix matrix;
+  GraphPartition partition;
+  {
+    const graph::OrientedCsr csr = graph::Orient(g, orientation);
+    matrix = bit::SlicedMatrix::FromCsr(csr.num_vertices, csr.offsets,
+                                        csr.neighbors,
+                                        banks_.front()->config().slice_bits);
+    if (config_.partition == PartitionStrategy::k2dHubReplicated) {
+      obs::TraceSpan span("partition.plan2d", "bank", "");
+      partition = Partition2dCsr(csr, num_banks(), Options2d());
+      Record2dMetrics(partition.stats);
+    } else {
+      partition = PartitionOrientedCsr(csr, num_banks(), config_.partition);
+    }
+  }
 
   std::vector<core::TcimResult> per_bank(num_banks());
-  if (run.partition.plan2d != nullptr) {
-    const TilePlan2d& plan = *run.partition.plan2d;
-    RunShards(run.partition, [&](std::uint32_t b, const ShardInfo&) {
-      per_bank[b] =
-          banks_[b]->RunOnMatrixPlan(run.matrix, orientation,
-                                     MakeBankExecPlan(plan, b));
+  if (partition.plan2d != nullptr) {
+    const TilePlan2d& plan = *partition.plan2d;
+    RunShards(partition, [&](std::uint32_t b, const ShardInfo&) {
+      per_bank[b] = banks_[b]->RunOnMatrixPlan(matrix, orientation,
+                                               MakeBankExecPlan(plan, b));
     });
   } else {
-    RunShards(run.partition, [&](std::uint32_t b, const ShardInfo& shard) {
+    RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
       per_bank[b] = banks_[b]->RunOnMatrixRows(
-          run.matrix, orientation, shard.row_begin, shard.row_end);
+          matrix, orientation, shard.row_begin, shard.row_end);
     });
   }
 
   ClusterResult cluster =
-      AggregateClusterResult(std::move(run.partition), orientation,
-                             std::move(per_bank), run.matrix.ComputeStats(),
+      AggregateClusterResult(std::move(partition), orientation,
+                             std::move(per_bank), matrix.ComputeStats(),
                              config_.accelerator.perf);
   cluster.host_seconds = timer.ElapsedSeconds();
   return cluster;
-}
-
-std::uint64_t BankPool::HostCount(const graph::Graph& g) const {
-  const PreparedRun run = Prepare(g);
-
-  if (run.partition.plan2d != nullptr) {
-    ServingPlan2d plan;
-    plan.replicas = MakeReplicas(run.matrix.cols(),
-                                 run.partition.plan2d->hubs, num_banks());
-    plan.partition = run.partition;
-    return HostCount2d(run.matrix, plan, config_.accelerator.orientation);
-  }
-
-  // Each shard runs the adaptive host kernel over its owned row range;
-  // disjoint ranges partition the raw Eq. (5) sum exactly, and the
-  // orientation divide happens once on the cluster total (a single
-  // kFullSymmetric shard's bitcount need not be divisible by 6).
-  std::vector<std::uint64_t> per_bank(num_banks(), 0);
-  std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(run.partition, [&](std::uint32_t b, const ShardInfo& shard) {
-    per_bank[b] = run.matrix.AndPopcountRows(
-        shard.row_begin, shard.row_end, bit::PopcountKind::kBuiltin,
-        &paths[b]);
-  });
-  RecordPairPathMetrics(paths);
-  std::uint64_t raw = 0;
-  for (const std::uint64_t shard_count : per_bank) raw += shard_count;
-  return raw / graph::CountMultiplier(config_.accelerator.orientation);
-}
-
-std::uint64_t BankPool::HostCountMatrix(const bit::SlicedMatrix& matrix,
-                                        graph::Orientation orientation) const {
-  if (config_.partition == PartitionStrategy::k2dHubReplicated) {
-    const ServingPlan2d plan = BuildServingPlan2d(matrix);
-    return HostCount2d(matrix, plan, orientation);
-  }
-  const GraphPartition partition =
-      PartitionMatrixRows(matrix, num_banks(), config_.partition);
-  std::vector<std::uint64_t> per_bank(num_banks(), 0);
-  std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
-    per_bank[b] = matrix.AndPopcountRows(shard.row_begin, shard.row_end,
-                                         bit::PopcountKind::kBuiltin,
-                                         &paths[b]);
-  });
-  RecordPairPathMetrics(paths);
-  std::uint64_t raw = 0;
-  for (const std::uint64_t shard_count : per_bank) raw += shard_count;
-  return raw / graph::CountMultiplier(orientation);
 }
 
 ServingPlan2d BankPool::BuildServingPlan2d(
@@ -354,23 +287,28 @@ ServingPlan2d BankPool::BuildServingPlan2d(
   obs::TraceSpan span("partition.plan2d", "bank", "");
   ServingPlan2d plan;
   plan.partition = Partition2dMatrix(matrix, num_banks(), Options2d());
-  plan.replicas = MakeReplicas(matrix.cols(), plan.partition.plan2d->hubs,
-                               num_banks());
+  const std::vector<std::uint32_t>& hubs = plan.partition.plan2d->hubs;
+  if (!hubs.empty()) {
+    // One COW extract of the hub columns, copied per bank (slab
+    // shared_ptr bumps, not data copies).
+    plan.replicas.assign(num_banks(), matrix.cols().ExtractVectors(hubs));
+  }
   Record2dMetrics(plan.partition.stats);
   return plan;
 }
 
-std::uint64_t BankPool::HostCount2d(const bit::SlicedMatrix& matrix,
-                                    const ServingPlan2d& plan,
-                                    graph::Orientation orientation) const {
-  const TilePlan2d& plan2d = *plan.partition.plan2d;
+std::uint64_t BankPool::SumShardCounts(
+    const GraphPartition& partition, graph::Orientation orientation,
+    const std::function<std::uint64_t(std::uint32_t, const ShardInfo&,
+                                      bit::PairPathCounters*)>& count_shard)
+    const {
+  // Disjoint shards partition the raw Eq. (5) sum exactly, and the
+  // orientation divide happens once on the cluster total (a single
+  // kFullSymmetric shard's bitcount need not be divisible by 6).
   std::vector<std::uint64_t> per_bank(num_banks(), 0);
   std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(plan.partition, [&](std::uint32_t b, const ShardInfo&) {
-    const bit::SlicedStore* replica =
-        plan.replicas.empty() ? nullptr : &plan.replicas[b];
-    per_bank[b] = CountBankShard2d(matrix, plan2d, b, replica,
-                                   bit::PopcountKind::kBuiltin, &paths[b]);
+  RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
+    per_bank[b] = count_shard(b, shard, &paths[b]);
   });
   RecordPairPathMetrics(paths);
   std::uint64_t raw = 0;
@@ -381,7 +319,14 @@ std::uint64_t BankPool::HostCount2d(const bit::SlicedMatrix& matrix,
 std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
   const bit::SlicedMatrix& matrix = *epoch.matrix;
   if (config_.partition != PartitionStrategy::k2dHubReplicated) {
-    return HostCountMatrix(matrix, epoch.orientation);
+    return SumShardCounts(
+        PartitionMatrixRows(matrix, num_banks(), config_.partition),
+        epoch.orientation,
+        [&](std::uint32_t, const ShardInfo& shard,
+            bit::PairPathCounters* paths) {
+          return matrix.AndPopcountRows(shard.row_begin, shard.row_end,
+                                        bit::PopcountKind::kBuiltin, paths);
+        });
   }
   PlanCache2d::PlanPtr plan;
   if (epoch.plan2d != nullptr) {
@@ -395,7 +340,15 @@ std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
       plan->partition.plan2d->num_vertices != matrix.num_vertices()) {
     plan = std::make_shared<const ServingPlan2d>(BuildServingPlan2d(matrix));
   }
-  return HostCount2d(matrix, *plan, epoch.orientation);
+  const TilePlan2d& plan2d = *plan->partition.plan2d;
+  return SumShardCounts(
+      plan->partition, epoch.orientation,
+      [&](std::uint32_t b, const ShardInfo&, bit::PairPathCounters* paths) {
+        const bit::SlicedStore* replica =
+            plan->replicas.empty() ? nullptr : &plan->replicas[b];
+        return CountBankShard2d(matrix, plan2d, b, replica,
+                                bit::PopcountKind::kBuiltin, paths);
+      });
 }
 
 }  // namespace tcim::runtime

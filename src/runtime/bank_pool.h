@@ -100,33 +100,19 @@ class BankPool {
   /// TcimAccelerator::Run(g).triangles for every graph.
   [[nodiscard]] ClusterResult Count(const graph::Graph& g) const;
 
-  /// Host-kernel twin of Count(): same orient → slice → partition
-  /// pipeline and the same per-bank row shards, but each shard runs
-  /// the *batched host* Eq. (5) pass (SlicedMatrix::AndPopcountRows on
-  /// the active SIMD kernel backend) instead of the functional in-MRAM
-  /// simulation — the fast path when only the count is needed, not the
-  /// architectural statistics. Raw shard bitcounts are summed before
-  /// the orientation divide, so the result is exact for every
-  /// orientation: HostCount(g) == Count(g).triangles.
-  [[nodiscard]] std::uint64_t HostCount(const graph::Graph& g) const;
-
-  /// The epoch-serving read path: counts an ALREADY-SLICED matrix (a
-  /// pinned COW epoch snapshot) on the bank shards — no orient, no
-  /// re-slice, just PartitionMatrixRows + per-shard AndPopcountRows.
-  /// `orientation` must be the orientation the matrix was built under
-  /// (EpochSnapshot carries it); it only supplies the final count
-  /// multiplier. Exact: equals HostCount of the materialized graph.
-  /// Thread-safe and concurrent like Count() — this is what query
-  /// jobs run while update batches apply.
-  [[nodiscard]] std::uint64_t HostCountMatrix(
-      const bit::SlicedMatrix& matrix, graph::Orientation orientation) const;
-
-  /// HostCountMatrix against a pinned epoch snapshot, with serving-plan
-  /// reuse: under k2dHubReplicated the tile plan + per-bank hub
-  /// replicas are fetched from (or built into) the epoch's PlanCache2d
-  /// instead of re-planned per query, so steady-state queries pay only
-  /// the per-shard rectangle counts. Under 1D strategies it is exactly
-  /// HostCountMatrix. The scheduler's query path calls this.
+  /// The host-kernel count: counts the ALREADY-SLICED matrix of a
+  /// pinned COW epoch snapshot on the bank shards with the host Eq. (5)
+  /// pass (SlicedMatrix::AndPopcountRows / AndPopcountRect on the
+  /// active SIMD kernel backend) instead of the functional in-MRAM
+  /// simulation — no orient, no re-slice, no architectural statistics.
+  /// Under 1D strategies the shards are PartitionMatrixRows row ranges;
+  /// under k2dHubReplicated the tile plan + per-bank hub replicas are
+  /// fetched from (or built into) the epoch's PlanCache2d, so
+  /// steady-state queries pay only the per-shard rectangle counts. Raw
+  /// shard bitcounts are summed before the divide by the epoch's
+  /// orientation multiplier, so the result is exact for every
+  /// orientation. Thread-safe and concurrent like Count() — the
+  /// scheduler's query jobs run this while update batches apply.
   [[nodiscard]] std::uint64_t HostCountEpoch(const EpochSnapshot& epoch) const;
 
   [[nodiscard]] std::uint32_t num_banks() const noexcept {
@@ -140,14 +126,6 @@ class BankPool {
   }
 
  private:
-  /// The shared offline stages (Fig. 4 "data slicing") of Count() and
-  /// HostCount(): orient, slice, partition.
-  struct PreparedRun {
-    bit::SlicedMatrix matrix;
-    GraphPartition partition;
-  };
-  [[nodiscard]] PreparedRun Prepare(const graph::Graph& g) const;
-
   /// The 2D planner options with slice_bits synced from the
   /// accelerator config (the one field the two configs share).
   [[nodiscard]] Partition2dOptions Options2d() const noexcept;
@@ -155,15 +133,18 @@ class BankPool {
   /// replica stores (COW; shared slabs across banks).
   [[nodiscard]] ServingPlan2d BuildServingPlan2d(
       const bit::SlicedMatrix& matrix) const;
-  /// Host-kernel 2D fan-out: one CountBankShard2d per bank against its
-  /// replica, raw sum divided once by the orientation multiplier.
-  [[nodiscard]] std::uint64_t HostCount2d(const bit::SlicedMatrix& matrix,
-                                          const ServingPlan2d& plan,
-                                          graph::Orientation orientation) const;
+  /// Host-kernel fan-out: one count_shard(bank, shard, counters) task
+  /// per bank, raw counts summed, then divided once by the orientation
+  /// multiplier.
+  [[nodiscard]] std::uint64_t SumShardCounts(
+      const GraphPartition& partition, graph::Orientation orientation,
+      const std::function<std::uint64_t(std::uint32_t, const ShardInfo&,
+                                        bit::PairPathCounters*)>& count_shard)
+      const;
 
   /// Fans one task per shard out to the worker pool and waits for all
   /// of them; the first shard exception (if any) is rethrown. Shared
-  /// by Count() and HostCount().
+  /// by Count() and HostCountEpoch().
   void RunShards(
       const GraphPartition& partition,
       const std::function<void(std::uint32_t, const ShardInfo&)>& run_shard)

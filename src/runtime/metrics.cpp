@@ -73,7 +73,6 @@ BankPoolMetrics& BankPoolMetrics::Get() {
         reg.GetCounter("runtime.bank.busy_micros_total"),
         reg.GetGauge("runtime.bank.replica_bytes"),
         reg.GetGauge("runtime.bank.tile_imbalance"),
-        reg.GetCounter("runtime.bank.pairs_batched_total"),
         reg.GetCounter("runtime.bank.pairs_zerocopy_total"),
         reg.GetCounter("runtime.bank.pairs_perpair_total"),
     };

@@ -16,7 +16,7 @@
 //    counts or queries (nor vice versa).
 //
 // Query jobs pin the session's current epoch AT DISPATCH and count it
-// on the bank pool without re-slicing (BankPool::HostCountMatrix over
+// on the bank pool without re-slicing (BankPool::HostCountEpoch over
 // the pinned COW matrix). Queries queued for the same session COALESCE
 // at dispatch: the leader absorbs every queued query for that session,
 // pins once, runs ONE shared pass, and resolves them all — because

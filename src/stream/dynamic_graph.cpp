@@ -1,7 +1,9 @@
 #include "stream/dynamic_graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -73,15 +75,26 @@ ApplyStats DynamicGraph::ApplyNormalized(std::span<const EdgeOp> ops,
   ApplyStats stats;
 
   // Pass A (pre-mutation): vertex growth and the old-degree snapshot
-  // the kDegree key comparisons need.
-  VertexId new_n = n_;
+  // the kDegree key comparisons need. The new size is computed in 64
+  // bits: an id whose +1 does not fit VertexId would wrap the vertex
+  // count to 0 and leave adj_ unsized, so it is rejected here, before
+  // anything is mutated.
+  std::uint64_t grown_n = n_;
   std::unordered_map<VertexId, std::uint64_t> old_degree;
   for (const EdgeOp& op : ops) {
-    new_n = std::max({new_n, op.u + 1, op.v + 1});
+    grown_n = std::max({grown_n, std::uint64_t{op.u} + 1,
+                        std::uint64_t{op.v} + 1});
     for (const VertexId x : {op.u, op.v}) {
       old_degree.try_emplace(x, x < n_ ? adj_[x].size() : 0);
     }
   }
+  if (grown_n > std::numeric_limits<VertexId>::max()) {
+    throw std::invalid_argument(
+        "DynamicGraph::ApplyNormalized: vertex id " +
+        std::to_string(grown_n - 1) + " is out of range (max " +
+        std::to_string(std::numeric_limits<VertexId>::max() - 1) + ")");
+  }
+  const auto new_n = static_cast<VertexId>(grown_n);
   adj_.resize(new_n);
 
   // Pass B: replay the sequence against the adjacency, recording each

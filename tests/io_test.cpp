@@ -130,63 +130,20 @@ TEST(SnapRoundTrip, WriteThenReadPreservesGraph) {
                          restored.adjacency().begin()));
 }
 
-TEST(BinaryRoundTrip, PreservesGraph) {
-  const Graph original = GeometricRoad(2000, RoadParams{}, 4);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(original, buffer);
-  const Graph restored = ReadBinary(buffer);
-  ASSERT_EQ(restored.num_vertices(), original.num_vertices());
-  ASSERT_EQ(restored.num_edges(), original.num_edges());
-  EXPECT_TRUE(std::equal(original.adjacency().begin(),
-                         original.adjacency().end(),
-                         restored.adjacency().begin()));
-}
-
-TEST(BinaryRoundTrip, EmptyGraph) {
-  const Graph original = GraphBuilder(7).Build();
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(original, buffer);
-  const Graph restored = ReadBinary(buffer);
-  EXPECT_EQ(restored.num_vertices(), 7u);
-  EXPECT_EQ(restored.num_edges(), 0u);
-}
-
-TEST(BinaryReader, RejectsBadMagic) {
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  buffer << "NOTAGRAPHFILE................";
-  EXPECT_THROW(ReadBinary(buffer), std::runtime_error);
-}
-
-TEST(BinaryReader, RejectsTruncatedFile) {
-  const Graph original = ErdosRenyi(100, 300, 5);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(original, buffer);
-  std::string data = buffer.str();
-  data.resize(data.size() / 2);
-  std::stringstream truncated(data,
-                              std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(ReadBinary(truncated), std::runtime_error);
-}
-
 TEST(FileIo, MissingFileThrows) {
   EXPECT_THROW(ReadSnapEdgeListFile("/nonexistent/path.txt"),
                std::runtime_error);
-  EXPECT_THROW(ReadBinaryFile("/nonexistent/path.bin"), std::runtime_error);
 }
 
 TEST(FileIo, WriteAndReadBackFiles) {
   const Graph original = ErdosRenyi(50, 120, 6);
   const std::string text_path = ::testing::TempDir() + "/tcim_io_test.txt";
-  const std::string bin_path = ::testing::TempDir() + "/tcim_io_test.bin";
   {
     std::ofstream out(text_path);
     WriteSnapEdgeList(original, out);
   }
-  WriteBinaryFile(original, bin_path);
   const Graph from_text = ReadSnapEdgeListFile(text_path);
-  const Graph from_bin = ReadBinaryFile(bin_path);
   EXPECT_EQ(from_text.num_edges(), original.num_edges());
-  EXPECT_EQ(from_bin.num_edges(), original.num_edges());
 }
 
 }  // namespace

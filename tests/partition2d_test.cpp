@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_tc.h"
@@ -19,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/orientation.h"
 #include "runtime/bank_pool.h"
+#include "runtime/epoch_manager.h"
 #include "runtime/metrics.h"
 #include "runtime/partitioner.h"
 #include "util/rng.h"
@@ -49,6 +52,25 @@ BankPoolConfig Pool2dConfig(std::uint32_t banks,
   config.partition = PartitionStrategy::k2dHubReplicated;
   config.accelerator = SmallConfig(slice_bits);
   return config;
+}
+
+/// Counts `matrix` through the pool's one host entry point, as a
+/// freshly published epoch (no cached plan) would be counted.
+std::uint64_t CountAsEpoch(const BankPool& pool, bit::SlicedMatrix matrix,
+                           Orientation orientation) {
+  runtime::EpochSnapshot epoch;
+  epoch.orientation = orientation;
+  epoch.matrix = std::make_shared<const bit::SlicedMatrix>(std::move(matrix));
+  return pool.HostCountEpoch(epoch);
+}
+
+/// Slices `g` under the pool's configured orientation and slice width,
+/// then counts it with CountAsEpoch.
+std::uint64_t HostCountOf(const BankPool& pool, const Graph& g) {
+  const core::TcimConfig& config = pool.config().accelerator;
+  return CountAsEpoch(
+      pool, core::BuildSlicedMatrix(g, config.orientation, config.slice_bits),
+      config.orientation);
 }
 
 struct FamilyCase {
@@ -118,7 +140,7 @@ TEST_P(Partition2dExactnessTest, EveryCellMatchesBaselineRawAndDivided) {
       EXPECT_EQ(raw_full / graph::CountMultiplier(orientation), expected);
       // And the pool's serving read path agrees end to end.
       const BankPool pool{Pool2dConfig(banks, slice_bits)};
-      EXPECT_EQ(pool.HostCountMatrix(matrix, orientation), expected);
+      EXPECT_EQ(CountAsEpoch(pool, matrix, orientation), expected);
     }
   }
 }
@@ -158,7 +180,7 @@ TEST(Partition2dTest, HostCountMatchesSimulatedUnderFullSymmetric) {
   const BankPool pool{config};
   const Graph g = graph::HolmeKim(300, 2200, 0.7, 5);
   const std::uint64_t expected = core::CountTrianglesDense(g);
-  EXPECT_EQ(pool.HostCount(g), expected);
+  EXPECT_EQ(HostCountOf(pool, g), expected);
   EXPECT_EQ(pool.Count(g).triangles, expected);
 }
 
@@ -167,7 +189,7 @@ TEST(Partition2dTest, PaperDatasetStandInsMatchBaseline) {
   for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
     const graph::DatasetInstance inst =
         graph::SynthesizePaperGraph(ref.id, /*scale=*/0.02, /*seed=*/42);
-    EXPECT_EQ(pool.HostCount(inst.graph),
+    EXPECT_EQ(HostCountOf(pool, inst.graph),
               baseline::CountTrianglesReference(inst.graph))
         << ref.name;
   }
@@ -284,7 +306,7 @@ TEST(Partition2dTest, RecordsReplicaMetrics) {
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
   const BankPool pool{Pool2dConfig(4)};
-  (void)pool.HostCountMatrix(matrix, Orientation::kUpper);
+  (void)CountAsEpoch(pool, matrix, Orientation::kUpper);
   const GraphPartition p =
       runtime::Partition2dMatrix(matrix, 4, Partition2dOptions{});
   runtime::BankPoolMetrics& metrics = runtime::BankPoolMetrics::Get();

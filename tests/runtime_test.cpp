@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -243,9 +244,22 @@ TEST(BankPoolTest, MoreBanksThanVerticesStillExact) {
   EXPECT_EQ(pool.Count(g).triangles, 20u);
 }
 
+/// The host-kernel count of `g` through the pool's one host entry
+/// point: slice `g` under `orientation` and count the matrix as a
+/// freshly published epoch would be counted.
+std::uint64_t HostCountOf(const BankPool& pool, const Graph& g,
+                          Orientation orientation) {
+  runtime::EpochSnapshot epoch;
+  epoch.orientation = orientation;
+  epoch.matrix = std::make_shared<const bit::SlicedMatrix>(
+      core::BuildSlicedMatrix(g, orientation,
+                              pool.config().accelerator.slice_bits));
+  return pool.HostCountEpoch(epoch);
+}
+
 TEST(BankPoolTest, HostCountMatchesSimulatedCountEverywhere) {
-  // HostCount runs the batched host Eq. (5) kernel per shard instead
-  // of the functional array; the two pipelines must agree exactly on
+  // HostCountEpoch runs the host Eq. (5) kernel per shard instead of
+  // the functional array; the two pipelines must agree exactly on
   // every family x bank count x strategy combination.
   for (const FamilyCase& family : kFamilies) {
     const Graph g = family.make(21);
@@ -256,7 +270,7 @@ TEST(BankPoolTest, HostCountMatchesSimulatedCountEverywhere) {
            {PartitionStrategy::kContiguous,
             PartitionStrategy::kDegreeBalanced}) {
         const BankPool pool{PoolConfig(banks, strategy)};
-        EXPECT_EQ(pool.HostCount(g), expected)
+        EXPECT_EQ(HostCountOf(pool, g, Orientation::kUpper), expected)
             << family.name << " banks=" << banks;
         EXPECT_EQ(pool.Count(g).triangles, expected)
             << family.name << " banks=" << banks;
@@ -275,13 +289,13 @@ TEST(BankPoolTest, HostCountExactUnderFullSymmetricOrientation) {
   pool_config.accelerator = config;
   const BankPool pool{pool_config};
   const Graph g = graph::HolmeKim(300, 2200, 0.7, 5);
-  EXPECT_EQ(pool.HostCount(g), core::CountTrianglesDense(g));
+  EXPECT_EQ(HostCountOf(pool, g, Orientation::kFullSymmetric),
+            core::CountTrianglesDense(g));
 }
 
-TEST(BankPoolTest, HostCountMatrixMatchesHostCountEverywhere) {
+TEST(BankPoolTest, HostCountExactOnEveryFamilyAndOrientation) {
   // The serving read path counts an already-sliced matrix directly; it
-  // must agree with the orient-slice-count pipelines on every family
-  // and orientation.
+  // must agree with the CPU reference on every family and orientation.
   const BankPool pool{PoolConfig(3, PartitionStrategy::kDegreeBalanced)};
   for (const FamilyCase& family : kFamilies) {
     const Graph g = family.make(33);
@@ -289,9 +303,7 @@ TEST(BankPoolTest, HostCountMatrixMatchesHostCountEverywhere) {
     for (const Orientation orientation :
          {Orientation::kUpper, Orientation::kDegree,
           Orientation::kFullSymmetric}) {
-      const bit::SlicedMatrix matrix =
-          core::BuildSlicedMatrix(g, orientation, 64);
-      EXPECT_EQ(pool.HostCountMatrix(matrix, orientation), expected)
+      EXPECT_EQ(HostCountOf(pool, g, orientation), expected)
           << family.name << " " << graph::ToString(orientation);
     }
   }

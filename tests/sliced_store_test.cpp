@@ -344,10 +344,11 @@ TEST(SlicedMatrix, HeapBytesPositiveForNonEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched Eq. (5) evaluation: AndPopcountAllEdges/AndPopcountRows now
-// gather valid pairs and issue block dispatches; these tests pin the
-// batched path to the per-pair formulation it replaced, across slice
-// widths (words_per_slice 1..8), row shards, and forced backends.
+// Host Eq. (5) pass: AndPopcountAllEdges and AndPopcountRows forward to
+// the one enumerator, AndPopcountRect, which gathers valid pairs and
+// issues block dispatches; these tests pin it to the per-pair
+// formulation it replaced, across slice widths (words_per_slice 1..8),
+// row shards, rectangles and forced backends.
 
 /// Random upper-triangular CSR over `n` vertices with ~`avg_degree`
 /// out-arcs per vertex.
@@ -407,11 +408,14 @@ TEST(SlicedMatrixBatched, MatchesPerPairLoopAcrossWidthsAndBackends) {
   for (const std::uint32_t slice_bits :
        {8u, 64u, 100u, 128u, 192u, 256u, 320u, 384u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 4242);
+    const std::uint32_t n = m.num_vertices();
     const std::uint64_t expected = PerPairReference(m);
     for (const KernelBackend backend : SupportedKernelBackends()) {
       SetActiveBackend(backend);
       EXPECT_EQ(m.AndPopcountAllEdges(), expected)
           << "slice_bits=" << slice_bits << " backend=" << ToString(backend);
+      EXPECT_EQ(m.AndPopcountRows(0, n), expected);
+      EXPECT_EQ(m.AndPopcountRect(0, n, 0, n), expected);
     }
   }
 }
@@ -438,7 +442,7 @@ TEST(SlicedMatrixBatched, DisjointRowShardsPartitionTheTotal) {
 TEST(SlicedMatrixBatched, LargeRowCrossesFlushBoundary) {
   // A near-complete upper matrix: the first pivot rows alone gather
   // far more than the 2 Ki-word flush block (row 0 has ~1499 edges,
-  // each matching many of its ~24 valid slices), so the arena must
+  // each matching many of its ~24 valid slices), so the gather must
   // flush repeatedly *mid-row* and still sum exactly.
   const SlicedMatrix m = RandomUpperMatrix(1500, 1500, 64, 9001);
   ASSERT_GT(m.edge_count(), 500000u);  // dense enough to force flushes
@@ -452,7 +456,7 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
   (void)m.AndPopcountRows(0, m.num_vertices());
   (void)AndPopcountVectors(m.rows(), 0, m.cols(), 1);
   EXPECT_EQ(Lut8Invocations(), before)
-      << "batched kBuiltin path fed words to the LUT8 hardware model";
+      << "kBuiltin host path fed words to the LUT8 hardware model";
   // The hardware-model strategy still routes through it, per word.
   const std::uint64_t lut_total = m.AndPopcountAllEdges(PopcountKind::kLut8);
   EXPECT_EQ(lut_total, m.AndPopcountAllEdges());
@@ -460,69 +464,42 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive pair policy at the matrix level: every forced policy and
-// the auto rule must produce the exact per-pair total, and the
-// PairPathCounters must attribute every gathered pair to the path
-// that actually consumed it.
+// Route accounting: every pair of a pass lands in exactly one
+// PairPathCounters bucket — zero_copy_pairs on the gathered path,
+// per_pair_pairs when the direct rule (ChooseDirectPairLoop) fires.
 
-/// Restores the forced pair policy on scope exit.
-class PairPolicyGuard {
- public:
-  PairPolicyGuard() : saved_(ActivePairPolicy().forced) {}
-  ~PairPolicyGuard() { SetActivePairPolicy(saved_); }
+TEST(SlicedMatrixRoute, DirectPairLoopRequiresAllThreeSignals) {
+  // The cold-no-reuse regime needs every signal at once: wide slices,
+  // stores that spill the cache, and no slice reuse to amortize the
+  // deferred flush against.
+  const std::uint64_t spill = kDirectMinStoreBytes + 1;
+  EXPECT_TRUE(ChooseDirectPairLoop(8, spill, 1.3));
+  EXPECT_TRUE(ChooseDirectPairLoop(16, spill * 4, 1.0));
+  // Any one signal missing keeps the gathered executor.
+  EXPECT_FALSE(ChooseDirectPairLoop(7, spill, 1.3));     // narrow
+  EXPECT_FALSE(ChooseDirectPairLoop(8, spill - 2, 1.3))  // cache-resident
+      << "store at the threshold must stay gathered";
+  EXPECT_FALSE(ChooseDirectPairLoop(8, spill, 1.7));  // hub reuse
+  // Threshold edges: width and avg-valid-slices are inclusive, bytes
+  // is strictly greater-than.
+  EXPECT_TRUE(ChooseDirectPairLoop(kDirectMinWidthWords, spill,
+                                   kDirectMaxAvgValidSlices));
+  EXPECT_FALSE(ChooseDirectPairLoop(8, kDirectMinStoreBytes, 1.3));
+}
 
- private:
-  std::optional<PairPolicy> saved_;
-};
-
-TEST(SlicedMatrixPolicy, ForcedPoliciesAgreeAndRouteCounters) {
-  PairPolicyGuard guard;
+TEST(SlicedMatrixRoute, SmallStoresRouteEveryPairZeroCopy) {
   for (const std::uint32_t slice_bits : {64u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 2024);
-    const std::uint64_t expected = PerPairReference(m);
-
-    SetActivePairPolicy(std::nullopt);
-    PairPathCounters auto_counters;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &auto_counters),
-              expected)
+    PairPathCounters counters;
+    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
+              PerPairReference(m))
         << "slice_bits=" << slice_bits;
-    // Default decision table: zero-copy at every width (schema-v4
-    // measurement — the arena memcpy never pays for itself).
-    EXPECT_EQ(auto_counters.batched_pairs, 0u);
-    EXPECT_EQ(auto_counters.per_pair_pairs, 0u);
-    EXPECT_GT(auto_counters.zero_copy_pairs, 0u);
-    const std::uint64_t total_pairs = auto_counters.TotalPairs();
-
-    SetActivePairPolicy(PairPolicy::kBatched);
-    PairPathCounters batched;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &batched),
-              expected);
-    EXPECT_EQ(batched.batched_pairs, total_pairs);
-    EXPECT_EQ(batched.zero_copy_pairs, 0u);
-    EXPECT_EQ(batched.per_pair_pairs, 0u);
-    EXPECT_GT(batched.batched_flushes, 0u);
-
-    SetActivePairPolicy(PairPolicy::kZeroCopy);
-    PairPathCounters zero_copy;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &zero_copy),
-              expected);
-    EXPECT_EQ(zero_copy.zero_copy_pairs, total_pairs);
-    EXPECT_EQ(zero_copy.batched_pairs, 0u);
-    EXPECT_GT(zero_copy.zero_copy_flushes, 0u);
-
-    SetActivePairPolicy(PairPolicy::kPerPair);
-    PairPathCounters per_pair;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &per_pair),
-              expected);
-    EXPECT_EQ(per_pair.per_pair_pairs, total_pairs);
-    EXPECT_EQ(per_pair.batched_pairs, 0u);
-    EXPECT_EQ(per_pair.zero_copy_pairs, 0u);
+    EXPECT_EQ(counters.per_pair_pairs, 0u);
+    EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
   }
 }
 
-TEST(SlicedMatrixPolicy, RowShardCountersSumToWholeMatrix) {
-  PairPolicyGuard guard;
-  SetActivePairPolicy(std::nullopt);
+TEST(SlicedMatrixRoute, RowShardCountersSumToWholeMatrix) {
   const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 4096);
   PairPathCounters whole;
   const std::uint64_t total =
@@ -540,23 +517,80 @@ TEST(SlicedMatrixPolicy, RowShardCountersSumToWholeMatrix) {
   EXPECT_EQ(sharded.zero_copy_pairs, whole.zero_copy_pairs);
 }
 
-TEST(SlicedMatrixPolicy, FlushBoundaryParityUnderEveryPolicy) {
-  // Dense enough that single rows gather past the 2 Ki-word flush
-  // block repeatedly; the total must be exact on every route.
-  PairPolicyGuard guard;
-  const SlicedMatrix m = RandomUpperMatrix(700, 700, 64, 31415);
+/// Upper-triangular band matrix with arcs i -> i+1 and i -> i+2: n - 2
+/// triangles, ~1 valid slice per vector — the sparse, no-reuse shape
+/// of a road graph. At |S|=512 and n = 2^18 its two stores exceed
+/// kDirectMinStoreBytes, so the direct rule fires.
+SlicedMatrix BandMatrix(std::uint32_t n, std::uint32_t slice_bits) {
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<std::uint32_t> neighbors;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t step = 1; step <= 2; ++step) {
+      if (i + step < n) neighbors.push_back(i + step);
+    }
+    offsets.push_back(neighbors.size());
+  }
+  return SlicedMatrix::FromCsr(n, offsets, neighbors, slice_bits);
+}
+
+TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
+  ActiveBackendGuard guard;
+  constexpr std::uint32_t kN = 1u << 18;
+  const SlicedMatrix m = BandMatrix(kN, 512);
+  const double avg_valid = static_cast<double>(m.rows().valid_slice_count()) /
+                           static_cast<double>(m.num_vertices());
+  ASSERT_TRUE(ChooseDirectPairLoop(m.rows().words_per_slice(), m.HeapBytes(),
+                                   avg_valid))
+      << "heap=" << m.HeapBytes() << " avg_valid=" << avg_valid;
   const std::uint64_t expected = PerPairReference(m);
-  for (const std::optional<PairPolicy> forced :
-       {std::optional<PairPolicy>{}, std::optional{PairPolicy::kBatched},
-        std::optional{PairPolicy::kZeroCopy},
-        std::optional{PairPolicy::kPerPair}}) {
-    SetActivePairPolicy(forced);
-    EXPECT_EQ(m.AndPopcountAllEdges(), expected)
-        << (forced.has_value() ? ToString(*forced) : "auto");
+  ASSERT_EQ(expected, kN - 2u);
+  const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+
+  // Hub/tail split over a column mask; the hub lane reads a replica
+  // that holds only the hub columns (the 2D runtime's layout).
+  std::vector<std::uint8_t> hub_mask(kN, 0);
+  std::vector<std::uint32_t> hubs;
+  for (std::uint32_t j = 0; j < kN; j += 3) {
+    hub_mask[j] = 1;
+    hubs.push_back(j);
+  }
+  const SlicedStore replica = m.cols().ExtractVectors(hubs);
+
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetActiveBackend(backend);
+    SCOPED_TRACE(ToString(backend));
+    PairPathCounters all;
+    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
+    EXPECT_EQ(all.per_pair_pairs, valid_pairs);
+    EXPECT_EQ(all.zero_copy_pairs, 0u);
+
+    PairPathCounters rows;
+    EXPECT_EQ(m.AndPopcountRows(0, kN / 3, PopcountKind::kBuiltin, &rows) +
+                  m.AndPopcountRows(kN / 3, kN, PopcountKind::kBuiltin, &rows),
+              expected);
+    EXPECT_EQ(rows.per_pair_pairs, valid_pairs);
+
+    // Upper-triangular, so the lower-left quadrant is empty and these
+    // three rectangles cover every arc.
+    EXPECT_EQ(m.AndPopcountRect(0, kN / 2, 0, kN) +
+                  m.AndPopcountRect(kN / 2, kN, kN / 2, kN),
+              expected);
+
+    PairPathCounters masked;
+    const std::uint64_t hub_lane =
+        m.AndPopcountRect(0, kN, 0, kN, hub_mask.data(), true, &replica,
+                          PopcountKind::kBuiltin, &masked);
+    const std::uint64_t tail = m.AndPopcountRect(
+        0, kN, 0, kN, hub_mask.data(), false, nullptr,
+        PopcountKind::kBuiltin, &masked);
+    EXPECT_GT(hub_lane, 0u);
+    EXPECT_EQ(hub_lane + tail, expected);
+    EXPECT_EQ(masked.per_pair_pairs, valid_pairs);
+    EXPECT_EQ(masked.zero_copy_pairs, 0u);
   }
 }
 
-TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
+TEST(SlicedStoreGather, GatherValidPairRefsMatchesMergeAndCountsPairs) {
   ActiveBackendGuard guard;
   const SlicedMatrix m = RandomUpperMatrix(120, 10, 64, 321);
   for (std::uint32_t u = 0; u < 40; ++u) {
@@ -573,11 +607,11 @@ TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
                   ref)
             << "u=" << u << " v=" << v << " backend=" << ToString(backend);
         EXPECT_EQ(pairs, ref_pairs);
-        PairArena arena;
-        EXPECT_EQ(GatherValidPairs(m.rows(), u, m.cols(), v, arena),
+        std::vector<PairRef> refs;
+        EXPECT_EQ(GatherValidPairRefs(m.rows(), u, m.cols(), v, refs),
                   ref_pairs);
-        EXPECT_EQ(arena.pair_count(), ref_pairs);
-        EXPECT_EQ(AndPopcountPairs(arena), ref);
+        EXPECT_EQ(refs.size(), ref_pairs);
+        EXPECT_EQ(AndPopcountPairsZeroCopy(refs), ref);
       }
     }
   }
@@ -586,8 +620,8 @@ TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
 TEST(SlicedStoreGather, MismatchedSliceBitsThrow) {
   const SlicedStore a = MakeStore(1, 128, {{0, 64}}, 64);
   const SlicedStore b = MakeStore(1, 128, {{0, 64}}, 32);
-  PairArena arena;
-  EXPECT_THROW((void)GatherValidPairs(a, 0, b, 0, arena),
+  std::vector<PairRef> refs;
+  EXPECT_THROW((void)GatherValidPairRefs(a, 0, b, 0, refs),
                std::invalid_argument);
   EXPECT_THROW((void)AndPopcountVectors(a, 0, b, 0, PopcountKind::kSwar),
                std::invalid_argument);

@@ -299,7 +299,7 @@ class SnapshotOrientationTest : public ::testing::TestWithParam<Orientation> {
 
 TEST_P(SnapshotOrientationTest, BankPoolCountsPinnedEpochsExactly) {
   // The scheduler's query path in miniature: pin an epoch, hand its
-  // COW matrix to BankPool::HostCountMatrix (no re-orient, no
+  // COW snapshot to BankPool::HostCountEpoch (no re-orient, no
   // re-slice), expect the writer's total — per orientation, across a
   // churning stream.
   stream::StreamConfig config;
@@ -323,8 +323,7 @@ TEST_P(SnapshotOrientationTest, BankPoolCountsPinnedEpochsExactly) {
     }
     (void)session.Apply(delta);
     const EpochManager::Pin pin = session.PinEpoch();
-    ASSERT_EQ(pool.HostCountMatrix(*pin->matrix, pin->orientation),
-              pin->triangles)
+    ASSERT_EQ(pool.HostCountEpoch(*pin), pin->triangles)
         << "batch " << b;
     ASSERT_EQ(OracleCount(pin), pin->triangles) << "batch " << b;
   }

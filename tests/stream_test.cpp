@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -346,7 +347,7 @@ TEST(IncrementalCounter, SingleInsertClosesWedges) {
 
 TEST(IncrementalCounter, BatchedWedgeKernelSkipsHardwareModel) {
   // The 4-way wedge kernel gathers all four store combinations into
-  // one batched dispatch at the default kBuiltin — never feeding the
+  // one zero-copy dispatch at the default kBuiltin — never feeding the
   // LUT8 hardware-model counter — while a kLut8-configured counter
   // still routes through the exact per-word model and stays exact.
   stream::StreamConfig config;
@@ -370,52 +371,49 @@ TEST(IncrementalCounter, BatchedWedgeKernelSkipsHardwareModel) {
   EXPECT_EQ(r.triangles, RecountTruth(modeled));
 }
 
-TEST(IncrementalCounter, WedgeKernelExactUnderEveryPairPolicy) {
-  // The same insert batch must produce the same triangle delta on
-  // every forced pair-enumeration policy, and BatchStats.paths must
-  // attribute the wedge ANDs to the path that actually ran (the auto
-  // rule routes every width zero-copy; see kernel_backend.h).
-  const std::optional<bit::PairPolicy> saved = bit::ActivePairPolicy().forced;
+TEST(IncrementalCounter, WedgeKernelExactOnZeroCopyPath) {
+  // The wedge kernel has one route — every wedge AND is summed by the
+  // zero-copy kernel — and it is exact under every forced backend.
   stream::StreamConfig config;
   config.recount_fraction = 1.0;
+  const bit::KernelBackend saved = bit::ActiveBackend();
+  for (const bit::KernelBackend backend : bit::SupportedKernelBackends()) {
+    bit::SetActiveBackend(backend);
+    stream::IncrementalCounter counter(SeedGraph(), config);
+    EdgeDelta delta;
+    delta.Insert(0, 3);
+    const stream::BatchResult r = counter.ApplyBatch(delta);
+    EXPECT_EQ(r.delta, 2) << bit::ToString(backend);
+    EXPECT_EQ(r.triangles, RecountTruth(counter)) << bit::ToString(backend);
+    EXPECT_GT(r.stats.and_ops, 0u);
+  }
+  bit::SetActiveBackend(saved);
+}
 
-  bit::SetActivePairPolicy(std::nullopt);
-  {
+TEST(IncrementalCounter, RejectsVertexIdWithoutRoomForCountAndStaysIntact) {
+  // Id 2^32 - 1 would need a vertex count of 2^32, which VertexId
+  // cannot hold; the batch must throw before anything mutates.
+  for (const double recount_fraction : {1.0, 0.0}) {
+    stream::StreamConfig config;
+    config.recount_fraction = recount_fraction;  // incremental, recount
     stream::IncrementalCounter counter(SeedGraph(), config);
+    const std::uint64_t triangles = counter.triangles();
+    const VertexId n = counter.graph().num_vertices();
+    const std::uint64_t m = counter.graph().num_edges();
     EdgeDelta delta;
     delta.Insert(0, 3);
-    const stream::BatchResult r = counter.ApplyBatch(delta);
-    EXPECT_EQ(r.delta, 2);
-    EXPECT_GT(r.stats.paths.zero_copy_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.batched_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.per_pair_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.TotalPairs(), r.stats.and_ops);
+    delta.Insert(std::numeric_limits<VertexId>::max(), 0);
+    EXPECT_THROW((void)counter.ApplyBatch(delta), std::invalid_argument);
+    EXPECT_EQ(counter.triangles(), triangles);
+    EXPECT_EQ(counter.graph().num_vertices(), n);
+    EXPECT_EQ(counter.graph().num_edges(), m);
+    EXPECT_FALSE(counter.graph().HasEdge(0, 3));
+    // Still usable afterwards.
+    EdgeDelta ok;
+    ok.Insert(0, 3);
+    const std::uint64_t after = counter.ApplyBatch(ok).triangles;
+    EXPECT_EQ(after, RecountTruth(counter));
   }
-  for (const bit::PairPolicy forced :
-       {bit::PairPolicy::kBatched, bit::PairPolicy::kZeroCopy,
-        bit::PairPolicy::kPerPair}) {
-    bit::SetActivePairPolicy(forced);
-    stream::IncrementalCounter counter(SeedGraph(), config);
-    EdgeDelta delta;
-    delta.Insert(0, 3);
-    const stream::BatchResult r = counter.ApplyBatch(delta);
-    EXPECT_EQ(r.delta, 2) << bit::ToString(forced);
-    EXPECT_EQ(r.triangles, RecountTruth(counter)) << bit::ToString(forced);
-    EXPECT_EQ(r.stats.paths.TotalPairs(), r.stats.and_ops)
-        << bit::ToString(forced);
-    switch (forced) {
-      case bit::PairPolicy::kBatched:
-        EXPECT_EQ(r.stats.paths.batched_pairs, r.stats.and_ops);
-        break;
-      case bit::PairPolicy::kZeroCopy:
-        EXPECT_EQ(r.stats.paths.zero_copy_pairs, r.stats.and_ops);
-        break;
-      case bit::PairPolicy::kPerPair:
-        EXPECT_EQ(r.stats.paths.per_pair_pairs, r.stats.and_ops);
-        break;
-    }
-  }
-  bit::SetActivePairPolicy(saved);
 }
 
 TEST(IncrementalCounter, SingleDeleteOpensWedges) {

@@ -1,4 +1,4 @@
-// Tests for SNAP text + binary graph serialization.
+// Tests for SNAP text graph serialization.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -41,6 +41,28 @@ TEST(SnapReader, RemapsSparseIds) {
   // Remap is by sorted original id: 42->0, 99999->1, 1000000->2.
   EXPECT_TRUE(g.HasEdge(0, 2));
   EXPECT_TRUE(g.HasEdge(0, 1));
+}
+
+TEST(SnapReader, RemapsIdsBeyond32Bits) {
+  // Raw ids are parsed as 64-bit values and remapped densely, so ids
+  // past 2^32 neither truncate nor collide.
+  std::istringstream in("4294967296 7\n7 4294967297\n4294967297 4294967296\n");
+  const Graph g = ReadSnapEdgeList(in);
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 3u);
+  // Remap is by sorted original id: 7->0, 2^32->1, 2^32+1->2.
+  EXPECT_TRUE(g.HasEdge(0, 1));
+  EXPECT_TRUE(g.HasEdge(0, 2));
+  EXPECT_TRUE(g.HasEdge(1, 2));
+}
+
+TEST(SnapReader, EmptyOrCommentOnlyInputGivesEmptyGraph) {
+  for (const char* text : {"", "\n\n", "# nodes: 0 edges: 0\n% empty\n"}) {
+    std::istringstream in(text);
+    const Graph g = ReadSnapEdgeList(in);
+    EXPECT_EQ(g.num_vertices(), 0u) << '"' << text << '"';
+    EXPECT_EQ(g.num_edges(), 0u) << '"' << text << '"';
+  }
 }
 
 TEST(SnapReader, DropsDuplicatesAndSelfLoops) {

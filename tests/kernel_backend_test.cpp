@@ -243,6 +243,86 @@ TEST_P(BackendParityTest, ZeroCopyActiveDispatchMatchesForcedBackend) {
             AndPopcountPairsZeroCopyBackend(refs, GetParam()));
 }
 
+TEST_P(BackendParityTest, ZeroCopyZeroWidthDescriptorsCountZero) {
+  // Null pointers are legal in a descriptor whose width is 0; such
+  // descriptors interleaved with real pairs contribute nothing.
+  const auto a = MakeWords(8, Fill::kDense, 4001);
+  const auto b = MakeWords(8, Fill::kOnes, 4002);
+  const std::vector<PairRef> refs = {
+      PairRef{nullptr, nullptr, 0}, PairRef{a.data(), b.data(), 8},
+      PairRef{nullptr, nullptr, 0}, PairRef{a.data(), b.data(), 0},
+      PairRef{a.data(), b.data(), 3}};
+  EXPECT_EQ(AndPopcountPairsZeroCopyBackend(refs, GetParam()),
+            ReferenceAndPopcount(a, b) +
+                ReferenceAndPopcount({a.begin(), a.begin() + 3},
+                                     {b.begin(), b.begin() + 3}))
+      << ToString(GetParam());
+  const std::vector<PairRef> empty_only(17, PairRef{nullptr, nullptr, 0});
+  EXPECT_EQ(AndPopcountPairsZeroCopyBackend(empty_only, GetParam()), 0u);
+}
+
+TEST_P(BackendParityTest, ZeroCopyAliasedAndRepeatedOperands) {
+  // The matrix gather references one column slice from many pairs
+  // (hub reuse) and may pair a vector with itself: aliased operands
+  // count popcount(a), and a repeated descriptor counts once per entry.
+  const KernelBackend backend = GetParam();
+  for (const std::size_t n : kLengths) {
+    const auto a = MakeWords(n, Fill::kDense, 5000 + n);
+    const auto b = MakeWords(n, Fill::kSparse, 6000 + n);
+    const auto words = static_cast<std::uint32_t>(n);
+    const PairRef self{a.data(), a.data(), words};
+    ASSERT_EQ(AndPopcountPairsZeroCopyBackend(std::span(&self, 1), backend),
+              PopcountWordsBackend(a, KernelBackend::kScalar))
+        << ToString(backend) << " n=" << n;
+    const std::vector<PairRef> repeated(5, PairRef{a.data(), b.data(), words});
+    ASSERT_EQ(AndPopcountPairsZeroCopyBackend(repeated, backend),
+              5 * ReferenceAndPopcount(a, b))
+        << ToString(backend) << " n=" << n;
+  }
+}
+
+TEST_P(BackendParityTest, ZeroCopyUnalignedOperandsMatchReference) {
+  // Slices live back to back inside a store's word array, so a pair's
+  // operands start at any word offset, not at a SIMD-vector boundary.
+  const KernelBackend backend = GetParam();
+  const auto base_a = MakeWords(256, Fill::kDense, 7001);
+  const auto base_b = MakeWords(256, Fill::kAlternating, 7002);
+  for (std::size_t offset = 0; offset < 9; ++offset) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                std::size_t{8}, std::size_t{17},
+                                std::size_t{64}, std::size_t{131}}) {
+      const std::vector<std::uint64_t> a(base_a.begin() + offset,
+                                         base_a.begin() + offset + n);
+      const std::vector<std::uint64_t> b(base_b.begin() + 8 - offset,
+                                         base_b.begin() + 8 - offset + n);
+      const PairRef ref{base_a.data() + offset, base_b.data() + 8 - offset,
+                        static_cast<std::uint32_t>(n)};
+      ASSERT_EQ(AndPopcountPairsZeroCopyBackend(std::span(&ref, 1), backend),
+                ReferenceAndPopcount(a, b))
+          << ToString(backend) << " offset=" << offset << " n=" << n;
+    }
+  }
+}
+
+TEST_P(BackendParityTest, ActivePointerApiMatchesReferenceOnAllLengths) {
+  // The direct per-pair route calls AndPopcountActive once per slice
+  // pair; it must agree with the reference under every forced backend.
+  BackendGuard guard;
+  SetActiveBackend(GetParam());
+  std::uint64_t seed = 8001;
+  for (const std::size_t n : kLengths) {
+    const auto a = MakeWords(n, Fill::kDense, seed++);
+    const auto b = MakeWords(n, Fill::kDense, seed++);
+    ASSERT_EQ(AndPopcountActive(a.data(), b.data(), n),
+              ReferenceAndPopcount(a, b))
+        << ToString(GetParam()) << " n=" << n;
+    ASSERT_EQ(PopcountWordsActive(a.data(), n), ReferenceAndPopcount(a, a))
+        << ToString(GetParam()) << " n=" << n;
+  }
+  EXPECT_EQ(AndPopcountActive(nullptr, nullptr, 0), 0u);
+  EXPECT_EQ(PopcountWordsActive(nullptr, 0), 0u);
+}
+
 TEST(ZeroCopyPairs, UnsupportedBackendThrows) {
   const std::uint64_t word = 0x123456789ABCDEF0ULL;
   const PairRef ref{&word, &word, 1};

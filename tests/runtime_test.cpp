@@ -309,6 +309,20 @@ TEST(BankPoolTest, HostCountExactOnEveryFamilyAndOrientation) {
   }
 }
 
+TEST(BankPoolTest, HostCountWithMoreBanksThanVerticesStillExact) {
+  // Most shards own no rows; the empty shards must add nothing to the
+  // raw sum that is divided by the orientation multiplier.
+  const Graph g = graph::Complete(6);  // 20 triangles, 6 vertices
+  const BankPool pool{PoolConfig(11, PartitionStrategy::kContiguous)};
+  for (const Orientation orientation :
+       {Orientation::kUpper, Orientation::kDegree,
+        Orientation::kFullSymmetric}) {
+    EXPECT_EQ(HostCountOf(pool, g, orientation), 20u)
+        << graph::ToString(orientation);
+  }
+  EXPECT_EQ(HostCountOf(pool, graph::Complete(1), Orientation::kUpper), 0u);
+}
+
 TEST(BankPoolTest, FewerThreadsThanBanksStillExact) {
   BankPoolConfig config = PoolConfig(6, PartitionStrategy::kDegreeBalanced);
   config.num_threads = 2;

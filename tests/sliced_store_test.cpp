@@ -590,6 +590,146 @@ TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The one enumerator under each forced backend: every entry point and
+// every way of tiling a pass (row shards, column ranges, a 2D grid,
+// hub/tail masks read through a replica store) sums to the per-pair
+// reference. These stores are cache-resident, so every pair takes the
+// gathered zero-copy route.
+
+class EnumeratorBackendTest : public ::testing::TestWithParam<KernelBackend> {
+ protected:
+  void SetUp() override {
+    if (!BackendSupported(GetParam())) {
+      GTEST_SKIP() << ToString(GetParam())
+                   << " is not executable on this machine";
+    }
+    SetActiveBackend(GetParam());
+  }
+
+ private:
+  ActiveBackendGuard guard_;
+};
+
+TEST_P(EnumeratorBackendTest, RowsRectAndAllEdgesMatchPerPairAcrossWidths) {
+  for (const std::uint32_t slice_bits : {8u, 64u, 100u, 192u, 512u}) {
+    SCOPED_TRACE("slice_bits=" + std::to_string(slice_bits));
+    const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 1234);
+    const std::uint32_t n = m.num_vertices();
+    const std::uint64_t expected = PerPairReference(m);
+    const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+    PairPathCounters all;
+    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
+    PairPathCounters rows;
+    EXPECT_EQ(m.AndPopcountRows(0, n, PopcountKind::kBuiltin, &rows),
+              expected);
+    PairPathCounters rect;
+    EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr,
+                                PopcountKind::kBuiltin, &rect),
+              expected);
+    for (const PairPathCounters& c : {all, rows, rect}) {
+      EXPECT_EQ(c.zero_copy_pairs, valid_pairs);
+      EXPECT_EQ(c.per_pair_pairs, 0u);
+    }
+  }
+}
+
+TEST_P(EnumeratorBackendTest, ColumnRangesAndGridTileTheMatrix) {
+  const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 99);
+  const std::uint32_t n = m.num_vertices();
+  const std::uint64_t total = PerPairReference(m);
+  for (const std::uint32_t parts : {1u, 2u, 5u}) {
+    std::uint64_t by_cols = 0;
+    std::uint64_t by_grid = 0;
+    for (std::uint32_t c = 0; c < parts; ++c) {
+      const std::uint32_t c0 = n * c / parts;
+      const std::uint32_t c1 = n * (c + 1) / parts;
+      by_cols += m.AndPopcountRect(0, n, c0, c1);
+      for (std::uint32_t r = 0; r < parts; ++r) {
+        by_grid += m.AndPopcountRect(n * r / parts, n * (r + 1) / parts, c0,
+                                     c1);
+      }
+    }
+    EXPECT_EQ(by_cols, total) << "parts=" << parts;
+    EXPECT_EQ(by_grid, total) << "parts=" << parts;
+  }
+  EXPECT_EQ(m.AndPopcountRect(0, n, 7, 7), 0u);
+  EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
+  EXPECT_THROW((void)m.AndPopcountRect(0, n, 3, 2), std::out_of_range);
+  EXPECT_THROW((void)m.AndPopcountRect(0, n, 0, n + 1), std::out_of_range);
+}
+
+TEST_P(EnumeratorBackendTest, MaskedRectWithReplicaSplitsTheTotal) {
+  const SlicedMatrix m = RandomUpperMatrix(300, 8, 128, 555);
+  const std::uint32_t n = m.num_vertices();
+  const std::uint64_t total = PerPairReference(m);
+  std::vector<std::uint8_t> hub_mask(n, 0);
+  std::vector<std::uint32_t> hubs;
+  for (std::uint32_t j = 0; j < n; j += 4) {
+    hub_mask[j] = 1;
+    hubs.push_back(j);
+  }
+  const SlicedStore replica = m.cols().ExtractVectors(hubs);
+
+  PairPathCounters counters;
+  const std::uint64_t hub_lane =
+      m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true, &replica,
+                        PopcountKind::kBuiltin, &counters);
+  const std::uint64_t tail =
+      m.AndPopcountRect(0, n, 0, n, hub_mask.data(), false, nullptr,
+                        PopcountKind::kBuiltin, &counters);
+  EXPECT_GT(hub_lane, 0u);
+  EXPECT_GT(tail, 0u);
+  EXPECT_EQ(hub_lane + tail, total);
+  EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
+  EXPECT_EQ(counters.per_pair_pairs, 0u);
+  // The replica holds bit-identical hub columns, so reading them from
+  // the shared column store gives the same hub lane.
+  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true), hub_lane);
+}
+
+TEST_P(EnumeratorBackendTest, HardwareModelKindMatchesBuiltinOnMaskedRect) {
+  // The hardware-model kinds take the per-word per-pair loop of the
+  // same enumerator; with a mask and a replica they must still agree
+  // with the gathered kBuiltin route.
+  const SlicedMatrix m = RandomUpperMatrix(200, 6, 192, 808);
+  const std::uint32_t n = m.num_vertices();
+  std::vector<std::uint8_t> hub_mask(n, 0);
+  std::vector<std::uint32_t> hubs;
+  for (std::uint32_t j = 1; j < n; j += 3) {
+    hub_mask[j] = 1;
+    hubs.push_back(j);
+  }
+  const SlicedStore replica = m.cols().ExtractVectors(hubs);
+  for (const bool lane : {true, false}) {
+    const SlicedStore* cols = lane ? &replica : nullptr;
+    const std::uint64_t builtin = m.AndPopcountRect(
+        0, n, n / 4, n, hub_mask.data(), lane, cols, PopcountKind::kBuiltin);
+    EXPECT_EQ(m.AndPopcountRect(0, n, n / 4, n, hub_mask.data(), lane, cols,
+                                PopcountKind::kSwar),
+              builtin)
+        << "hub lane=" << lane;
+    EXPECT_EQ(m.AndPopcountRect(0, n, n / 4, n, hub_mask.data(), lane, cols,
+                                PopcountKind::kLut8),
+              builtin)
+        << "hub lane=" << lane;
+  }
+}
+
+TEST_P(EnumeratorBackendTest, FlushMidRowIsExact) {
+  // Row 0 alone gathers far more than one 2 Ki-word flush block, so
+  // the gather flushes mid-row under every backend.
+  const SlicedMatrix m = RandomUpperMatrix(1000, 1000, 64, 2718);
+  ASSERT_GT(m.edge_count(), 200000u);
+  EXPECT_EQ(m.AndPopcountAllEdges(), PerPairReference(m));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, EnumeratorBackendTest,
+    ::testing::ValuesIn(std::vector<KernelBackend>(
+        AllKernelBackends().begin(), AllKernelBackends().end())),
+    [](const auto& info) { return std::string(ToString(info.param)); });
+
 TEST(SlicedStoreGather, GatherValidPairRefsMatchesMergeAndCountsPairs) {
   ActiveBackendGuard guard;
   const SlicedMatrix m = RandomUpperMatrix(120, 10, 64, 321);

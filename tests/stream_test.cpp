@@ -323,6 +323,25 @@ TEST(DynamicGraph, ApplyNormalizedRejectsRawOps) {
   EXPECT_THROW((void)dyn.ApplyNormalized(raw), std::invalid_argument);
 }
 
+TEST(DynamicGraph, RejectsVertexIdWithoutRoomForCount) {
+  // Id 2^32 - 1 needs a vertex count of 2^32, which VertexId cannot
+  // hold: both entry points throw before adjacency or matrix change.
+  stream::DynamicGraph dyn(SeedGraph(), Orientation::kUpper, 64);
+  const VertexId n = dyn.num_vertices();
+  const std::uint64_t m = dyn.num_edges();
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  EdgeDelta delta;
+  delta.Insert(0, 3);
+  delta.Insert(kMax, 0);
+  EXPECT_THROW((void)dyn.Apply(delta), std::invalid_argument);
+  const std::vector<EdgeOp> normalized = {{1, kMax, true}};
+  EXPECT_THROW((void)dyn.ApplyNormalized(normalized), std::invalid_argument);
+  EXPECT_EQ(dyn.num_vertices(), n);
+  EXPECT_EQ(dyn.num_edges(), m);
+  EXPECT_FALSE(dyn.HasEdge(0, 3));
+  ExpectMatrixMatchesRebuild(dyn);
+}
+
 // --- IncrementalCounter ----------------------------------------------------
 
 std::uint64_t RecountTruth(const stream::IncrementalCounter& counter) {

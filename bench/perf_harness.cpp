@@ -7,9 +7,10 @@
 // exception stay measured, not assumed. Part (c)
 // measures the load-time relabeling choice (graph::ChooseRelabeling):
 // valid-slice counts under the chosen order vs the native ids, and vs
-// an id-shuffled instance standing in for real SNAP labelings. Every
+// an id-shuffled instance standing in for real SNAP labelings, plus
+// the wall time of choosing and applying it. Every
 // count is cross-checked against the CPU baseline and the results
-// land in a machine-readable BENCH_kernels.json (schema_version 5;
+// land in a machine-readable BENCH_kernels.json (schema_version 6;
 // see docs/KERNELS.md for the schema and the regression workflow).
 // Every dump is stamped with run metadata — UTC date, compiler,
 // TCIM_SCALE, active kernel backend — so archived JSONs stay
@@ -104,6 +105,10 @@ struct RelabelRow {
   graph::RelabelMode shuffled_applied = graph::RelabelMode::kNone;
   std::uint64_t shuffled_nvs = 0;
   std::uint64_t shuffled_chosen_nvs = 0;
+  /// Wall time of ChooseRelabeling(kAuto) and of applying its map, on
+  /// the native ids.
+  double choose_seconds = 0.0;
+  double apply_seconds = 0.0;
 
   [[nodiscard]] double NativeRatio() const {
     return identity_nvs == 0 ? 1.0
@@ -122,8 +127,13 @@ struct RelabelRow {
 RelabelRow MeasureRelabel(const graph::DatasetInstance& inst) {
   RelabelRow row;
   row.dataset = graph::GetPaperRef(inst.id).name;
+  util::Timer timer;
   const graph::RelabelChoice native =
       graph::ChooseRelabeling(inst.graph, graph::RelabelMode::kAuto, 64);
+  row.choose_seconds = timer.ElapsedSeconds();
+  timer.Restart();
+  (void)native.map.Apply(inst.graph);
+  row.apply_seconds = timer.ElapsedSeconds();
   row.applied = native.applied;
   row.identity_nvs = native.identity_valid_slices;
   row.chosen_nvs = native.chosen_valid_slices;
@@ -405,7 +415,7 @@ void WriteJson(const std::string& path,
   }
   os << "{\n";
   os << "  \"bench\": \"kernels\",\n";
-  os << "  \"schema_version\": 5,\n";
+  os << "  \"schema_version\": 6,\n";
   os << "  \"scale\": " << util::WorkloadScale(0.25) << ",\n";
   os << "  \"seed\": " << util::BaseSeed() << ",\n";
   // v3: run-attribution stamp (obs::CollectRunMetadata) + the backend
@@ -463,7 +473,8 @@ void WriteJson(const std::string& path,
   }
   os << "  ],\n";
 
-  // v4: load-time relabeling audit (NVS = valid slices at |S|=64).
+  // v4: load-time relabeling audit (NVS = valid slices at |S|=64);
+  // v6: + choose/apply wall time on the native ids.
   os << "  \"relabel\": [\n";
   for (std::size_t i = 0; i < relabel.size(); ++i) {
     const auto& r = relabel[i];
@@ -476,7 +487,9 @@ void WriteJson(const std::string& path,
        << graph::ToString(r.shuffled_applied)
        << "\", \"shuffled_valid_slices\": " << r.shuffled_nvs
        << ", \"shuffled_chosen_valid_slices\": " << r.shuffled_chosen_nvs
-       << ", \"shuffled_nvs_ratio\": " << r.ShuffledRatio() << "}"
+       << ", \"shuffled_nvs_ratio\": " << r.ShuffledRatio()
+       << ", \"choose_seconds\": " << r.choose_seconds
+       << ", \"apply_seconds\": " << r.apply_seconds << "}"
        << (i + 1 < relabel.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -604,13 +617,16 @@ int main(int argc, char** argv) {
   // --- Part C: load-time relabeling ---------------------------------------
   {
     util::TablePrinter table(
-        {"Dataset", "Auto picks", "NVS ratio", "Shuffled picks",
-         "NVS ratio (shuffled)"},
+        {"Dataset", "Auto picks", "NVS ratio", "choose [ms]", "apply [ms]",
+         "Shuffled picks", "NVS ratio (shuffled)"},
         {util::Align::kLeft, util::Align::kLeft, util::Align::kRight,
-         util::Align::kLeft, util::Align::kRight});
+         util::Align::kRight, util::Align::kRight, util::Align::kLeft,
+         util::Align::kRight});
     for (const auto& r : relabel) {
       table.AddRow({r.dataset, std::string(graph::ToString(r.applied)),
                     util::TablePrinter::Ratio(r.NativeRatio(), 3),
+                    util::TablePrinter::Fixed(r.choose_seconds * 1e3, 1),
+                    util::TablePrinter::Fixed(r.apply_seconds * 1e3, 1),
                     std::string(graph::ToString(r.shuffled_applied)),
                     util::TablePrinter::Ratio(r.ShuffledRatio(), 3)});
     }

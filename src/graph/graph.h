@@ -73,6 +73,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend class VertexRelabeling;  // Apply permutes the CSR directly
 
   VertexId n_ = 0;
   std::uint64_t max_degree_ = 0;

@@ -1,12 +1,34 @@
 #include "graph/relabel.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tcim::graph {
+namespace {
+
+/// Vertex ids of `g` ordered by degree (ascending or descending), ties
+/// by id ascending: one stable counting sort over the CSR offsets,
+/// O(n + max degree).
+std::vector<VertexId> VerticesByDegree(const Graph& g, bool ascending) {
+  const VertexId n = g.num_vertices();
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  const std::uint64_t max_degree = g.max_degree();
+  const auto bucket = [&](VertexId v) {
+    const std::uint64_t degree = offsets[v + 1] - offsets[v];
+    return ascending ? degree : max_degree - degree;
+  };
+  std::vector<VertexId> start(max_degree + 2, 0);
+  for (VertexId v = 0; v < n; ++v) ++start[bucket(v) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[start[bucket(v)]++] = v;
+  return order;
+}
+
+}  // namespace
 
 VertexRelabeling VertexRelabeling::Identity(VertexId n) {
   VertexRelabeling map;
@@ -20,15 +42,7 @@ VertexRelabeling VertexRelabeling::Identity(VertexId n) {
 VertexRelabeling VertexRelabeling::DegreeAscending(const Graph& g) {
   const VertexId n = g.num_vertices();
   VertexRelabeling map;
-  map.old_of_new_.resize(n);
-  std::iota(map.old_of_new_.begin(), map.old_of_new_.end(), VertexId{0});
-  std::sort(map.old_of_new_.begin(), map.old_of_new_.end(),
-            [&](VertexId a, VertexId b) {
-              const std::uint64_t da = g.Degree(a);
-              const std::uint64_t db = g.Degree(b);
-              if (da != db) return da < db;
-              return a < b;
-            });
+  map.old_of_new_ = VerticesByDegree(g, /*ascending=*/true);
   map.new_of_old_.resize(n);
   for (VertexId internal = 0; internal < n; ++internal) {
     map.new_of_old_[map.old_of_new_[internal]] = internal;
@@ -38,36 +52,37 @@ VertexRelabeling VertexRelabeling::DegreeAscending(const Graph& g) {
 
 VertexRelabeling VertexRelabeling::BfsFromHubs(const Graph& g) {
   const VertexId n = g.num_vertices();
-  std::vector<VertexId> seeds(n);
-  std::iota(seeds.begin(), seeds.end(), VertexId{0});
-  std::sort(seeds.begin(), seeds.end(), [&](VertexId a, VertexId b) {
-    const std::uint64_t da = g.Degree(a);
-    const std::uint64_t db = g.Degree(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  const std::span<const VertexId> adjacency = g.adjacency();
   VertexRelabeling map;
   map.new_of_old_.assign(n, kUnassigned);
   map.old_of_new_.reserve(n);
-  std::deque<VertexId> queue;
   const auto visit = [&](VertexId v) {
     if (map.new_of_old_[v] != kUnassigned) return;
     map.new_of_old_[v] = static_cast<VertexId>(map.old_of_new_.size());
     map.old_of_new_.push_back(v);
-    queue.push_back(v);
   };
-  for (const VertexId seed : seeds) {
+  // old_of_new_ doubles as the FIFO queue: visit order is BFS order,
+  // so everything past `head` is discovered but not yet expanded.
+  std::size_t head = 0;
+  for (const VertexId seed : VerticesByDegree(g, /*ascending=*/false)) {
     visit(seed);
-    while (!queue.empty()) {
-      const VertexId u = queue.front();
-      queue.pop_front();
-      for (const VertexId v : g.Neighbors(u)) visit(v);
+    while (head < map.old_of_new_.size()) {
+      const VertexId u = map.old_of_new_[head++];
+      for (std::uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        visit(adjacency[e]);
+      }
     }
   }
   return map;
 }
 
 VertexId VertexRelabeling::ToInternal(VertexId original) {
+  if (original == kUnassigned) {
+    throw std::invalid_argument(
+        "VertexRelabeling::ToInternal: vertex id " + std::to_string(original) +
+        " is out of range (max " + std::to_string(kUnassigned - 1) + ")");
+  }
   if (original >= new_of_old_.size()) {
     new_of_old_.resize(static_cast<std::size_t>(original) + 1, kUnassigned);
   }
@@ -102,19 +117,45 @@ bool VertexRelabeling::IsIdentity() const noexcept {
   return true;
 }
 
+std::span<const VertexId> VertexRelabeling::InternalIdsOf(
+    const Graph& g, const char* unmapped_error) const {
+  const VertexId n = g.num_vertices();
+  if (new_of_old_.size() < n ||
+      std::find(new_of_old_.begin(), new_of_old_.begin() + n, kUnassigned) !=
+          new_of_old_.begin() + n) {
+    throw std::invalid_argument(unmapped_error);
+  }
+  return {new_of_old_.data(), n};
+}
+
 Graph VertexRelabeling::Apply(const Graph& g) const {
-  GraphBuilder builder(size());
-  builder.ReserveEdges(g.num_edges());
-  g.ForEachEdge([&](VertexId u, VertexId v) {
-    const std::optional<VertexId> iu = FindInternal(u);
-    const std::optional<VertexId> iv = FindInternal(v);
-    if (!iu.has_value() || !iv.has_value()) {
-      throw std::invalid_argument(
-          "VertexRelabeling::Apply: graph has unmapped vertices");
+  const std::span<const VertexId> internal = InternalIdsOf(
+      g, "VertexRelabeling::Apply: graph has unmapped vertices");
+  const VertexId n = g.num_vertices();
+  Graph out;
+  out.n_ = size();
+  out.max_degree_ = g.max_degree_;  // a permutation; grown rows are empty
+  out.offsets_.assign(static_cast<std::size_t>(out.n_) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    out.offsets_[static_cast<std::size_t>(internal[v]) + 1] =
+        g.offsets_[v + 1] - g.offsets_[v];
+  }
+  std::partial_sum(out.offsets_.begin(), out.offsets_.end(),
+                   out.offsets_.begin());
+  out.adjacency_.assign(g.adjacency_.size(), 0);
+  // Sources in ascending internal id append themselves to their
+  // neighbours' rows, so every row fills already sorted.
+  std::vector<std::uint64_t> cursor(out.offsets_.begin(),
+                                    out.offsets_.end() - 1);
+  for (VertexId i = 0; i < out.n_; ++i) {
+    const VertexId original = old_of_new_[i];
+    if (original >= n) continue;  // grown past g: an isolated vertex
+    for (std::uint64_t e = g.offsets_[original]; e < g.offsets_[original + 1];
+         ++e) {
+      out.adjacency_[cursor[internal[g.adjacency_[e]]]++] = i;
     }
-    builder.AddEdge(*iu, *iv);
-  });
-  return std::move(builder).Build();
+  }
+  return out;
 }
 
 Graph RelabelByDegree(const Graph& g, VertexRelabeling* map) {
@@ -151,33 +192,31 @@ std::uint64_t CountValidSlices(const Graph& g, const VertexRelabeling& map,
   if (slice_bits == 0) {
     throw std::invalid_argument("CountValidSlices: slice_bits must be > 0");
   }
-  // Under kUpper in internal ids, edge {iu < iv} sets row iu bit iv
-  // and column iv bit iu. A (vector, block) pair is one valid slice;
-  // counting distinct pairs per store counts NVS without building it.
-  std::vector<std::uint64_t> row_keys;
-  std::vector<std::uint64_t> col_keys;
-  row_keys.reserve(g.num_edges());
-  col_keys.reserve(g.num_edges());
-  g.ForEachEdge([&](VertexId u, VertexId v) {
-    const std::optional<VertexId> ou = map.FindInternal(u);
-    const std::optional<VertexId> ov = map.FindInternal(v);
-    if (!ou.has_value() || !ov.has_value()) {
-      throw std::invalid_argument("CountValidSlices: unmapped vertex");
+  const std::span<const VertexId> internal =
+      map.InternalIdsOf(g, "CountValidSlices: unmapped vertex");
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  const std::span<const VertexId> adjacency = g.adjacency();
+  // Under kUpper in internal ids, edge {i < j} sets row i bit j and
+  // column j bit i: vertex i owns one row slice per distinct block of
+  // its higher neighbours and one column slice per distinct block of
+  // its lower ones. Each vertex is visited once, so a block stamped
+  // with i has already been counted for i.
+  const std::size_t blocks = map.size() / slice_bits + 1;
+  std::vector<VertexId> row_stamp(blocks, VertexRelabeling::kUnassigned);
+  std::vector<VertexId> col_stamp(blocks, VertexRelabeling::kUnassigned);
+  std::uint64_t valid = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const VertexId i = internal[u];
+    for (std::uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const VertexId j = internal[adjacency[e]];
+      VertexId& stamp = (j > i ? row_stamp : col_stamp)[j / slice_bits];
+      if (stamp != i) {
+        stamp = i;
+        ++valid;
+      }
     }
-    VertexId iu = *ou;
-    VertexId iv = *ov;
-    if (iu > iv) std::swap(iu, iv);
-    row_keys.push_back((static_cast<std::uint64_t>(iu) << 32) |
-                       (iv / slice_bits));
-    col_keys.push_back((static_cast<std::uint64_t>(iv) << 32) |
-                       (iu / slice_bits));
-  });
-  const auto distinct = [](std::vector<std::uint64_t>& keys) {
-    std::sort(keys.begin(), keys.end());
-    return static_cast<std::uint64_t>(
-        std::unique(keys.begin(), keys.end()) - keys.begin());
-  };
-  return distinct(row_keys) + distinct(col_keys);
+  }
+  return valid;
 }
 
 RelabelChoice ChooseRelabeling(const Graph& g, RelabelMode requested,

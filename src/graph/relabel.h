@@ -64,7 +64,8 @@ class VertexRelabeling {
 
   /// Internal id of `original`, assigning the next free internal id on
   /// first sight (the stream-growth path — a delta may name vertices
-  /// the loaded graph never had).
+  /// the loaded graph never had). Throws std::invalid_argument for the
+  /// largest VertexId, which no graph can hold (as in DynamicGraph).
   [[nodiscard]] VertexId ToInternal(VertexId original);
 
   /// Internal id of `original` if it has one; nullopt otherwise.
@@ -93,7 +94,16 @@ class VertexRelabeling {
   }
 
  private:
+  friend std::uint64_t CountValidSlices(const Graph& g,
+                                        const VertexRelabeling& map,
+                                        std::uint32_t slice_bits);
+
   static constexpr VertexId kUnassigned = 0xFFFFFFFFu;
+
+  /// new_of_old_ over every vertex of `g`; throws
+  /// std::invalid_argument(unmapped_error) if any of them is unmapped.
+  [[nodiscard]] std::span<const VertexId> InternalIdsOf(
+      const Graph& g, const char* unmapped_error) const;
 
   std::vector<VertexId> new_of_old_;  // sparse, kUnassigned holes
   std::vector<VertexId> old_of_new_;  // dense
@@ -120,8 +130,8 @@ enum class RelabelMode : std::uint8_t { kNone, kDegree, kBfs, kAuto };
 
 /// Exact valid-slice count (row store + column store) the kUpper
 /// orientation of `g` would produce after relabeling by `map`, at
-/// `slice_bits` bits per slice — computed in O(E log E) from the edge
-/// list alone, no stores built. This is the NVS term of the paper's
+/// `slice_bits` bits per slice — computed in O(V + E) from the CSR
+/// alone, no stores built. This is the NVS term of the paper's
 /// storage formula and the objective kAuto minimizes. Every vertex of
 /// `g` must be mapped (throws std::invalid_argument otherwise).
 [[nodiscard]] std::uint64_t CountValidSlices(const Graph& g,

@@ -1,13 +1,21 @@
 // Tests for load-time vertex relabeling (graph/relabel.h): bijection
 // invariants of every order, triangle-count invariance, the growable
 // original<->internal map, CountValidSlices against the built stores,
-// the ChooseRelabeling auto policy, and the stream delta mapping that
-// keeps the rename invisible at the replay surface.
+// the linear-time orders, NVS count and Apply against sort-based
+// reference implementations, the ChooseRelabeling auto policy, and the
+// stream delta mapping that keeps the rename invisible at the replay
+// surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <limits>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_tc.h"
@@ -149,15 +157,51 @@ TEST(VertexRelabeling, ToInternalGrowsOnFirstSight) {
   EXPECT_THROW((void)map.ToOriginal(3), std::out_of_range);
 }
 
+TEST(VertexRelabeling, ToInternalRejectsTheLargestIdWithoutGrowing) {
+  // 0xFFFFFFFF is both out of any graph's range and the map's own
+  // "unassigned" marker: growing to it would allocate 2^32 slots.
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  VertexRelabeling map;
+  EXPECT_EQ(map.ToInternal(40), 0u);
+  EXPECT_EQ(map.ToInternal(3), 1u);
+  try {
+    (void)map.ToInternal(kMax);
+    ADD_FAILURE() << "ToInternal(" << kMax << ") did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range (max 4294967294)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(*map.FindInternal(40), 0u);
+  EXPECT_EQ(*map.FindInternal(3), 1u);
+  EXPECT_EQ(map.ToOriginal(0), 40u);
+  EXPECT_EQ(map.ToOriginal(1), 3u);
+  EXPECT_FALSE(map.FindInternal(kMax).has_value());
+  EXPECT_FALSE(map.FindInternal(41).has_value());
+  // The map keeps growing normally afterwards.
+  EXPECT_EQ(map.ToInternal(41), 2u);
+  EXPECT_EQ(map.size(), 3u);
+}
+
 TEST(VertexRelabeling, ApplyThrowsOnUnmappedVertices) {
   const Graph g = WheelPlusTail();
   VertexRelabeling partial;
   (void)partial.ToInternal(0);
   EXPECT_THROW((void)partial.Apply(g), std::invalid_argument);
+  // An unmapped vertex throws even when it has no edges.
+  GraphBuilder b(4);
+  b.AddEdge(0, 1);
+  const Graph isolated_tail = std::move(b).Build();
+  VertexRelabeling edges_only;
+  for (const VertexId v : {1u, 0u, 2u}) (void)edges_only.ToInternal(v);
+  EXPECT_THROW((void)edges_only.Apply(isolated_tail), std::invalid_argument);
+  EXPECT_THROW((void)CountValidSlices(isolated_tail, edges_only, 64),
+               std::invalid_argument);
 }
 
 TEST(CountValidSlices, MatchesBuiltStoreStats) {
-  // The O(E log E) edge-list NVS must equal the row+col valid-slice
+  // The O(V + E) CSR-walk NVS must equal the row+col valid-slice
   // count of the actually-built kUpper matrix, for identity and for
   // every relabeling, across slice widths.
   const Graph g = RandomGraph(300, 2500, 77);
@@ -182,6 +226,170 @@ TEST(CountValidSlices, MatchesBuiltStoreStats) {
       (void)CountValidSlices(g, VertexRelabeling::Identity(g.num_vertices()),
                              0),
       std::invalid_argument);
+}
+
+// --- sort-based references ---------------------------------------------
+// The O(E log E) / O(n log n) implementations the linear-time ones
+// replaced. Every output of the library must match them exactly.
+
+/// NVS as the count of distinct (vector, block) keys per store.
+std::uint64_t ReferenceValidSlices(const Graph& g, const VertexRelabeling& map,
+                                   std::uint32_t slice_bits) {
+  std::vector<std::uint64_t> row_keys;
+  std::vector<std::uint64_t> col_keys;
+  g.ForEachEdge([&](VertexId u, VertexId v) {
+    VertexId iu = *map.FindInternal(u);
+    VertexId iv = *map.FindInternal(v);
+    if (iu > iv) std::swap(iu, iv);
+    row_keys.push_back((static_cast<std::uint64_t>(iu) << 32) |
+                       (iv / slice_bits));
+    col_keys.push_back((static_cast<std::uint64_t>(iv) << 32) |
+                       (iu / slice_bits));
+  });
+  const auto distinct = [](std::vector<std::uint64_t>& keys) {
+    std::sort(keys.begin(), keys.end());
+    return static_cast<std::uint64_t>(
+        std::unique(keys.begin(), keys.end()) - keys.begin());
+  };
+  return distinct(row_keys) + distinct(col_keys);
+}
+
+/// Vertex ids sorted by degree (ascending or descending), ties by id.
+std::vector<VertexId> ReferenceDegreeOrder(const Graph& g, bool ascending) {
+  std::vector<VertexId> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    const std::uint64_t da = g.Degree(a);
+    const std::uint64_t db = g.Degree(b);
+    if (da != db) return ascending ? da < db : da > db;
+    return a < b;
+  });
+  return order;
+}
+
+/// BFS visit order seeded from the highest-degree unvisited vertex.
+std::vector<VertexId> ReferenceBfsOrder(const Graph& g) {
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::vector<VertexId> order;
+  std::deque<VertexId> queue;
+  const auto visit = [&](VertexId v) {
+    if (seen[v]) return;
+    seen[v] = true;
+    order.push_back(v);
+    queue.push_back(v);
+  };
+  for (const VertexId seed : ReferenceDegreeOrder(g, false)) {
+    visit(seed);
+    while (!queue.empty()) {
+      const VertexId u = queue.front();
+      queue.pop_front();
+      for (const VertexId v : g.Neighbors(u)) visit(v);
+    }
+  }
+  return order;
+}
+
+/// Apply through GraphBuilder: rename every edge, then sort + rebuild.
+Graph ReferenceApply(const Graph& g, const VertexRelabeling& map) {
+  GraphBuilder builder(map.size());
+  g.ForEachEdge([&](VertexId u, VertexId v) {
+    builder.AddEdge(*map.FindInternal(u), *map.FindInternal(v));
+  });
+  return std::move(builder).Build();
+}
+
+void ExpectSameCsr(const Graph& actual, const Graph& expected) {
+  ASSERT_EQ(actual.num_vertices(), expected.num_vertices());
+  EXPECT_EQ(actual.max_degree(), expected.max_degree());
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(same(actual.offsets(), expected.offsets()));
+  EXPECT_TRUE(same(actual.adjacency(), expected.adjacency()));
+}
+
+std::vector<VertexId> Ids(std::span<const VertexId> span) {
+  return {span.begin(), span.end()};
+}
+
+/// Graphs covering the orders' corner cases: degree ties everywhere
+/// (clique, lattice), isolated vertices, hubs, and the empty graph.
+std::vector<std::pair<std::string, Graph>> OracleGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("road", GeometricRoad(3000, RoadParams{}, 7));
+  graphs.emplace_back("community",
+                      CommunityCliques(2000, 16000, CommunityParams{}, 8));
+  graphs.emplace_back(
+      "community-hubs",
+      CommunityCliques(2000, 16000, CommunityParams{40, 0.1, 0.3}, 9));
+  graphs.emplace_back("rmat-hubs", Rmat(4096, 20000, RmatParams{}, 10));
+  graphs.emplace_back("clique", Complete(48));
+  graphs.emplace_back("wheel-tail", WheelPlusTail());
+  GraphBuilder sparse(600);  // two thirds of the vertices isolated
+  for (VertexId v = 0; v + 3 < 600; v += 3) sparse.AddEdge(v, (v * 7) % 600);
+  graphs.emplace_back("mostly-isolated", std::move(sparse).Build());
+  graphs.emplace_back("edgeless", GraphBuilder(9).Build());
+  graphs.emplace_back("empty", Graph{});
+  return graphs;
+}
+
+TEST(RelabelOracle, DegreeAndBfsOrdersMatchTheSortedReferences) {
+  for (const auto& [name, g] : OracleGraphs()) {
+    EXPECT_EQ(Ids(VertexRelabeling::DegreeAscending(g).old_of_new()),
+              ReferenceDegreeOrder(g, true))
+        << name;
+    EXPECT_EQ(Ids(VertexRelabeling::BfsFromHubs(g).old_of_new()),
+              ReferenceBfsOrder(g))
+        << name;
+  }
+}
+
+TEST(RelabelOracle, ValidSlicesAndApplyMatchTheReferencesOnEveryMap) {
+  for (const auto& [name, g] : OracleGraphs()) {
+    const VertexId n = g.num_vertices();
+    VertexRelabeling shuffled;
+    std::vector<VertexId> order(n);
+    std::iota(order.begin(), order.end(), VertexId{0});
+    util::Xoshiro256 rng(n);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.UniformBelow(i)]);
+    }
+    for (const VertexId v : order) (void)shuffled.ToInternal(v);
+    // Grown past n by stream-style growth: ids n+5 and n+1 are vertices
+    // g never had, so the applied graph gains empty rows.
+    VertexRelabeling grown = VertexRelabeling::DegreeAscending(g);
+    (void)grown.ToInternal(n + 5);
+    (void)grown.ToInternal(n + 1);
+    ASSERT_EQ(grown.size(), n + 2);
+    const std::vector<std::pair<std::string, VertexRelabeling>> maps = {
+        {"identity", VertexRelabeling::Identity(n)},
+        {"degree", VertexRelabeling::DegreeAscending(g)},
+        {"bfs", VertexRelabeling::BfsFromHubs(g)},
+        {"shuffled", shuffled},
+        {"grown", grown}};
+    for (const auto& [map_name, map] : maps) {
+      SCOPED_TRACE(name + "/" + map_name);
+      for (const std::uint32_t slice_bits : {1u, 7u, 64u, 512u}) {
+        EXPECT_EQ(CountValidSlices(g, map, slice_bits),
+                  ReferenceValidSlices(g, map, slice_bits))
+            << "slice_bits=" << slice_bits;
+      }
+      ExpectSameCsr(map.Apply(g), ReferenceApply(g, map));
+    }
+  }
+}
+
+TEST(RelabelOracle, ChoiceMatchesTheReferenceScores) {
+  for (const auto& [name, g] : OracleGraphs()) {
+    const RelabelChoice choice = ChooseRelabeling(g, RelabelMode::kAuto, 64);
+    const std::uint64_t identity =
+        ReferenceValidSlices(g, VertexRelabeling::Identity(g.num_vertices()),
+                             64);
+    EXPECT_EQ(choice.identity_valid_slices, identity) << name;
+    EXPECT_EQ(choice.chosen_valid_slices,
+              ReferenceValidSlices(g, choice.map, 64))
+        << name;
+  }
 }
 
 TEST(ChooseRelabeling, AutoNeverLosesToIdentity) {

@@ -99,13 +99,13 @@ class EdgeCountSink {
                       std::uint64_t bitcount) = 0;
 };
 
-/// One bank's 2D execution plan in pure arch terms — the runtime layer
+/// One bank's execution plan in pure arch terms — the runtime layer
 /// translates its runtime::TilePlan2d into this so arch stays
 /// independent of the partitioner. Region semantics: the hub lane
 /// processes arcs A[i][j] with i in [hub_row_begin, hub_row_end) and
 /// is_hub[j]; each tile processes arcs inside its rectangle with
-/// !is_hub[j]. The caller guarantees the regions cover each of the
-/// bank's arcs exactly once.
+/// !is_hub[j] (every arc inside it when is_hub is null). The caller
+/// guarantees the regions cover each of the bank's arcs exactly once.
 struct BankExecPlan {
   struct Tile {
     std::uint32_t row_begin = 0;
@@ -121,6 +121,17 @@ struct BankExecPlan {
   /// num_vertices entries, or nullptr when hub_cols is empty.
   const std::uint8_t* is_hub = nullptr;
   std::vector<Tile> tiles;
+
+  /// The hub-free one-tile plan over rows [row_begin, row_end) x every
+  /// column of an n-vertex matrix — a 1D row shard, and with the full
+  /// row range the whole-matrix run.
+  [[nodiscard]] static BankExecPlan RowRange(std::uint32_t row_begin,
+                                             std::uint32_t row_end,
+                                             std::uint32_t n) {
+    BankExecPlan plan;
+    plan.tiles.push_back(Tile{row_begin, row_end, 0, n});
+    return plan;
+  }
 };
 
 class Controller {
@@ -130,29 +141,22 @@ class Controller {
   Controller(pim::ComputationalArray& array, const ControllerConfig& config);
 
   /// Runs Algorithm 1 over the whole compressed matrix and returns the
-  /// statistics. The array's accumulated bit-counter total equals
+  /// statistics: RunPlan over one hub-free whole-matrix tile. The
+  /// array's accumulated bit-counter total equals
   /// stats.accumulated_bitcount afterwards. If `sink` is non-null it
   /// receives every edge's individual BitCount.
   [[nodiscard]] ExecStats Run(const bit::SlicedMatrix& matrix,
                               EdgeCountSink* sink = nullptr);
 
-  /// Runs Algorithm 1 over rows [row_begin, row_end) only — the shard
-  /// unit of the multi-bank runtime (runtime::BankPool). Column lookups
-  /// still see the whole matrix, so the per-edge counts are identical
-  /// to a full run's: partitioning the row space across disjoint ranges
-  /// partitions the accumulated bitcount exactly. Throws
-  /// std::out_of_range on an invalid range.
-  [[nodiscard]] ExecStats RunRows(const bit::SlicedMatrix& matrix,
-                                  std::uint32_t row_begin,
-                                  std::uint32_t row_end,
-                                  EdgeCountSink* sink = nullptr);
-
-  /// Runs one bank's 2D plan: warms the hub replicas into the cache +
-  /// array (counted in stats.replica_slice_writes, not in the lookup
-  /// stats), then executes the hub lane and the tail tiles. Cache and
-  /// bit-counter state are cumulative across calls, so use a fresh
-  /// controller per run (as BankPool does). Throws std::out_of_range
-  /// on a plan that exceeds the matrix's vertex range.
+  /// Runs one bank's plan: warms the hub replicas (if any) into the
+  /// cache + array (counted in stats.replica_slice_writes, not in the
+  /// lookup stats), then executes the hub lane and the tiles. Column
+  /// lookups see the whole matrix, so per-edge counts are identical
+  /// to a full run's and disjoint plans partition the accumulated
+  /// bitcount exactly. Cache and bit-counter state are cumulative
+  /// across calls, so use a fresh controller per run (as BankPool
+  /// does). Throws std::out_of_range on a plan that exceeds the
+  /// matrix's vertex range.
   [[nodiscard]] ExecStats RunPlan(const bit::SlicedMatrix& matrix,
                                   const BankExecPlan& plan,
                                   EdgeCountSink* sink = nullptr);
@@ -166,8 +170,8 @@ class Controller {
 
   struct WorkItem;
   /// Executes one pivot row's gathered work (set-grouped sort, staging
-  /// writes, cache lookups, ANDs, sink flush) — the inner loop shared
-  /// by RunRows and RunPlan. `work`/`row_edges` are the caller's
+  /// writes, cache lookups, ANDs, sink flush) — RunPlan's inner loop,
+  /// once per (region, row). `work`/`row_edges` are the caller's
   /// gather output; `row_edge_count` is reusable scratch.
   void ProcessRowWork(const bit::SlicedMatrix& matrix, std::uint32_t i,
                       std::uint64_t spread, std::vector<WorkItem>& work,

@@ -249,24 +249,11 @@ std::uint64_t SlicedMatrix::AndPopcountRect(
     throw std::invalid_argument(
         "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
   }
-  if (col_begin == 0 && col_end == num_vertices() && col_mask == nullptr) {
-    // Every column, no mask: the plain row walk, which skips the
-    // per-row lower_bound of the ranged walk.
-    return EvaluatePass(*this, cols, row_begin, row_end, kind, counters,
-                        [&](std::uint32_t i, const auto& visit) {
-                          rows_.ForEachSetBit(i, [&](std::uint64_t j) {
-                            visit(static_cast<std::uint32_t>(j));
-                          });
-                        });
-  }
-  return EvaluatePass(
-      *this, cols, row_begin, row_end, kind, counters,
-      [&](std::uint32_t i, const auto& visit) {
-        rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-          const auto j = static_cast<std::uint32_t>(j64);
-          if (col_mask == nullptr || (col_mask[j] != 0) == mask_value) visit(j);
-        });
-      });
+  return EvaluatePass(*this, cols, row_begin, row_end, kind, counters,
+                      [&](std::uint32_t i, const auto& visit) {
+                        ForEachArcInRect(i, col_begin, col_end, col_mask,
+                                         mask_value, visit);
+                      });
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

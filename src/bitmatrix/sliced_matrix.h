@@ -189,6 +189,30 @@ class SlicedMatrix {
                        [&](std::size_t a, std::size_t b) { fn(ri[a], a, b); });
   }
 
+  /// Calls fn(j), j ascending, for every arc A[i][j] of row i that a
+  /// tile selects: j in [col_begin, col_end) and, when `col_mask` is
+  /// non-null (num_vertices() entries), (col_mask[j] != 0) ==
+  /// mask_value — the hub/tail split (hub lanes pass mask_value=true,
+  /// tail tiles false, same mask, so together they see each arc
+  /// exactly once). A rectangle spanning every column takes the plain
+  /// row walk, which skips the ranged walk's per-row lower_bound. The
+  /// one arc-selection rule of both the host pass (AndPopcountRect)
+  /// and the simulated pass (arch::Controller::RunPlan).
+  template <typename Fn>
+  void ForEachArcInRect(std::uint32_t i, std::uint32_t col_begin,
+                        std::uint32_t col_end, const std::uint8_t* col_mask,
+                        bool mask_value, Fn&& fn) const {
+    const auto select = [&](std::uint64_t j64) {
+      const auto j = static_cast<std::uint32_t>(j64);
+      if (col_mask == nullptr || (col_mask[j] != 0) == mask_value) fn(j);
+    };
+    if (col_begin == 0 && col_end == num_vertices()) {
+      rows_.ForEachSetBit(i, select);
+    } else {
+      rows_.ForEachSetBitInRange(i, col_begin, col_end, select);
+    }
+  }
+
   /// Software evaluation of Eq. (5) over the compressed stores: for
   /// every non-zero A[i][j], Σ BitCount(AND(RiSk, CjSk)) over valid
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
@@ -205,30 +229,27 @@ class SlicedMatrix {
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
-  /// Eq. (5) over rows [row_begin, row_end) only — the shard unit of
-  /// the multi-bank runtime's 1D host-kernel path (runtime::BankPool::
-  /// HostCountEpoch). Column lookups see the whole matrix, so disjoint
-  /// row ranges partition AndPopcountAllEdges() exactly: summing
-  /// shards reproduces the full pass. Throws std::out_of_range on an
-  /// invalid range. AndPopcountRect over every column with no mask.
+  /// Eq. (5) over rows [row_begin, row_end) only. Column lookups see
+  /// the whole matrix, so disjoint row ranges partition
+  /// AndPopcountAllEdges() exactly: summing ranges reproduces the full
+  /// pass. Throws std::out_of_range on an invalid range.
+  /// AndPopcountRect over every column with no mask (a one-column-
+  /// stripe tile, the shape of a 1D bank shard).
   [[nodiscard]] std::uint64_t AndPopcountRows(
       std::uint32_t row_begin, std::uint32_t row_end,
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
   /// Eq. (5) over the sub-rectangle rows [row_begin, row_end) x
-  /// columns [col_begin, col_end) — the tile unit of the 2D
-  /// hub-replicated runtime. Only arcs A[i][j] with i and j inside the
-  /// rectangle are enumerated, but each enumerated arc still ANDs the
-  /// FULL row i against the FULL column j: tiling selects which arcs a
-  /// bank pivots on, never which slices get paired, so any family of
-  /// disjoint rectangles covering all non-zeros partitions
-  /// AndPopcountAllEdges() exactly.
+  /// columns [col_begin, col_end) — the tile unit of the multi-bank
+  /// runtime (runtime::CountBankShard2d). Only arcs A[i][j] with i and
+  /// j inside the rectangle are enumerated, but each enumerated arc
+  /// still ANDs the FULL row i against the FULL column j: tiling
+  /// selects which arcs a bank pivots on, never which slices get
+  /// paired, so any family of disjoint rectangles covering all
+  /// non-zeros partitions AndPopcountAllEdges() exactly.
   ///
-  /// `col_mask` (when non-null, num_vertices() entries) filters arcs:
-  /// A[i][j] is enumerated only when (col_mask[j] != 0) == mask_value —
-  /// the hub/tail split (hub lanes pass mask_value=true, tail tiles
-  /// false, same mask, so together they see each arc exactly once).
+  /// `col_mask` / `mask_value` filter arcs as in ForEachArcInRect.
   ///
   /// `cols_override` (when non-null) replaces the column store for the
   /// ANDs — the per-bank hub-replica store. It must match slice_bits

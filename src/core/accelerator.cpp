@@ -54,23 +54,9 @@ TcimResult TcimAccelerator::RunOnMatrixRows(const bit::SlicedMatrix& matrix,
                                             graph::Orientation orientation,
                                             std::uint32_t row_begin,
                                             std::uint32_t row_end) const {
-  util::Timer timer;
-  if (matrix.slice_bits() != config_.slice_bits) {
-    throw std::invalid_argument(
-        "TcimAccelerator: matrix slice width != configured slice_bits");
-  }
-
-  pim::ComputationalArray array(config_.array, config_.bit_counter);
-  arch::Controller controller(array, config_.controller);
-
-  TcimResult result;
-  result.exec = controller.RunRows(matrix, row_begin, row_end);
-  result.triangles = result.exec.accumulated_bitcount /
-                     graph::CountMultiplier(orientation);
-  result.perf = EvaluatePerf(result.exec, array_model_->perf(),
-                             config_.bit_counter, config_.perf);
-  result.host_seconds = timer.ElapsedSeconds();
-  return result;
+  return RunOnMatrixPlan(
+      matrix, orientation,
+      arch::BankExecPlan::RowRange(row_begin, row_end, matrix.num_vertices()));
 }
 
 TcimResult TcimAccelerator::RunOnMatrixPlan(

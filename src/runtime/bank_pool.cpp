@@ -100,10 +100,11 @@ arch::BankExecPlan MakeBankExecPlan(const TilePlan2d& plan,
   return exec;
 }
 
-void Record2dMetrics(const PartitionStats& stats) {
+void RecordPlanMetrics(const GraphPartition& partition) {
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
-  metrics.replica_bytes.Set(static_cast<double>(stats.replica_bytes));
-  metrics.tile_imbalance.Set(stats.tile_imbalance);
+  metrics.replica_bytes.Set(
+      static_cast<double>(partition.stats.replica_bytes));
+  metrics.tile_imbalance.Set(partition.plan2d->TileImbalance());
 }
 
 /// Sums the per-shard route counters (each shard writes its own slot —
@@ -153,8 +154,7 @@ BankPool::BankPool(BankPoolConfig config)
 
 void BankPool::RunShards(
     const GraphPartition& partition,
-    const std::function<void(std::uint32_t, const ShardInfo&)>& run_shard)
-    const {
+    const std::function<void(std::uint32_t)>& run_shard) const {
   // One completion latch per call so concurrent Count()/HostCountEpoch()
   // invocations can interleave on the same worker pool. Local state, so
   // the lock discipline is scope-visible rather than TCIM_GUARDED_BY:
@@ -187,7 +187,7 @@ void BankPool::RunShards(
           obs::TraceSpan span("shard", "bank", std::move(span_args));
           util::Timer clock;
           try {
-            run_shard(b, shard);
+            run_shard(b);
           } catch (...) {
             error = std::current_exception();
           }
@@ -232,10 +232,12 @@ void BankPool::RunShards(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-Partition2dOptions BankPool::Options2d() const noexcept {
-  Partition2dOptions options = config_.partition2d;
-  options.slice_bits = banks_.front()->config().slice_bits;
-  return options;
+GraphPartition BankPool::Plan(const bit::SlicedMatrix& matrix) const {
+  obs::TraceSpan span("partition.plan", "bank", "");
+  GraphPartition partition = PartitionMatrix(
+      matrix, num_banks(), config_.partition, config_.partition2d);
+  RecordPlanMetrics(partition);
+  return partition;
 }
 
 ClusterResult BankPool::Count(const graph::Graph& g) const {
@@ -243,36 +245,17 @@ ClusterResult BankPool::Count(const graph::Graph& g) const {
   const graph::Orientation orientation = config_.accelerator.orientation;
 
   // The offline stages (Fig. 4 "data slicing"): orient, slice,
-  // partition. The oriented CSR is freed before the shards run.
-  bit::SlicedMatrix matrix;
-  GraphPartition partition;
-  {
-    const graph::OrientedCsr csr = graph::Orient(g, orientation);
-    matrix = bit::SlicedMatrix::FromCsr(csr.num_vertices, csr.offsets,
-                                        csr.neighbors,
-                                        banks_.front()->config().slice_bits);
-    if (config_.partition == PartitionStrategy::k2dHubReplicated) {
-      obs::TraceSpan span("partition.plan2d", "bank", "");
-      partition = Partition2dCsr(csr, num_banks(), Options2d());
-      Record2dMetrics(partition.stats);
-    } else {
-      partition = PartitionOrientedCsr(csr, num_banks(), config_.partition);
-    }
-  }
+  // partition.
+  const bit::SlicedMatrix matrix = core::BuildSlicedMatrix(
+      g, orientation, banks_.front()->config().slice_bits);
+  GraphPartition partition = Plan(matrix);
+  const TilePlan2d& plan = *partition.plan2d;
 
   std::vector<core::TcimResult> per_bank(num_banks());
-  if (partition.plan2d != nullptr) {
-    const TilePlan2d& plan = *partition.plan2d;
-    RunShards(partition, [&](std::uint32_t b, const ShardInfo&) {
-      per_bank[b] = banks_[b]->RunOnMatrixPlan(matrix, orientation,
-                                               MakeBankExecPlan(plan, b));
-    });
-  } else {
-    RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
-      per_bank[b] = banks_[b]->RunOnMatrixRows(
-          matrix, orientation, shard.row_begin, shard.row_end);
-    });
-  }
+  RunShards(partition, [&](std::uint32_t b) {
+    per_bank[b] = banks_[b]->RunOnMatrixPlan(matrix, orientation,
+                                             MakeBankExecPlan(plan, b));
+  });
 
   ClusterResult cluster =
       AggregateClusterResult(std::move(partition), orientation,
@@ -282,73 +265,55 @@ ClusterResult BankPool::Count(const graph::Graph& g) const {
   return cluster;
 }
 
-ServingPlan2d BankPool::BuildServingPlan2d(
+ServingPlan2d BankPool::BuildServingPlan(
     const bit::SlicedMatrix& matrix) const {
-  obs::TraceSpan span("partition.plan2d", "bank", "");
   ServingPlan2d plan;
-  plan.partition = Partition2dMatrix(matrix, num_banks(), Options2d());
+  plan.partition = Plan(matrix);
   const std::vector<std::uint32_t>& hubs = plan.partition.plan2d->hubs;
   if (!hubs.empty()) {
     // One COW extract of the hub columns, copied per bank (slab
     // shared_ptr bumps, not data copies).
     plan.replicas.assign(num_banks(), matrix.cols().ExtractVectors(hubs));
   }
-  Record2dMetrics(plan.partition.stats);
   return plan;
 }
 
-std::uint64_t BankPool::SumShardCounts(
-    const GraphPartition& partition, graph::Orientation orientation,
-    const std::function<std::uint64_t(std::uint32_t, const ShardInfo&,
-                                      bit::PairPathCounters*)>& count_shard)
-    const {
+std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
+  const bit::SlicedMatrix& matrix = *epoch.matrix;
+  // hub_k only shapes 2D plans; 1D pools that differ in it share one.
+  const PlanKey key{num_banks(), config_.partition,
+                    config_.partition == PartitionStrategy::k2dHubReplicated
+                        ? config_.partition2d.hub_k
+                        : 0};
+  PlanCache2d::PlanPtr plan;
+  if (epoch.plan2d != nullptr) {
+    plan = epoch.plan2d->GetOrBuild(key,
+                                    [&] { return BuildServingPlan(matrix); });
+  }
+  // Defensive rebuild: a plan carried forward across publishes is only
+  // valid while the vertex range it was sized for still matches (the
+  // session invalidates on growth; never trust it blindly).
+  if (plan == nullptr ||
+      plan->partition.plan2d->num_vertices != matrix.num_vertices()) {
+    plan = std::make_shared<const ServingPlan2d>(BuildServingPlan(matrix));
+  }
+  const TilePlan2d& tiles = *plan->partition.plan2d;
+
   // Disjoint shards partition the raw Eq. (5) sum exactly, and the
   // orientation divide happens once on the cluster total (a single
   // kFullSymmetric shard's bitcount need not be divisible by 6).
   std::vector<std::uint64_t> per_bank(num_banks(), 0);
   std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
-    per_bank[b] = count_shard(b, shard, &paths[b]);
+  RunShards(plan->partition, [&](std::uint32_t b) {
+    const bit::SlicedStore* replica =
+        plan->replicas.empty() ? nullptr : &plan->replicas[b];
+    per_bank[b] = CountBankShard2d(matrix, tiles, b, replica,
+                                   bit::PopcountKind::kBuiltin, &paths[b]);
   });
   RecordPairPathMetrics(paths);
   std::uint64_t raw = 0;
   for (const std::uint64_t shard_count : per_bank) raw += shard_count;
-  return raw / graph::CountMultiplier(orientation);
-}
-
-std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
-  const bit::SlicedMatrix& matrix = *epoch.matrix;
-  if (config_.partition != PartitionStrategy::k2dHubReplicated) {
-    return SumShardCounts(
-        PartitionMatrixRows(matrix, num_banks(), config_.partition),
-        epoch.orientation,
-        [&](std::uint32_t, const ShardInfo& shard,
-            bit::PairPathCounters* paths) {
-          return matrix.AndPopcountRows(shard.row_begin, shard.row_end,
-                                        bit::PopcountKind::kBuiltin, paths);
-        });
-  }
-  PlanCache2d::PlanPtr plan;
-  if (epoch.plan2d != nullptr) {
-    plan = epoch.plan2d->GetOrBuild(
-        num_banks(), [&] { return BuildServingPlan2d(matrix); });
-  }
-  // Defensive rebuild: a plan carried forward across publishes is only
-  // valid while the vertex range it was sized for still matches (the
-  // session invalidates on growth; never trust it blindly).
-  if (plan == nullptr || plan->partition.plan2d == nullptr ||
-      plan->partition.plan2d->num_vertices != matrix.num_vertices()) {
-    plan = std::make_shared<const ServingPlan2d>(BuildServingPlan2d(matrix));
-  }
-  const TilePlan2d& plan2d = *plan->partition.plan2d;
-  return SumShardCounts(
-      plan->partition, epoch.orientation,
-      [&](std::uint32_t b, const ShardInfo&, bit::PairPathCounters* paths) {
-        const bit::SlicedStore* replica =
-            plan->replicas.empty() ? nullptr : &plan->replicas[b];
-        return CountBankShard2d(matrix, plan2d, b, replica,
-                                bit::PopcountKind::kBuiltin, paths);
-      });
+  return raw / graph::CountMultiplier(epoch.orientation);
 }
 
 }  // namespace tcim::runtime

@@ -3,13 +3,15 @@
 // pool, counting one graph cooperatively.
 //
 // One Count(g) call runs the offline stages once — orientation,
-// slicing/compression, partitioning — then fans the shards out: bank b
-// executes Algorithm 1 over its owned row range of the *shared*
-// compressed matrix (core::TcimAccelerator::RunOnMatrixRows), and the
-// per-shard results fold into a runtime::ClusterResult. The total is
-// count-exact by construction (see runtime/partitioner.h); the
-// registered exactness tests assert it against the single-accelerator
-// path on every dataset and generator family.
+// slicing/compression, partitioning into a tile plan (PartitionMatrix)
+// — then fans the shards out: bank b executes Algorithm 1 over its
+// share of the plan against the *shared* compressed matrix
+// (core::TcimAccelerator::RunOnMatrixPlan; a 1D shard is one
+// whole-width row tile), and the per-shard results fold into a
+// runtime::ClusterResult. The total is count-exact by construction
+// (see runtime/partitioner.h); the registered exactness tests assert
+// it against the single-accelerator path on every dataset and
+// generator family.
 //
 // Each bank gets its own TcimConfig with a *derived* rng seed
 // (DeriveBankSeed: SplitMix64 over bank id), so random-replacement
@@ -84,8 +86,7 @@ struct BankPoolConfig {
   /// kMaxBanks.
   std::uint32_t num_threads = 0;
   PartitionStrategy partition = PartitionStrategy::kDegreeBalanced;
-  /// 2D planner knobs, used when partition == k2dHubReplicated
-  /// (slice_bits is synced from the accelerator config).
+  /// Planner options (hub_k; read under k2dHubReplicated only).
   Partition2dOptions partition2d;
   /// Per-bank template; controller.rng_seed is re-derived per bank.
   core::TcimConfig accelerator;
@@ -102,17 +103,17 @@ class BankPool {
 
   /// The host-kernel count: counts the ALREADY-SLICED matrix of a
   /// pinned COW epoch snapshot on the bank shards with the host Eq. (5)
-  /// pass (SlicedMatrix::AndPopcountRows / AndPopcountRect on the
+  /// pass (CountBankShard2d -> SlicedMatrix::AndPopcountRect on the
   /// active SIMD kernel backend) instead of the functional in-MRAM
   /// simulation — no orient, no re-slice, no architectural statistics.
-  /// Under 1D strategies the shards are PartitionMatrixRows row ranges;
-  /// under k2dHubReplicated the tile plan + per-bank hub replicas are
-  /// fetched from (or built into) the epoch's PlanCache2d, so
-  /// steady-state queries pay only the per-shard rectangle counts. Raw
-  /// shard bitcounts are summed before the divide by the epoch's
-  /// orientation multiplier, so the result is exact for every
-  /// orientation. Thread-safe and concurrent like Count() — the
-  /// scheduler's query jobs run this while update batches apply.
+  /// The tile plan (+ per-bank hub replicas, when it has hubs) is
+  /// fetched from, or built into, the epoch's PlanCache2d under this
+  /// pool's PlanKey for every strategy, so steady-state queries pay
+  /// only the per-shard rectangle counts. Raw shard bitcounts are
+  /// summed before the divide by the epoch's orientation multiplier,
+  /// so the result is exact for every orientation. Thread-safe and
+  /// concurrent like Count() — the scheduler's query jobs run this
+  /// while update batches apply.
   [[nodiscard]] std::uint64_t HostCountEpoch(const EpochSnapshot& epoch) const;
 
   [[nodiscard]] std::uint32_t num_banks() const noexcept {
@@ -126,29 +127,19 @@ class BankPool {
   }
 
  private:
-  /// The 2D planner options with slice_bits synced from the
-  /// accelerator config (the one field the two configs share).
-  [[nodiscard]] Partition2dOptions Options2d() const noexcept;
-  /// Plans the 2D partition of `matrix` and extracts the per-bank hub
-  /// replica stores (COW; shared slabs across banks).
-  [[nodiscard]] ServingPlan2d BuildServingPlan2d(
+  /// Plans `matrix` under this pool's strategy and options, and
+  /// records the plan gauges.
+  [[nodiscard]] GraphPartition Plan(const bit::SlicedMatrix& matrix) const;
+  /// Plan() plus the per-bank hub replica stores (COW; shared slabs
+  /// across banks) when the plan has hubs.
+  [[nodiscard]] ServingPlan2d BuildServingPlan(
       const bit::SlicedMatrix& matrix) const;
-  /// Host-kernel fan-out: one count_shard(bank, shard, counters) task
-  /// per bank, raw counts summed, then divided once by the orientation
-  /// multiplier.
-  [[nodiscard]] std::uint64_t SumShardCounts(
-      const GraphPartition& partition, graph::Orientation orientation,
-      const std::function<std::uint64_t(std::uint32_t, const ShardInfo&,
-                                        bit::PairPathCounters*)>& count_shard)
-      const;
 
   /// Fans one task per shard out to the worker pool and waits for all
   /// of them; the first shard exception (if any) is rethrown. Shared
   /// by Count() and HostCountEpoch().
-  void RunShards(
-      const GraphPartition& partition,
-      const std::function<void(std::uint32_t, const ShardInfo&)>& run_shard)
-      const;
+  void RunShards(const GraphPartition& partition,
+                 const std::function<void(std::uint32_t)>& run_shard) const;
 
   BankPoolConfig config_;
   std::vector<std::unique_ptr<core::TcimAccelerator>> banks_;

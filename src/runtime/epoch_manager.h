@@ -40,28 +40,43 @@
 
 namespace tcim::runtime {
 
-/// A materialized 2D serving plan for one epoch: the tile/hub
-/// partition plus the per-bank hub-column replica stores (COW extracts
-/// of the epoch matrix's column store — shared slabs, so N replicas of
-/// k hub columns cost ~one copy of those columns, not N).
+/// A materialized serving plan for one epoch: the tile partition plus
+/// the per-bank hub-column replica stores (COW extracts of the epoch
+/// matrix's column store — shared slabs, so N replicas of k hub columns
+/// cost ~one copy of those columns, not N). Every strategy's plan has
+/// this shape; a 1D plan simply has no hubs and no replicas.
 struct ServingPlan2d {
   GraphPartition partition;
-  /// One replica store per bank; same shape as the epoch matrix's
-  /// column store with non-hub vectors empty (see
-  /// bit::SlicedStore::ExtractVectors).
+  /// One replica store per bank when the plan has hubs, else empty;
+  /// same shape as the epoch matrix's column store with non-hub
+  /// vectors empty (see bit::SlicedStore::ExtractVectors).
   std::vector<bit::SlicedStore> replicas;
 };
 
-/// Lazily-built, shareable cache of one epoch's ServingPlan2d.
+/// What a cached plan was planned for. Pools that differ in any field
+/// plan differently, so they must never share a cached plan.
+struct PlanKey {
+  std::uint32_t num_banks = 0;
+  PartitionStrategy strategy = PartitionStrategy::kContiguous;
+  std::uint32_t hub_k = 0;  ///< Partition2dOptions::hub_k; 0 for 1D plans
+
+  friend bool operator==(const PlanKey&, const PlanKey&) = default;
+};
+
+/// Lazily-built, shareable cache of one epoch's ServingPlan2d, for
+/// every partition strategy.
 ///
 /// The pointer lives on the EpochSnapshot so the plan follows the
-/// epoch's lifetime, and StreamSession *carries the same cache object
-/// forward* across publishes whose batches provably cannot change the
-/// plan (no hub-touching ops, no vertex growth) — that carry-forward
-/// is what keeps the 2D read path from re-planning per batch. When a
-/// batch may invalidate the plan the session attaches a fresh, empty
-/// cache instead (it never mutates a published one, so pinned readers
-/// of old epochs keep their plan).
+/// epoch's lifetime, and StreamSession *carries the built plan
+/// forward* across publishes whose batches provably cannot change it
+/// (no hub-touching ops, no vertex growth) — that carry-forward is
+/// what keeps the read path from re-planning per batch. The carry is
+/// a Fork(): the new epoch gets its own cache seeded with the plan and
+/// its key, never the old epoch's cache object, so a rebuild for
+/// another pool on the new epoch (replicas extracted from the new
+/// matrix) can never land in a slot an older pinned epoch reads. When
+/// a batch may invalidate the plan the session attaches a fresh, empty
+/// cache instead.
 class PlanCache2d {
  public:
   using PlanPtr = std::shared_ptr<const ServingPlan2d>;
@@ -71,23 +86,39 @@ class PlanCache2d {
     util::MutexLock lock(&mu_);
     return plan_;
   }
+  /// A new cache holding this cache's current plan and key (empty if
+  /// none was built) — the carry-forward seed for the next epoch.
+  [[nodiscard]] std::shared_ptr<PlanCache2d> Fork() const {
+    PlanPtr plan;
+    PlanKey key;
+    {
+      util::MutexLock lock(&mu_);
+      plan = plan_;
+      key = key_;
+    }
+    auto fork = std::make_shared<PlanCache2d>();
+    util::MutexLock lock(&fork->mu_);
+    fork->plan_ = std::move(plan);
+    fork->key_ = key;
+    return fork;
+  }
   /// True once a plan has been built (used by the invalidation metric:
   /// only a *built* plan being dropped counts as an invalidation).
   [[nodiscard]] bool has_plan() const {
     util::MutexLock lock(&mu_);
     return plan_ != nullptr;
   }
-  /// Returns the cached plan if it matches `num_banks`, else builds
-  /// one via `build` and caches it. The bank check makes a stale
-  /// carry-forward (different pool) a rebuild, never a wrong answer.
-  /// `build` runs under mu_ (one builder at a time, by design: a plan
-  /// is expensive and concurrent queries should share one build).
+  /// Returns the cached plan if it was built for `key`, else builds
+  /// one via `build` and caches it in the single slot. The key check
+  /// makes a plan cached by a different pool a rebuild, never a wrong
+  /// plan. `build` runs under mu_ (one builder at a time, by design: a
+  /// plan is expensive and concurrent queries should share one build).
   [[nodiscard]] PlanPtr GetOrBuild(
-      std::uint32_t num_banks,
-      const std::function<ServingPlan2d()>& build) {
+      const PlanKey& key, const std::function<ServingPlan2d()>& build) {
     util::MutexLock lock(&mu_);
-    if (plan_ == nullptr || plan_->partition.shards.size() != num_banks) {
+    if (plan_ == nullptr || !(key_ == key)) {
       plan_ = std::make_shared<const ServingPlan2d>(build());
+      key_ = key;
     }
     return plan_;
   }
@@ -95,6 +126,7 @@ class PlanCache2d {
  private:
   mutable util::Mutex mu_;
   PlanPtr plan_ TCIM_GUARDED_BY(mu_);
+  PlanKey key_ TCIM_GUARDED_BY(mu_);
 };
 
 /// One published, immutable version of a streamed graph. Everything a
@@ -111,9 +143,9 @@ struct EpochSnapshot {
   std::uint64_t triangles = 0;
   /// COW copy of the sliced matrix as of this epoch; immutable.
   std::shared_ptr<const bit::SlicedMatrix> matrix;
-  /// Shared 2D serving-plan cache (lazily built by the first 2D query
-  /// against this epoch; carried forward across publishes whose
-  /// batches cannot invalidate it — see PlanCache2d). Always non-null.
+  /// This epoch's serving-plan cache (lazily built by the first query
+  /// against this epoch, or seeded with the previous epoch's plan when
+  /// the batch cannot invalidate it — see PlanCache2d). Always non-null.
   std::shared_ptr<PlanCache2d> plan2d = std::make_shared<PlanCache2d>();
 };
 

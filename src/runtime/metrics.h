@@ -57,8 +57,8 @@ struct BankPoolMetrics {
   obs::Histogram& shard_seconds;     // one sample per shard task
   obs::Gauge& shard_imbalance;       // max/mean shard time, last run
   obs::Counter& bank_busy_micros;    // summed shard wall time, all banks
-  obs::Gauge& replica_bytes;         // 2D hub-replica bytes, last plan
-  obs::Gauge& tile_imbalance;        // 2D max/mean bank weight, last plan
+  obs::Gauge& replica_bytes;         // hub-replica bytes, last plan
+  obs::Gauge& tile_imbalance;        // max/mean bank load, last plan
   // Host Eq. (5) route accounting on the host-kernel count path: valid
   // pairs consumed per route (bit::PairPathCounters).
   obs::Counter& pairs_zero_copy;     // pairs via zero-copy descriptors
@@ -78,7 +78,7 @@ struct StreamMetrics {
   obs::Histogram& apply_seconds;     // Apply incl. publish
   obs::Gauge& heap_bytes;            // live matrix heap, last publish
   obs::Gauge& shared_slab_ratio;     // slabs shared with prior epoch
-  obs::Counter& plan_invalidations;  // 2D serving plans dropped by a batch
+  obs::Counter& plan_invalidations;  // serving plans dropped by a batch
 
   static StreamMetrics& Get();
 };

@@ -35,38 +35,22 @@ PartitionStrategy ParsePartitionStrategy(const std::string& name) {
 
 namespace {
 
-/// Range boundaries: boundaries[b]..boundaries[b+1] is bank b's rows.
-std::vector<graph::VertexId> Boundaries(const graph::OrientedCsr& csr,
-                                        std::uint32_t num_banks,
-                                        PartitionStrategy strategy) {
-  const std::uint64_t n = csr.num_vertices;
-  std::vector<graph::VertexId> bounds(num_banks + 1);
-  bounds[0] = 0;
-  bounds[num_banks] = static_cast<graph::VertexId>(n);
-  for (std::uint32_t b = 1; b < num_banks; ++b) {
-    if (strategy == PartitionStrategy::kContiguous) {
-      bounds[b] = static_cast<graph::VertexId>(n * b / num_banks);
-    } else {
-      // Degree-balanced: cut where the arc prefix sum crosses the
-      // b-th equal share of the total arc count.
-      const std::uint64_t target = csr.arc_count() * b / num_banks;
-      const auto it = std::lower_bound(csr.offsets.begin(),
-                                       csr.offsets.end(), target);
-      bounds[b] = static_cast<graph::VertexId>(
-          std::distance(csr.offsets.begin(), it));
-    }
-  }
-  // Monotonicity guard: degree-balanced cuts can collide when a single
-  // row holds more than one share of the arcs.
-  for (std::uint32_t b = 1; b <= num_banks; ++b) {
-    bounds[b] = std::max(bounds[b], bounds[b - 1]);
-  }
-  return bounds;
-}
+// Auto hub rule (hub_k == kAutoHubs): a column is hub-eligible while
+// its in-degree is >= kHubDegreeFactor x the mean degree, and the
+// extra replica bytes, (num_banks - 1) x hub column slice bytes, must
+// stay <= kReplicaBudgetFraction of the matrix's total store bytes.
+constexpr double kHubDegreeFactor = 8.0;
+constexpr double kReplicaBudgetFraction = 0.25;
+// Target tail tiles per bank; with c = ceil(sqrt(banks)) column
+// stripes the 2D grid gets r = ceil(kTilesPerBank * banks / c) row
+// stripes.
+constexpr std::uint32_t kTilesPerBank = 2;
 
 /// Cuts [0, n) into `parts` parts balanced on the weight prefix sums
-/// (prefix has n+1 entries, prefix[0] == 0), with the same
-/// lower_bound + monotonic-fix shape as the 1D Boundaries().
+/// (prefix has n+1 entries, prefix[0] == 0): cut p sits at the first
+/// vertex whose prefix reaches the p-th equal share, then a monotonic
+/// fix (cuts collide when one vertex holds more than a share). The
+/// only cut routine: unit weights give the equal-width split.
 std::vector<graph::VertexId> BalancedBounds(
     const std::vector<std::uint64_t>& prefix, std::uint32_t parts) {
   const auto n = static_cast<std::uint32_t>(prefix.size() - 1);
@@ -86,70 +70,187 @@ std::vector<graph::VertexId> BalancedBounds(
   return bounds;
 }
 
-std::vector<std::uint64_t> PrefixOf(const std::vector<std::uint64_t>& w) {
+template <typename T>
+std::vector<std::uint64_t> PrefixOf(const std::vector<T>& w) {
   std::vector<std::uint64_t> prefix(w.size() + 1, 0);
   for (std::size_t v = 0; v < w.size(); ++v) prefix[v + 1] = prefix[v] + w[v];
   return prefix;
 }
 
-/// The k2dHubReplicated planner core, shared by the CSR and matrix
-/// wrappers. `for_each_arc(fn)` must call fn(i, j) for every arc with
-/// i ascending and, within a row, j strictly ascending (both sources
-/// guarantee this) — the slice-transition counting below depends on
-/// that order. Three arc passes: (A) degree + per-vector valid-slice
-/// counts, (B) hub/tail AND-work weights, (C) tile accumulation.
-template <typename ForEachArc>
-GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
-                          std::uint32_t num_banks,
-                          const Partition2dOptions& opt) {
-  if (num_banks == 0) {
-    throw std::invalid_argument("Partition2d: num_banks must be > 0");
-  }
-  if (opt.slice_bits == 0 || opt.slice_bits > 512) {
-    throw std::invalid_argument("Partition2d: slice_bits must be in [1,512]");
-  }
-  const std::uint32_t sb = opt.slice_bits;
-  const std::uint64_t bytes_per_slice = sb / 8 + 4;
+/// Per-vector degree and valid-slice counts, read off the stores
+/// (only valid — non-empty — slices are stored, so a vector's slice
+/// count is its number of distinct v/|S| slices with a set bit). The
+/// column half is filled only for the 2D planner, the one reader.
+struct MatrixProfile {
+  std::vector<std::uint32_t> out_deg;     ///< row set bits
+  std::vector<std::uint32_t> in_deg;      ///< column set bits
+  std::vector<std::uint32_t> row_slices;  ///< valid slices per row
+  std::vector<std::uint32_t> col_slices;  ///< valid slices per column
+};
 
-  // Pass A: in-degrees and per-row/column valid-slice counts. Rows
-  // count j/|S| transitions within each (sorted) row; columns count
-  // i/|S| transitions per target, exploiting the ascending-i outer
-  // order via one last-seen-slice slot per column.
-  std::vector<std::uint32_t> in_deg(n, 0);
-  std::vector<std::uint32_t> row_slices(n, 0);
-  std::vector<std::uint32_t> col_slices(n, 0);
-  {
-    std::vector<std::uint32_t> last_col_slice(n, ~std::uint32_t{0});
-    std::uint32_t cur_row = ~std::uint32_t{0};
-    std::uint32_t prev_row_slice = ~std::uint32_t{0};
-    for_each_arc([&](std::uint32_t i, std::uint32_t j) {
-      ++in_deg[j];
-      if (i != cur_row) {
-        cur_row = i;
-        prev_row_slice = ~std::uint32_t{0};
-      }
-      const std::uint32_t rs = j / sb;
-      if (rs != prev_row_slice) {
-        ++row_slices[i];
-        prev_row_slice = rs;
-      }
-      const std::uint32_t cs = i / sb;
-      if (last_col_slice[j] != cs) {
-        ++col_slices[j];
-        last_col_slice[j] = cs;
-      }
-    });
+MatrixProfile ProfileOf(const bit::SlicedMatrix& matrix, bool with_cols) {
+  const std::uint32_t n = matrix.num_vertices();
+  MatrixProfile profile;
+  const auto fill = [n](const bit::SlicedStore& store,
+                        std::vector<std::uint32_t>& degree,
+                        std::vector<std::uint32_t>& slices) {
+    degree.resize(n);
+    slices.resize(n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const bit::SlicedStore::VectorSlices vs = store.Slices(v);
+      slices[v] = static_cast<std::uint32_t>(vs.indices.size());
+      degree[v] = static_cast<std::uint32_t>(bit::PopcountWords(
+          {vs.words, vs.indices.size() * store.words_per_slice()},
+          bit::PopcountKind::kBuiltin));
+    }
+  };
+  fill(matrix.rows(), profile.out_deg, profile.row_slices);
+  if (with_cols) fill(matrix.cols(), profile.in_deg, profile.col_slices);
+  return profile;
+}
+
+/// Calls fn(i, j) for every arc, i ascending and j ascending per row.
+template <typename Fn>
+void ForEachArc(const bit::SlicedMatrix& matrix, std::uint32_t row_begin,
+                std::uint32_t row_end, const Fn& fn) {
+  for (std::uint32_t i = row_begin; i < row_end; ++i) {
+    matrix.rows().ForEachSetBit(
+        i, [&](std::uint64_t j) { fn(i, static_cast<std::uint32_t>(j)); });
   }
-  std::uint64_t total_arcs = 0;
-  std::uint64_t total_row_slices = 0;
-  std::uint64_t total_col_slices = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    total_arcs += in_deg[v];
-    total_row_slices += row_slices[v];
-    total_col_slices += col_slices[v];
+}
+
+struct TileAcc {
+  std::uint64_t arcs = 0;
+  std::uint64_t weight = 0;
+};
+
+/// Assembles the plan skeleton shared by every strategy: the stripe
+/// grid, the row-major tile table with its owners, and the per-bank
+/// AND-work balance. `acc` and `tile_bank` are indexed row-major
+/// (row_stripe * col_stripes + col_stripe); `bank_w` is each bank's
+/// total AND-work proxy.
+std::shared_ptr<TilePlan2d> MakePlan(
+    std::uint32_t n, std::uint32_t num_banks,
+    std::vector<graph::VertexId> row_bounds,
+    std::vector<graph::VertexId> col_bounds,
+    std::vector<graph::VertexId> hub_row_bounds,
+    const std::vector<TileAcc>& acc,
+    const std::vector<std::uint32_t>& tile_bank,
+    const std::vector<std::uint64_t>& bank_w) {
+  auto plan = std::make_shared<TilePlan2d>();
+  plan->num_banks = num_banks;
+  plan->num_vertices = n;
+  plan->row_stripes = static_cast<std::uint32_t>(row_bounds.size() - 1);
+  plan->col_stripes = static_cast<std::uint32_t>(col_bounds.size() - 1);
+  plan->row_bounds = std::move(row_bounds);
+  plan->col_bounds = std::move(col_bounds);
+  plan->hub_row_bounds = std::move(hub_row_bounds);
+  plan->tiles.resize(acc.size());
+  plan->bank_tiles.resize(num_banks);
+  const std::uint32_t c = plan->col_stripes;
+  for (std::uint32_t rs = 0; rs < plan->row_stripes; ++rs) {
+    for (std::uint32_t cs = 0; cs < c; ++cs) {
+      const std::uint32_t t = rs * c + cs;
+      TileInfo& tile = plan->tiles[t];
+      tile.row_stripe = rs;
+      tile.col_stripe = cs;
+      tile.row_begin = plan->row_bounds[rs];
+      tile.row_end = plan->row_bounds[rs + 1];
+      tile.col_begin = plan->col_bounds[cs];
+      tile.col_end = plan->col_bounds[cs + 1];
+      tile.arcs = acc[t].arcs;
+      tile.weight = acc[t].weight;
+      tile.bank = tile_bank[t];
+      plan->bank_tiles[tile.bank].push_back(t);
+    }
   }
+  for (const std::uint64_t w : bank_w) {
+    plan->total_weight += w;
+    plan->max_bank_weight = std::max(plan->max_bank_weight, w);
+  }
+  return plan;
+}
+
+/// The 1D planner: bank b owns tile b = rows [bounds[b], bounds[b+1])
+/// x all columns, cut on unit (kContiguous) or out-degree
+/// (kDegreeBalanced) weights. One arc walk yields the communication
+/// stats: an arc is cut when its column lies outside the bank's rows,
+/// and each bank needs the distinct columns its arcs touch (every bank
+/// reads the shared store). Tile weights are the arc counts: AND-work
+/// weights only steer 2D tile placement, and a 1D tile is fixed.
+GraphPartition Plan1d(const bit::SlicedMatrix& matrix,
+                      const MatrixProfile& profile, std::uint32_t num_banks,
+                      PartitionStrategy strategy) {
+  const std::uint32_t n = matrix.num_vertices();
+  const std::vector<graph::VertexId> bounds = BalancedBounds(
+      strategy == PartitionStrategy::kContiguous
+          ? PrefixOf(std::vector<std::uint32_t>(n, 1))
+          : PrefixOf(profile.out_deg),
+      num_banks);
+
+  GraphPartition partition;
+  partition.shards.resize(num_banks);
+  partition.stats.strategy = strategy;
+  partition.stats.num_banks = num_banks;
+  partition.stats.total_arcs = matrix.edge_count();
+  std::vector<TileAcc> acc(num_banks);
+  // seen_by[j] remembers the last bank (id + 1) that touched column j:
+  // per-shard dedup, then one global pass for distinct_cols.
+  std::vector<std::uint32_t> seen_by(n, 0);
+  for (std::uint32_t b = 0; b < num_banks; ++b) {
+    ShardInfo& shard = partition.shards[b];
+    shard.bank = b;
+    shard.row_begin = bounds[b];
+    shard.row_end = bounds[b + 1];
+    ForEachArc(matrix, shard.row_begin, shard.row_end,
+               [&](std::uint32_t /*i*/, std::uint32_t j) {
+                 ++acc[b].arcs;
+                 const bool remote = j < shard.row_begin || j >= shard.row_end;
+                 if (remote) ++shard.cut_arcs;
+                 if (seen_by[j] != b + 1) {
+                   seen_by[j] = b + 1;
+                   ++shard.needed_cols;
+                   if (remote) ++shard.remote_cols;
+                 }
+               });
+    shard.owned_arcs = acc[b].arcs;
+    acc[b].weight = acc[b].arcs;
+    partition.stats.total_cut_arcs += shard.cut_arcs;
+    partition.stats.total_needed_cols += shard.needed_cols;
+    partition.stats.max_arcs =
+        std::max(partition.stats.max_arcs, shard.owned_arcs);
+  }
+  for (const std::uint32_t marker : seen_by) {
+    if (marker != 0) ++partition.stats.distinct_cols;
+  }
+
+  std::vector<std::uint32_t> tile_bank(num_banks);
+  std::iota(tile_bank.begin(), tile_bank.end(), 0u);
+  std::vector<std::uint64_t> bank_w(num_banks);
+  for (std::uint32_t b = 0; b < num_banks; ++b) bank_w[b] = acc[b].weight;
+  partition.plan2d = MakePlan(n, num_banks, bounds, {0, n}, bounds, acc,
+                              tile_bank, bank_w);
+  return partition;
+}
+
+/// The k2dHubReplicated planner: hub selection from the profile, then
+/// two arc passes — (B) hub/tail AND-work weights, (C) tile
+/// accumulation — then stripe-major tile->bank placement.
+GraphPartition Plan2d(const bit::SlicedMatrix& matrix,
+                      const MatrixProfile& profile, std::uint32_t num_banks,
+                      const Partition2dOptions& opt) {
+  const std::uint32_t n = matrix.num_vertices();
+  const std::vector<std::uint32_t>& in_deg = profile.in_deg;
+  const std::vector<std::uint32_t>& row_slices = profile.row_slices;
+  const std::vector<std::uint32_t>& col_slices = profile.col_slices;
+  const std::uint64_t bytes_per_slice = matrix.slice_bits() / 8 + 4;
+  const std::uint64_t total_arcs = matrix.edge_count();
   const std::uint64_t store_bytes =
-      (total_row_slices + total_col_slices) * bytes_per_slice;
+      (matrix.rows().valid_slice_count() + matrix.cols().valid_slice_count()) *
+      bytes_per_slice;
+  const auto for_each_arc = [&](const auto& fn) {
+    ForEachArc(matrix, 0, n, fn);
+  };
 
   // Hub selection: columns by in-degree descending (id ascending as
   // tiebreak so the plan is deterministic).
@@ -172,10 +273,10 @@ GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
     const double mean_deg =
         static_cast<double>(total_arcs) / static_cast<double>(n);
     const double budget =
-        opt.replica_budget_fraction * static_cast<double>(store_bytes);
+        kReplicaBudgetFraction * static_cast<double>(store_bytes);
     const std::uint64_t extra_copies = num_banks > 1 ? num_banks - 1 : 0;
     for (const std::uint32_t j : order) {
-      if (static_cast<double>(in_deg[j]) < opt.hub_degree_factor * mean_deg) {
+      if (static_cast<double>(in_deg[j]) < kHubDegreeFactor * mean_deg) {
         break;
       }
       const std::uint64_t cost = col_slices[j] * bytes_per_slice;
@@ -217,13 +318,12 @@ GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
 
   // Grid shape: c = ceil(sqrt(banks)) column stripes (c <= banks, so
   // stripe-major placement can give every stripe >= 1 bank), r sized
-  // for ~tiles_per_bank tiles per bank.
+  // for ~kTilesPerBank tiles per bank.
   std::uint32_t c = static_cast<std::uint32_t>(
       std::ceil(std::sqrt(static_cast<double>(num_banks))));
   c = std::max(1u, std::min({c, num_banks, std::max(1u, n)}));
-  const std::uint32_t tiles_per_bank = std::max(1u, opt.tiles_per_bank);
   std::uint32_t r = static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(tiles_per_bank) * num_banks + c - 1) / c);
+      (std::uint64_t{kTilesPerBank} * num_banks + c - 1) / c);
   r = std::max(1u, std::min(r, std::max(1u, n)));
 
   const std::vector<graph::VertexId> row_bounds =
@@ -246,10 +346,6 @@ GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
       col_stripe_of[v] = s;
     }
   }
-  struct TileAcc {
-    std::uint64_t arcs = 0;
-    std::uint64_t weight = 0;
-  };
   std::vector<TileAcc> acc(static_cast<std::size_t>(r) * c);
   for_each_arc([&](std::uint32_t i, std::uint32_t j) {
     if (is_hub[j] != 0) return;
@@ -342,44 +438,11 @@ GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
     }
   }
 
-  // Assemble the plan.
-  auto plan = std::make_shared<TilePlan2d>();
-  plan->num_banks = num_banks;
-  plan->num_vertices = n;
-  plan->row_stripes = r;
-  plan->col_stripes = c;
-  plan->row_bounds = row_bounds;
-  plan->col_bounds = col_bounds;
+  auto plan = MakePlan(n, num_banks, row_bounds, col_bounds, hub_row_bounds,
+                       acc, tile_bank, bank_w);
   plan->hubs = hubs;
   plan->is_hub = std::move(is_hub);
-  plan->hub_row_bounds = hub_row_bounds;
   plan->hub_arcs = hub_arcs;
-  plan->tiles.resize(acc.size());
-  plan->bank_tiles.resize(num_banks);
-  for (std::uint32_t rs = 0; rs < r; ++rs) {
-    for (std::uint32_t cs = 0; cs < c; ++cs) {
-      const std::uint32_t t = rs * c + cs;
-      TileInfo& tile = plan->tiles[t];
-      tile.row_stripe = rs;
-      tile.col_stripe = cs;
-      tile.row_begin = row_bounds[rs];
-      tile.row_end = row_bounds[rs + 1];
-      tile.col_begin = col_bounds[cs];
-      tile.col_end = col_bounds[cs + 1];
-      tile.arcs = acc[t].arcs;
-      tile.weight = acc[t].weight;
-      tile.bank = tile_bank[t];
-      plan->bank_tiles[tile.bank].push_back(t);
-    }
-  }
-  std::uint64_t total_weight = 0;
-  std::uint64_t max_bank_weight = 0;
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    total_weight += bank_w[b];
-    max_bank_weight = std::max(max_bank_weight, bank_w[b]);
-  }
-  plan->total_weight = total_weight;
-  plan->max_bank_weight = max_bank_weight;
 
   // Shards + stats. needed_cols counts what the bank actually holds:
   // every hub (its private replica) plus the distinct tail columns of
@@ -435,37 +498,17 @@ GraphPartition Plan2dImpl(std::uint32_t n, const ForEachArc& for_each_arc,
 
 }  // namespace
 
-GraphPartition Partition2dCsr(const graph::OrientedCsr& csr,
-                              std::uint32_t num_banks,
-                              const Partition2dOptions& options) {
-  return Plan2dImpl(
-      csr.num_vertices,
-      [&](auto&& fn) {
-        for (graph::VertexId i = 0; i < csr.num_vertices; ++i) {
-          for (std::uint64_t a = csr.offsets[i]; a < csr.offsets[i + 1]; ++a) {
-            fn(i, csr.neighbors[a]);
-          }
-        }
-      },
-      num_banks, options);
-}
-
-GraphPartition Partition2dMatrix(const bit::SlicedMatrix& matrix,
-                                 std::uint32_t num_banks,
-                                 const Partition2dOptions& options) {
-  Partition2dOptions opt = options;
-  opt.slice_bits = matrix.slice_bits();
-  const std::uint32_t n = matrix.num_vertices();
-  return Plan2dImpl(
-      n,
-      [&](auto&& fn) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          matrix.rows().ForEachSetBit(i, [&](std::uint64_t j) {
-            fn(i, static_cast<std::uint32_t>(j));
-          });
-        }
-      },
-      num_banks, opt);
+GraphPartition PartitionMatrix(const bit::SlicedMatrix& matrix,
+                               std::uint32_t num_banks,
+                               PartitionStrategy strategy,
+                               const Partition2dOptions& options) {
+  if (num_banks == 0) {
+    throw std::invalid_argument("PartitionMatrix: num_banks must be > 0");
+  }
+  const bool is_2d = strategy == PartitionStrategy::k2dHubReplicated;
+  const MatrixProfile profile = ProfileOf(matrix, /*with_cols=*/is_2d);
+  return is_2d ? Plan2d(matrix, profile, num_banks, options)
+               : Plan1d(matrix, profile, num_banks, strategy);
 }
 
 std::uint64_t CountBankShard2d(const bit::SlicedMatrix& matrix,
@@ -499,124 +542,9 @@ std::uint64_t CountBankShard2d(const bit::SlicedMatrix& matrix,
   return raw;
 }
 
-GraphPartition PartitionOrientedCsr(const graph::OrientedCsr& csr,
-                                    std::uint32_t num_banks,
-                                    PartitionStrategy strategy) {
-  if (num_banks == 0) {
-    throw std::invalid_argument("PartitionOrientedCsr: num_banks must be > 0");
-  }
-  if (strategy == PartitionStrategy::k2dHubReplicated) {
-    return Partition2dCsr(csr, num_banks, Partition2dOptions{});
-  }
-  const std::vector<graph::VertexId> bounds =
-      Boundaries(csr, num_banks, strategy);
-
-  GraphPartition partition;
-  partition.shards.resize(num_banks);
-  partition.stats.strategy = strategy;
-  partition.stats.num_banks = num_banks;
-  partition.stats.total_arcs = csr.arc_count();
-
-  // seen_by[j] remembers the last marker that touched column j: bank id
-  // + 1 for per-shard dedup, then one global pass for distinct_cols.
-  std::vector<std::uint32_t> seen_by(csr.num_vertices, 0);
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    ShardInfo& shard = partition.shards[b];
-    shard.bank = b;
-    shard.row_begin = bounds[b];
-    shard.row_end = bounds[b + 1];
-    shard.owned_arcs =
-        csr.offsets[shard.row_end] - csr.offsets[shard.row_begin];
-    for (std::uint64_t a = csr.offsets[shard.row_begin];
-         a < csr.offsets[shard.row_end]; ++a) {
-      const graph::VertexId j = csr.neighbors[a];
-      const bool remote = j < shard.row_begin || j >= shard.row_end;
-      if (remote) ++shard.cut_arcs;
-      if (seen_by[j] != b + 1) {
-        seen_by[j] = b + 1;
-        ++shard.needed_cols;
-        if (remote) ++shard.remote_cols;
-      }
-    }
-    partition.stats.total_cut_arcs += shard.cut_arcs;
-    partition.stats.total_needed_cols += shard.needed_cols;
-    partition.stats.max_arcs =
-        std::max(partition.stats.max_arcs, shard.owned_arcs);
-  }
-  // Distinct columns needed by any bank: a column was needed iff some
-  // arc targets it, and each bank marked it above.
-  for (const std::uint32_t marker : seen_by) {
-    if (marker != 0) ++partition.stats.distinct_cols;
-  }
-  return partition;
-}
-
-GraphPartition PartitionMatrixRows(const bit::SlicedMatrix& matrix,
-                                   std::uint32_t num_banks,
-                                   PartitionStrategy strategy) {
-  if (num_banks == 0) {
-    throw std::invalid_argument("PartitionMatrixRows: num_banks must be > 0");
-  }
-  if (strategy == PartitionStrategy::k2dHubReplicated) {
-    return Partition2dMatrix(matrix, num_banks, Partition2dOptions{});
-  }
-  const std::uint32_t n = matrix.num_vertices();
-  const bit::SlicedStore& rows = matrix.rows();
-
-  // Per-row arc (set-bit) prefix sums give the same degree-balanced
-  // boundaries PartitionOrientedCsr derives from CSR offsets.
-  std::vector<std::uint64_t> prefix(static_cast<std::size_t>(n) + 1, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const bit::SlicedStore::VectorSlices vs = rows.Slices(v);
-    prefix[v + 1] =
-        prefix[v] +
-        bit::PopcountWords({vs.words, vs.indices.size() *
-                                          rows.words_per_slice()},
-                           bit::PopcountKind::kBuiltin);
-  }
-  const std::uint64_t total_arcs = prefix[n];
-
-  std::vector<graph::VertexId> bounds(num_banks + 1);
-  bounds[0] = 0;
-  bounds[num_banks] = n;
-  for (std::uint32_t b = 1; b < num_banks; ++b) {
-    if (strategy == PartitionStrategy::kContiguous) {
-      bounds[b] = static_cast<graph::VertexId>(
-          static_cast<std::uint64_t>(n) * b / num_banks);
-    } else {
-      const std::uint64_t target = total_arcs * b / num_banks;
-      const auto it = std::lower_bound(prefix.begin(), prefix.end(), target);
-      bounds[b] =
-          static_cast<graph::VertexId>(std::distance(prefix.begin(), it));
-    }
-  }
-  for (std::uint32_t b = 1; b <= num_banks; ++b) {
-    bounds[b] = std::max(bounds[b], bounds[b - 1]);
-  }
-
-  GraphPartition partition;
-  partition.shards.resize(num_banks);
-  partition.stats.strategy = strategy;
-  partition.stats.num_banks = num_banks;
-  partition.stats.total_arcs = total_arcs;
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    ShardInfo& shard = partition.shards[b];
-    shard.bank = b;
-    shard.row_begin = bounds[b];
-    shard.row_end = bounds[b + 1];
-    shard.owned_arcs = prefix[shard.row_end] - prefix[shard.row_begin];
-    partition.stats.max_arcs =
-        std::max(partition.stats.max_arcs, shard.owned_arcs);
-  }
-  return partition;
-}
-
 void PrintPartitionTable(std::ostream& os, const GraphPartition& partition) {
   using util::TablePrinter;
-  const bool is_2d =
-      partition.stats.strategy == PartitionStrategy::k2dHubReplicated &&
-      partition.plan2d != nullptr;
-  if (is_2d) {
+  if (partition.stats.strategy == PartitionStrategy::k2dHubReplicated) {
     const TilePlan2d& plan = *partition.plan2d;
     TablePrinter t({"Bank", "Lane rows", "Tiles", "Arcs", "Share", "Cut %",
                     "Resident cols"});

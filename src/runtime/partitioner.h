@@ -1,5 +1,5 @@
-// Graph partitioner for the multi-bank runtime: shards an oriented
-// adjacency matrix across banks.
+// Graph partitioner for the multi-bank runtime: shards an oriented,
+// already-sliced adjacency matrix across banks as one TilePlan2d.
 //
 // Ownership rule (all strategies): under Eq. (5) every triangle is
 // counted at exactly one non-zero (its pivot arc), so any assignment
@@ -8,7 +8,9 @@
 // single-accelerator total for every graph and every orientation, and
 // the orientation divide happens once on the cluster total.
 //
-// Strategies:
+// Every strategy produces the same shard shape, a tile plan; the 1D
+// strategies are its hub-free, one-column-stripe case (bank b runs
+// tile b = rows [bounds[b], bounds[b+1]) x all columns):
 //  * kContiguous      — equal-width row ranges (the naive 1D split);
 //  * kDegreeBalanced  — 1D row ranges cut on the oriented out-degree
 //    prefix sum so every bank owns ~the same number of non-zeros;
@@ -22,7 +24,7 @@
 //    column-stripe count, which is what breaks the hub-column cache
 //    bottleneck that caps 1D scaling on skewed graphs (ROADMAP #1).
 //
-// Besides the ranges the partitioner reports the communication
+// Besides the plan the partitioner reports the communication
 // geometry a physical multi-bank layout would pay for: cut arcs,
 // column replication, and (2D only) hub/replica/tile-balance stats.
 //
@@ -65,34 +67,19 @@ enum class PartitionStrategy : std::uint8_t {
 [[nodiscard]] PartitionStrategy ParsePartitionStrategy(
     const std::string& name);
 
-/// Tuning knobs of the k2dHubReplicated planner.
+/// Planner options. Only the k2dHubReplicated planner reads them.
 struct Partition2dOptions {
   /// Sentinel for hub_k: size the hub set automatically (degree rule +
-  /// replica budget below).
+  /// replica budget, constants in partitioner.cpp).
   static constexpr std::uint32_t kAutoHubs = 0xFFFFFFFFu;
 
   /// Exact hub count (top-k by in-degree), or kAutoHubs. Explicit
   /// values — including 0, 1 and n — bypass the degree/budget rules
   /// (the property-test escape hatch).
   std::uint32_t hub_k = kAutoHubs;
-  /// Auto rule budget: extra replica bytes, (num_banks - 1) x hub
-  /// column slice bytes, must stay <= this fraction of the matrix's
-  /// total store bytes.
-  double replica_budget_fraction = 0.25;
-  /// Auto rule threshold: a column is hub-eligible while its in-degree
-  /// is >= this multiple of the mean degree.
-  double hub_degree_factor = 8.0;
-  /// Target tail tiles per bank; with c = ceil(sqrt(banks)) column
-  /// stripes the grid gets r = ceil(tiles_per_bank * banks / c) row
-  /// stripes.
-  std::uint32_t tiles_per_bank = 2;
-  /// |S| used for the slice-count weights and byte stats. Callers with
-  /// a built matrix should pass its slice_bits (Partition2dMatrix does
-  /// this automatically).
-  std::uint32_t slice_bits = 64;
 };
 
-/// One tail tile of the 2D grid: the arcs A[i][j] with i in
+/// One tail tile of the grid: the arcs A[i][j] with i in
 /// [row_begin, row_end), j in [col_begin, col_end) and j NOT a hub.
 struct TileInfo {
   std::uint32_t row_stripe = 0;
@@ -102,28 +89,33 @@ struct TileInfo {
   graph::VertexId col_begin = 0;
   graph::VertexId col_end = 0;  ///< exclusive
   std::uint64_t arcs = 0;       ///< tail arcs inside the rectangle
-  std::uint64_t weight = 0;     ///< Σ min(row slices, col slices) proxy
+  std::uint64_t weight = 0;     ///< 2D: Σ min(row, col slices); 1D: arcs
   std::uint32_t bank = 0;       ///< executing bank
 };
 
-/// The complete 2D execution plan. Arc routing invariant: an arc
-/// (i, j) with is_hub[j] runs in the hub lane of the unique bank b
-/// with hub_row_bounds[b] <= i < hub_row_bounds[b+1]; a tail arc runs
-/// in the unique tile (row stripe of i, col stripe of j). Every arc
-/// therefore lands in exactly one executor region — the dedup
-/// invariant the property tests pin.
+/// The complete execution plan of every strategy, 1D included.
+/// Arc routing invariant: an arc (i, j) with is_hub[j] runs in the hub
+/// lane of the unique bank b with hub_row_bounds[b] <= i <
+/// hub_row_bounds[b+1]; a tail arc runs in the unique tile (row stripe
+/// of i, col stripe of j). Every arc therefore lands in exactly one
+/// executor region — the dedup invariant the property tests pin. A 1D
+/// plan has row_stripes == num_banks, col_stripes == 1, empty `hubs`
+/// and `is_hub`, bank_tiles[b] == {b}, and hub_row_bounds equal to
+/// row_bounds (the banks' row ranges).
 struct TilePlan2d {
   std::uint32_t num_banks = 0;
   std::uint32_t num_vertices = 0;
   std::uint32_t row_stripes = 0;
   std::uint32_t col_stripes = 0;
   /// Stripe bounds over [0, num_vertices], sizes row_stripes+1 /
-  /// col_stripes+1, balanced on tail AND-work prefix sums.
+  /// col_stripes+1 (2D: balanced on tail AND-work prefix sums; 1D: the
+  /// row-range cuts and {0, num_vertices}).
   std::vector<graph::VertexId> row_bounds;
   std::vector<graph::VertexId> col_bounds;
   /// Hub vertex ids, sorted ascending (the ExtractVectors keep list).
   std::vector<std::uint32_t> hubs;
-  /// num_vertices entries; is_hub[j] != 0 iff j is a hub column.
+  /// num_vertices entries (2D) or empty (1D); is_hub[j] != 0 iff j is
+  /// a hub column.
   std::vector<std::uint8_t> is_hub;
   /// Per-bank hub-lane row bounds over [0, num_vertices], size
   /// num_banks+1, balanced on per-row hub AND-work.
@@ -134,11 +126,11 @@ struct TilePlan2d {
   /// tiles all share one column stripe (stripe-major placement).
   std::vector<std::vector<std::uint32_t>> bank_tiles;
   std::uint64_t hub_arcs = 0;      ///< arcs routed through hub lanes
-  std::uint64_t total_weight = 0;  ///< Σ per-bank AND-work proxy
+  std::uint64_t total_weight = 0;  ///< Σ per-bank tile weight
   std::uint64_t max_bank_weight = 0;
 
-  /// Heaviest bank over the mean bank in the AND-work proxy
-  /// (1.0 = perfectly balanced; the obs gauge).
+  /// Heaviest bank over the mean bank in tile weight (1.0 = perfectly
+  /// balanced; the obs gauge).
   [[nodiscard]] double TileImbalance() const noexcept {
     return total_weight == 0
                ? 1.0
@@ -148,9 +140,9 @@ struct TilePlan2d {
 };
 
 /// One bank's share of the arc space, plus its communication stats.
-/// For the 1D strategies [row_begin, row_end) is the owned row range;
-/// for k2dHubReplicated it is the bank's hub-lane row range and the
-/// tail tiles live in GraphPartition::plan2d.
+/// [row_begin, row_end) is the bank's hub_row_bounds range: the owned
+/// row range under the 1D strategies, the hub-lane row range under
+/// k2dHubReplicated (whose tail tiles live in GraphPartition::plan2d).
 struct ShardInfo {
   std::uint32_t bank = 0;
   graph::VertexId row_begin = 0;
@@ -229,8 +221,8 @@ struct PartitionStats {
   }
 };
 
-/// A complete sharding: per-bank ranges + the aggregate stats, plus
-/// the tile plan when strategy == k2dHubReplicated (null otherwise).
+/// A complete sharding: per-bank shard stats, the aggregate stats, and
+/// the tile plan the banks execute (never null).
 struct GraphPartition {
   std::vector<ShardInfo> shards;
   PartitionStats stats;
@@ -241,45 +233,15 @@ struct GraphPartition {
   }
 };
 
-/// Shards `csr` into `num_banks` banks. For the 1D strategies the
-/// shards are contiguous row ranges covering [0, csr.num_vertices);
-/// k2dHubReplicated delegates to Partition2dCsr with default options.
-/// Every bank appears in the result (possibly with an empty range when
-/// num_banks > vertices). Throws std::invalid_argument when
+/// The one planner: shards an already-sliced matrix into `num_banks`
+/// banks under `strategy`. Every bank appears in the result (possibly
+/// with an empty range when num_banks > vertices). The communication
+/// stats come from one walk over the matrix's arcs; `options` is read
+/// by k2dHubReplicated only. Throws std::invalid_argument when
 /// num_banks == 0.
-[[nodiscard]] GraphPartition PartitionOrientedCsr(
-    const graph::OrientedCsr& csr, std::uint32_t num_banks,
-    PartitionStrategy strategy);
-
-/// Shards an ALREADY-SLICED matrix — the partition step of the
-/// epoch-pinned serving path, where re-deriving a CSR from the pinned
-/// COW matrix would cost exactly the layout work the snapshot is there
-/// to avoid. For the 1D strategies owned_arcs comes from per-row set-
-/// bit counts (same degree balance as PartitionOrientedCsr) and the
-/// communication fields (cut_arcs, needed/remote cols, distinct_cols)
-/// are left 0 — the serving path never prints them, and computing them
-/// would need the per-arc column walk this function exists to skip.
-/// k2dHubReplicated delegates to Partition2dMatrix (which does walk
-/// the arcs — the tile plan needs them). Throws std::invalid_argument
-/// when num_banks == 0.
-[[nodiscard]] GraphPartition PartitionMatrixRows(
+[[nodiscard]] GraphPartition PartitionMatrix(
     const bit::SlicedMatrix& matrix, std::uint32_t num_banks,
-    PartitionStrategy strategy);
-
-/// Builds the full k2dHubReplicated plan from a CSR: three passes over
-/// the arcs (slice/degree analysis; hub selection; tile accumulation),
-/// then stripe-major tile->bank placement. options.slice_bits must
-/// match the matrix the plan will execute against. Throws
-/// std::invalid_argument when num_banks == 0.
-[[nodiscard]] GraphPartition Partition2dCsr(const graph::OrientedCsr& csr,
-                                            std::uint32_t num_banks,
-                                            const Partition2dOptions& options);
-
-/// Same planner over an already-sliced matrix (the serving path);
-/// options.slice_bits is overridden by matrix.slice_bits().
-[[nodiscard]] GraphPartition Partition2dMatrix(
-    const bit::SlicedMatrix& matrix, std::uint32_t num_banks,
-    const Partition2dOptions& options);
+    PartitionStrategy strategy, const Partition2dOptions& options = {});
 
 /// Executes bank `bank`'s share of `plan` on the host kernel: the hub
 /// lane (columns with is_hub[j], rows in the bank's lane range) plus
@@ -296,9 +258,9 @@ struct GraphPartition {
     bit::PairPathCounters* counters = nullptr);
 
 /// Renders the per-shard table and the summary lines (edge-cut %,
-/// load imbalance, replication factor; plus grid/hub/replica lines for
-/// 2D partitions) via util::TablePrinter — the `tcim_cli --banks`
-/// report block.
+/// load imbalance, replication factor; grid/hub/replica lines instead
+/// for k2dHubReplicated) via util::TablePrinter — the `tcim_cli
+/// --banks` report block.
 void PrintPartitionTable(std::ostream& os, const GraphPartition& partition);
 
 }  // namespace tcim::runtime

@@ -11,21 +11,20 @@ namespace tcim::runtime {
 
 namespace {
 
-/// True when `delta` may change the previous epoch's built 2D serving
-/// plan: the vertex space grew (is_hub / tile bounds are sized to the
+/// True when `delta` may change the previous epoch's built serving
+/// plan: the vertex space grew (tile bounds and is_hub are sized to the
 /// old n), or an op endpoint is a hub column (its replicated slice
 /// data changes — either endpoint, conservatively, since orientation
-/// decides which side lands in the column store).
-bool Invalidates2dPlan(const ServingPlan2d& plan,
-                       const stream::EdgeDelta& delta,
-                       graph::VertexId new_num_vertices) {
-  const TilePlan2d* plan2d = plan.partition.plan2d.get();
-  if (plan2d == nullptr || plan2d->num_vertices != new_num_vertices) {
-    return true;
-  }
+/// decides which side lands in the column store). A 1D plan has no
+/// hubs, so only growth invalidates it; any row partition of the
+/// grown-in-place matrix stays exact, only its balance drifts.
+bool InvalidatesPlan(const ServingPlan2d& plan, const stream::EdgeDelta& delta,
+                     graph::VertexId new_num_vertices) {
+  const TilePlan2d& tiles = *plan.partition.plan2d;
+  if (tiles.num_vertices != new_num_vertices) return true;
   for (const stream::EdgeOp& op : delta.ops) {
-    if (op.u < plan2d->is_hub.size() && plan2d->is_hub[op.u] != 0) return true;
-    if (op.v < plan2d->is_hub.size() && plan2d->is_hub[op.v] != 0) return true;
+    if (op.u < tiles.is_hub.size() && tiles.is_hub[op.u] != 0) return true;
+    if (op.v < tiles.is_hub.size() && tiles.is_hub[op.v] != 0) return true;
   }
   return false;
 }
@@ -53,18 +52,20 @@ std::uint64_t StreamSession::PublishLocked(const stream::EdgeDelta* delta) {
   snap.matrix =
       std::make_shared<const bit::SlicedMatrix>(counter_.graph().matrix());
 
-  // 2D serving-plan carry-forward: the new epoch shares the previous
-  // epoch's plan cache when the batch provably cannot change a built
-  // plan (no hub-touching ops, no vertex growth) — steady-state tail
-  // traffic then re-plans zero times. Otherwise the new epoch starts
-  // with the fresh cache EpochSnapshot default-constructs; the old
-  // epoch keeps its own cache untouched, so pinned readers still see
-  // the pre-batch plan and replicas (snapshot isolation).
+  // Serving-plan carry-forward: the new epoch gets a cache seeded with
+  // the previous epoch's built plan when the batch provably cannot
+  // change it (no hub-touching ops, no vertex growth) — steady-state
+  // tail traffic then re-plans zero times. Otherwise the new epoch
+  // starts with the fresh cache EpochSnapshot default-constructs.
+  // Either way the caches are separate objects: the old epoch's cache
+  // is never written through the new epoch, so pinned readers still
+  // see the pre-batch plan and replicas (snapshot isolation).
   if (prev != nullptr && prev->plan2d != nullptr && delta != nullptr) {
-    const PlanCache2d::PlanPtr built = prev->plan2d->Get();
+    std::shared_ptr<PlanCache2d> carried = prev->plan2d->Fork();
+    const PlanCache2d::PlanPtr built = carried->Get();
     if (built != nullptr) {
-      if (!Invalidates2dPlan(*built, *delta, snap.num_vertices)) {
-        snap.plan2d = prev->plan2d;
+      if (!InvalidatesPlan(*built, *delta, snap.num_vertices)) {
+        snap.plan2d = std::move(carried);
       } else {
         plan2d_invalidations_.fetch_add(1, std::memory_order_relaxed);
         StreamMetrics::Get().plan_invalidations.Increment();

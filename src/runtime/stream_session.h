@@ -69,7 +69,7 @@ class StreamSession {
   [[nodiscard]] graph::Graph Snapshot() const;
   /// Aggregate over every batch applied so far.
   [[nodiscard]] StreamStats stats() const;
-  /// Built 2D serving plans dropped because a batch touched a hub
+  /// Built serving plans dropped because a batch touched a hub
   /// column or grew the vertex space (stream.plan_invalidations_total
   /// for this session only; the hub-flip regression test's probe).
   [[nodiscard]] std::uint64_t plan2d_invalidations() const noexcept {
@@ -91,8 +91,8 @@ class StreamSession {
  private:
   /// Builds and publishes the snapshot of counter_'s current state.
   /// `delta` is the batch that produced it (nullptr for the seed
-  /// publish) — it decides whether the previous epoch's 2D serving-
-  /// plan cache carries forward or the new epoch starts fresh. Caller
+  /// publish) — it decides whether the previous epoch's serving-plan
+  /// cache carries forward or the new epoch starts fresh. Caller
   /// holds writer_mu_.
   std::uint64_t PublishLocked(const stream::EdgeDelta* delta)
       TCIM_REQUIRES(writer_mu_);

@@ -3,7 +3,7 @@
 // PaperDataset stand-ins), the arc-routing dedup property under
 // adversarial hand-built tile plans (fuzz), replica equivalence, the
 // auto-hub replica budget, and the strategy-aware stat regression that
-// pins the 1D numbers (ISSUE PR 8).
+// pins the 1D numbers against a CSR oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,6 +102,13 @@ const FamilyCase kFamilies[] = {
 constexpr Orientation kOrientations[] = {
     Orientation::kUpper, Orientation::kDegree, Orientation::kFullSymmetric};
 
+/// The k2dHubReplicated plan of `matrix`.
+GraphPartition Plan2d(const bit::SlicedMatrix& matrix, std::uint32_t banks,
+                      const Partition2dOptions& options = {}) {
+  return runtime::PartitionMatrix(matrix, banks,
+                                  PartitionStrategy::k2dHubReplicated, options);
+}
+
 /// Sums every bank's raw shard bitcount under `plan`.
 std::uint64_t SumShards(const bit::SlicedMatrix& matrix, const TilePlan2d& plan,
                         const bit::SlicedStore* replica = nullptr) {
@@ -128,8 +135,7 @@ TEST_P(Partition2dExactnessTest, EveryCellMatchesBaselineRawAndDivided) {
                                         << " |S|=" << slice_bits);
       const bit::SlicedMatrix matrix =
           core::BuildSlicedMatrix(g, orientation, slice_bits);
-      const GraphPartition p = runtime::Partition2dMatrix(
-          matrix, banks, Partition2dOptions{});
+      const GraphPartition p = Plan2d(matrix, banks);
       ASSERT_NE(p.plan2d, nullptr);
       // Per-tile/lane raw bitcounts must sum to the full-matrix raw
       // bitcount BEFORE the orientation divide — the kFullSymmetric
@@ -211,7 +217,7 @@ TEST(Partition2dTest, ExplicitHubCountsIncludingZeroOneAndAllStayExact) {
       Partition2dOptions options;
       options.hub_k = hub_k;
       const GraphPartition p =
-          runtime::Partition2dMatrix(matrix, banks, options);
+          Plan2d(matrix, banks, options);
       ASSERT_NE(p.plan2d, nullptr);
       EXPECT_EQ(p.plan2d->hubs.size(), std::min(hub_k, n));
       EXPECT_EQ(SumShards(matrix, *p.plan2d), raw_full);
@@ -227,7 +233,7 @@ TEST(Partition2dTest, ReplicaStoreGivesIdenticalShardCounts) {
       core::BuildSlicedMatrix(g, Orientation::kDegree, 64);
   Partition2dOptions options;
   options.hub_k = 24;
-  const GraphPartition p = runtime::Partition2dMatrix(matrix, 4, options);
+  const GraphPartition p = Plan2d(matrix, 4, options);
   ASSERT_NE(p.plan2d, nullptr);
   ASSERT_FALSE(p.plan2d->hubs.empty());
   const bit::SlicedStore replica =
@@ -248,7 +254,7 @@ TEST(Partition2dTest, AutoHubSelectionRespectsReplicaBudget) {
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
   for (const std::uint32_t banks : {1u, 2u, 8u, 16u}) {
     const GraphPartition p =
-        runtime::Partition2dMatrix(matrix, banks, Partition2dOptions{});
+        Plan2d(matrix, banks);
     EXPECT_LE(p.stats.ReplicaOverhead(), 0.25 + 1e-9) << "banks=" << banks;
     if (banks == 1) EXPECT_EQ(p.stats.replica_bytes, 0u);
     EXPECT_GE(p.stats.tile_imbalance, 1.0);
@@ -263,7 +269,7 @@ TEST(Partition2dTest, PlanInvariantsHold) {
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
   for (const std::uint32_t banks : {1u, 2u, 5u, 16u}) {
     const GraphPartition p =
-        runtime::Partition2dMatrix(matrix, banks, Partition2dOptions{});
+        Plan2d(matrix, banks);
     ASSERT_NE(p.plan2d, nullptr);
     const TilePlan2d& plan = *p.plan2d;
     const std::uint32_t n = matrix.num_vertices();
@@ -308,7 +314,7 @@ TEST(Partition2dTest, RecordsReplicaMetrics) {
   const BankPool pool{Pool2dConfig(4)};
   (void)CountAsEpoch(pool, matrix, Orientation::kUpper);
   const GraphPartition p =
-      runtime::Partition2dMatrix(matrix, 4, Partition2dOptions{});
+      Plan2d(matrix, 4);
   runtime::BankPoolMetrics& metrics = runtime::BankPoolMetrics::Get();
   EXPECT_EQ(metrics.replica_bytes.Value(),
             static_cast<double>(p.stats.replica_bytes));
@@ -319,10 +325,10 @@ TEST(Partition2dTest, ZeroBanksAndShapeMismatchThrow) {
   const Graph g = graph::Complete(8);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  EXPECT_THROW(runtime::Partition2dMatrix(matrix, 0, Partition2dOptions{}),
+  EXPECT_THROW(Plan2d(matrix, 0),
                std::invalid_argument);
   const GraphPartition p =
-      runtime::Partition2dMatrix(matrix, 2, Partition2dOptions{});
+      Plan2d(matrix, 2);
   ASSERT_NE(p.plan2d, nullptr);
   EXPECT_THROW((void)runtime::CountBankShard2d(matrix, *p.plan2d, 2),
                std::invalid_argument);
@@ -422,32 +428,40 @@ TEST(Partition2dFuzzTest, RandomizedTilePlansNeverDoubleCount) {
   }
 }
 
-// --- strategy-aware stats: the 1D regression (satellite fix) ---------------
+// --- strategy-aware stats: the 1D regression --------------------------------
 
 TEST(Partition1dStatsTest, DegreeBalancedStatsUnchangedByStrategyAwareness) {
   // Recompute the 1D communication stats independently from the CSR
-  // and pin PartitionOrientedCsr to them — the strategy-aware
-  // `total_needed_cols` rework must not move any 1D number.
+  // and pin the matrix planner's arc walk to them — the strategy-aware
+  // `total_needed_cols` semantics must not move any 1D number.
   const Graph g = graph::Rmat(700, 5000, graph::RmatParams{}, 7);
   const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
   for (const auto strategy :
        {PartitionStrategy::kContiguous, PartitionStrategy::kDegreeBalanced}) {
-    const GraphPartition p = runtime::PartitionOrientedCsr(csr, 6, strategy);
+    const GraphPartition p = runtime::PartitionMatrix(matrix, 6, strategy);
     std::uint64_t total_needed = 0;
     std::uint64_t total_cut = 0;
     std::set<std::uint32_t> distinct;
     for (const runtime::ShardInfo& shard : p.shards) {
       std::set<std::uint32_t> needed;
       std::uint64_t cut = 0;
+      std::uint64_t remote = 0;
       for (graph::VertexId i = shard.row_begin; i < shard.row_end; ++i) {
         for (std::uint64_t a = csr.offsets[i]; a < csr.offsets[i + 1]; ++a) {
           const graph::VertexId j = csr.neighbors[a];
-          needed.insert(j);
+          const bool outside = j < shard.row_begin || j >= shard.row_end;
+          if (needed.insert(j).second && outside) ++remote;
           distinct.insert(j);
-          if (j < shard.row_begin || j >= shard.row_end) ++cut;
+          if (outside) ++cut;
         }
       }
+      EXPECT_EQ(shard.owned_arcs,
+                csr.offsets[shard.row_end] - csr.offsets[shard.row_begin])
+          << "bank " << shard.bank;
       EXPECT_EQ(shard.needed_cols, needed.size()) << "bank " << shard.bank;
+      EXPECT_EQ(shard.remote_cols, remote) << "bank " << shard.bank;
       EXPECT_EQ(shard.cut_arcs, cut) << "bank " << shard.bank;
       total_needed += needed.size();
       total_cut += cut;
@@ -455,15 +469,24 @@ TEST(Partition1dStatsTest, DegreeBalancedStatsUnchangedByStrategyAwareness) {
     EXPECT_EQ(p.stats.total_needed_cols, total_needed);
     EXPECT_EQ(p.stats.total_cut_arcs, total_cut);
     EXPECT_EQ(p.stats.distinct_cols, distinct.size());
-    // 2D-only stats stay zero under the 1D strategies.
+    // 2D-only stats stay zero under the 1D strategies, even though the
+    // plan itself is a (one-column-stripe, hub-free) tile plan.
     EXPECT_EQ(p.stats.hub_count, 0u);
     EXPECT_EQ(p.stats.hub_arcs, 0u);
     EXPECT_EQ(p.stats.replica_bytes, 0u);
     EXPECT_EQ(p.stats.row_stripes, 0u);
     EXPECT_EQ(p.stats.col_stripes, 0u);
     EXPECT_EQ(p.stats.tile_imbalance, 0.0);
-    EXPECT_EQ(p.plan2d, nullptr);
     EXPECT_EQ(p.stats.ReplicaOverhead(), 0.0);
+    ASSERT_NE(p.plan2d, nullptr);
+    EXPECT_EQ(p.plan2d->col_stripes, 1u);
+    EXPECT_TRUE(p.plan2d->hubs.empty());
+    // And the 1D plan executes exactly on the host kernel.
+    std::uint64_t raw = 0;
+    for (std::uint32_t b = 0; b < p.num_banks(); ++b) {
+      raw += runtime::CountBankShard2d(matrix, *p.plan2d, b);
+    }
+    EXPECT_EQ(raw, matrix.AndPopcountAllEdges());
   }
 }
 

@@ -54,15 +54,46 @@ BankPoolConfig PoolConfig(std::uint32_t banks, PartitionStrategy strategy) {
 
 // --- partitioner -----------------------------------------------------------
 
+/// The 1D plan invariants: bank b runs tile b, a whole-width row range,
+/// with no hubs; the tiles cover [0, n) in order.
+void ExpectOneDimensionalPlan(const GraphPartition& p, std::uint32_t n) {
+  ASSERT_NE(p.plan2d, nullptr);
+  const runtime::TilePlan2d& plan = *p.plan2d;
+  EXPECT_EQ(plan.num_vertices, n);
+  EXPECT_EQ(plan.col_stripes, 1u);
+  EXPECT_EQ(plan.row_stripes, p.num_banks());
+  EXPECT_TRUE(plan.hubs.empty());
+  EXPECT_TRUE(plan.is_hub.empty());
+  ASSERT_EQ(plan.bank_tiles.size(), p.num_banks());
+  ASSERT_EQ(plan.tiles.size(), p.num_banks());
+  graph::VertexId cursor = 0;
+  for (std::uint32_t b = 0; b < p.num_banks(); ++b) {
+    EXPECT_EQ(plan.bank_tiles[b], std::vector<std::uint32_t>{b});
+    const runtime::TileInfo& tile = plan.tiles[b];
+    EXPECT_EQ(tile.bank, b);
+    EXPECT_EQ(tile.row_begin, cursor);
+    EXPECT_LE(tile.row_begin, tile.row_end);
+    EXPECT_EQ(tile.col_begin, 0u);
+    EXPECT_EQ(tile.col_end, n);
+    EXPECT_EQ(tile.row_begin, p.shards[b].row_begin);
+    EXPECT_EQ(tile.row_end, p.shards[b].row_end);
+    EXPECT_EQ(tile.arcs, p.shards[b].owned_arcs);
+    cursor = tile.row_end;
+  }
+  EXPECT_EQ(cursor, n);
+}
+
 TEST(PartitionerTest, RangesCoverVertexSpaceDisjointly) {
   const Graph g = graph::Rmat(700, 5000, graph::RmatParams{}, 7);
-  const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
   for (const auto strategy :
        {PartitionStrategy::kContiguous, PartitionStrategy::kDegreeBalanced}) {
     for (const std::uint32_t banks : {1u, 2u, 5u, 16u}) {
       const GraphPartition p =
-          runtime::PartitionOrientedCsr(csr, banks, strategy);
+          runtime::PartitionMatrix(matrix, banks, strategy);
       ASSERT_EQ(p.num_banks(), banks);
+      ExpectOneDimensionalPlan(p, matrix.num_vertices());
       std::uint64_t arcs = 0;
       graph::VertexId cursor = 0;
       for (const runtime::ShardInfo& shard : p.shards) {
@@ -73,9 +104,9 @@ TEST(PartitionerTest, RangesCoverVertexSpaceDisjointly) {
         EXPECT_LE(shard.cut_arcs, shard.owned_arcs);
         EXPECT_LE(shard.remote_cols, shard.needed_cols);
       }
-      EXPECT_EQ(cursor, csr.num_vertices);
-      EXPECT_EQ(arcs, csr.arc_count());
-      EXPECT_EQ(p.stats.total_arcs, csr.arc_count());
+      EXPECT_EQ(cursor, matrix.num_vertices());
+      EXPECT_EQ(arcs, matrix.edge_count());
+      EXPECT_EQ(p.stats.total_arcs, matrix.edge_count());
       EXPECT_GE(p.stats.LoadImbalance(), 1.0);
       EXPECT_GE(p.stats.ColReplicationFactor(), 1.0);
     }
@@ -86,65 +117,37 @@ TEST(PartitionerTest, DegreeBalancedBeatsContiguousOnSkewedGraph) {
   // Upper orientation on an R-MAT graph concentrates arcs in low ids:
   // the naive equal-width split is badly imbalanced there.
   const Graph g = graph::Rmat(2000, 16000, graph::RmatParams{}, 11);
-  const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
-  const GraphPartition naive = runtime::PartitionOrientedCsr(
-      csr, 8, PartitionStrategy::kContiguous);
-  const GraphPartition balanced = runtime::PartitionOrientedCsr(
-      csr, 8, PartitionStrategy::kDegreeBalanced);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
+  const GraphPartition naive =
+      runtime::PartitionMatrix(matrix, 8, PartitionStrategy::kContiguous);
+  const GraphPartition balanced =
+      runtime::PartitionMatrix(matrix, 8, PartitionStrategy::kDegreeBalanced);
   EXPECT_LT(balanced.stats.LoadImbalance(), naive.stats.LoadImbalance());
   EXPECT_LT(balanced.stats.LoadImbalance(), 1.5);
 }
 
 TEST(PartitionerTest, MoreBanksThanVerticesYieldsEmptyShards) {
   const Graph g = graph::Complete(5);
-  const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
-  const GraphPartition p = runtime::PartitionOrientedCsr(
-      csr, 9, PartitionStrategy::kDegreeBalanced);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
+  const GraphPartition p =
+      runtime::PartitionMatrix(matrix, 9, PartitionStrategy::kDegreeBalanced);
   ASSERT_EQ(p.num_banks(), 9u);
+  ExpectOneDimensionalPlan(p, matrix.num_vertices());
   std::uint64_t arcs = 0;
   for (const auto& shard : p.shards) arcs += shard.owned_arcs;
-  EXPECT_EQ(arcs, csr.arc_count());
+  EXPECT_EQ(arcs, matrix.edge_count());
 }
 
 TEST(PartitionerTest, ZeroBanksThrows) {
-  const Graph g = graph::Complete(4);
-  const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
-  EXPECT_THROW(runtime::PartitionOrientedCsr(
-                   csr, 0, PartitionStrategy::kContiguous),
-               std::invalid_argument);
   const bit::SlicedMatrix matrix =
-      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  EXPECT_THROW(
-      runtime::PartitionMatrixRows(matrix, 0, PartitionStrategy::kContiguous),
-      std::invalid_argument);
-}
-
-TEST(PartitionerTest, MatrixRowPartitionMatchesCsrPartition) {
-  // PartitionMatrixRows weighs rows by their set-bit counts — exactly
-  // the CSR row degrees — so the shard boundaries must reproduce
-  // PartitionOrientedCsr's for every strategy and bank count (only the
-  // communication stats, which need the CSR, are left zero).
-  const Graph g = graph::Rmat(700, 5000, graph::RmatParams{}, 7);
-  const graph::OrientedCsr csr = graph::Orient(g, Orientation::kUpper);
-  const bit::SlicedMatrix matrix =
-      core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
+      core::BuildSlicedMatrix(graph::Complete(4), Orientation::kUpper, 64);
   for (const auto strategy :
-       {PartitionStrategy::kContiguous, PartitionStrategy::kDegreeBalanced}) {
-    for (const std::uint32_t banks : {1u, 2u, 5u, 16u}) {
-      const GraphPartition want =
-          runtime::PartitionOrientedCsr(csr, banks, strategy);
-      const GraphPartition got =
-          runtime::PartitionMatrixRows(matrix, banks, strategy);
-      ASSERT_EQ(got.num_banks(), banks);
-      std::uint64_t arcs = 0;
-      for (std::uint32_t b = 0; b < banks; ++b) {
-        EXPECT_EQ(got.shards[b].row_begin, want.shards[b].row_begin);
-        EXPECT_EQ(got.shards[b].row_end, want.shards[b].row_end);
-        EXPECT_EQ(got.shards[b].owned_arcs, want.shards[b].owned_arcs);
-        arcs += got.shards[b].owned_arcs;
-      }
-      EXPECT_EQ(arcs, matrix.edge_count());
-    }
+       {PartitionStrategy::kContiguous, PartitionStrategy::kDegreeBalanced,
+        PartitionStrategy::k2dHubReplicated}) {
+    EXPECT_THROW((void)runtime::PartitionMatrix(matrix, 0, strategy),
+                 std::invalid_argument);
   }
 }
 
@@ -207,6 +210,46 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 7u),
                        ::testing::Values(PartitionStrategy::kContiguous,
                                          PartitionStrategy::kDegreeBalanced)));
+
+TEST(BankPoolTest, OneBankPlanReproducesTheWholeMatrixRun) {
+  // A 1-bank pool runs its whole plan on one accelerator, so EVERY
+  // ExecStats field must match the single-accelerator run, not just
+  // the algorithmic totals: the one-tile 1D plan is the old row loop,
+  // and a hub-free 2D plan's tiles are whole-width row stripes run in
+  // row order.
+  const core::TcimAccelerator single{SmallConfig()};
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::kContiguous, PartitionStrategy::kDegreeBalanced,
+        PartitionStrategy::k2dHubReplicated}) {
+    BankPoolConfig config = PoolConfig(1, strategy);
+    config.partition2d.hub_k = 0;
+    const BankPool pool{config};
+    for (const FamilyCase& family : kFamilies) {
+      SCOPED_TRACE(::testing::Message() << family.name << " "
+                                        << runtime::ToString(strategy));
+      const Graph g = family.make(/*seed=*/123);
+      const arch::ExecStats want = single.Run(g).exec;
+      const runtime::ClusterResult cluster = pool.Count(g);
+      ASSERT_EQ(cluster.banks.size(), 1u);
+      const arch::ExecStats& got = cluster.banks[0].exec;
+      EXPECT_EQ(got.edges_processed, want.edges_processed);
+      EXPECT_EQ(got.valid_pairs, want.valid_pairs);
+      EXPECT_EQ(got.row_slice_writes, want.row_slice_writes);
+      EXPECT_EQ(got.col_slice_writes, want.col_slice_writes);
+      EXPECT_EQ(got.replica_slice_writes, want.replica_slice_writes);
+      EXPECT_EQ(got.spread, want.spread);
+      EXPECT_EQ(got.bitcount_words, want.bitcount_words);
+      EXPECT_EQ(got.cache.lookups, want.cache.lookups);
+      EXPECT_EQ(got.cache.hits, want.cache.hits);
+      EXPECT_EQ(got.cache.misses, want.cache.misses);
+      EXPECT_EQ(got.cache.exchanges, want.cache.exchanges);
+      EXPECT_EQ(got.cache.inserts, want.cache.inserts);
+      EXPECT_EQ(got.accumulated_bitcount, want.accumulated_bitcount);
+      EXPECT_EQ(got.per_subarray_ands, want.per_subarray_ands);
+      EXPECT_EQ(got.per_subarray_writes, want.per_subarray_writes);
+    }
+  }
+}
 
 TEST(BankPoolTest, FullSymmetricOrientationAggregatesExactly) {
   // Under kFullSymmetric a *shard's* bitcount need not divide by 6 —

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -397,7 +398,8 @@ TEST(Snapshot2dServing, HubFlipInvalidatesPlanAndPreservesPinnedEpochs) {
   EXPECT_EQ(OracleCount(pin1), pin1->triangles);
 
   // A batch touching only tail vertices carries the built plan
-  // forward: shared cache pointer, no invalidation tick, still exact.
+  // forward: the same plan in a new cache, no invalidation tick, still
+  // exact.
   const auto built1 = pin1->plan2d->Get();
   ASSERT_NE(built1, nullptr);
   const std::vector<std::uint8_t>& is_hub = built1->partition.plan2d->is_hub;
@@ -411,20 +413,73 @@ TEST(Snapshot2dServing, HubFlipInvalidatesPlanAndPreservesPinnedEpochs) {
   (void)session.Apply(tail);
   EXPECT_EQ(session.plan2d_invalidations(), 1u);
   const EpochManager::Pin pin2 = session.PinEpoch();
-  EXPECT_EQ(pin2->plan2d, pin1->plan2d);
+  EXPECT_NE(pin2->plan2d, pin1->plan2d);
+  EXPECT_EQ(pin2->plan2d->Get(), built1);
   EXPECT_EQ(pool.HostCountEpoch(*pin2), pin2->triangles);
   EXPECT_EQ(OracleCount(pin2), pin2->triangles);
 }
 
-TEST(Snapshot2dServing, VertexGrowthInvalidatesCarriedPlan) {
-  // is_hub / tile bounds are sized to the old n: growing the vertex
-  // space must always drop a built plan, even when no hub is touched.
+// --- serving-plan cache: every strategy, keyed per pool --------------------
+
+/// Pool config for the plan-cache tests: hub_k = 4 gives the 2D plan
+/// a small hub set (1D plans ignore it).
+runtime::BankPoolConfig ServingPool(runtime::PartitionStrategy strategy,
+                                    std::uint32_t banks) {
+  runtime::BankPoolConfig config;
+  config.num_banks = banks;
+  config.partition = strategy;
+  config.partition2d.hub_k = 4;
+  return config;
+}
+
+class SnapshotPlanServing
+    : public ::testing::TestWithParam<runtime::PartitionStrategy> {};
+
+TEST_P(SnapshotPlanServing, NonGrowingBatchCarriesPlanForward) {
+  // The plan is built once per epoch and shared by later queries; a
+  // batch that neither grows the vertex space nor touches a hub carries
+  // the built plan forward unchanged, and counts stay exact throughout.
   StreamSession session(graph::ErdosRenyi(100, 500, 5));
-  runtime::BankPoolConfig pool_config;
-  pool_config.num_banks = 2;
-  pool_config.partition = runtime::PartitionStrategy::k2dHubReplicated;
-  pool_config.partition2d.hub_k = 4;
-  const runtime::BankPool pool(pool_config);
+  const runtime::BankPool pool(ServingPool(GetParam(), 3));
+
+  const EpochManager::Pin pin0 = session.PinEpoch();
+  ASSERT_EQ(pool.HostCountEpoch(*pin0), pin0->triangles);
+  const auto built = pin0->plan2d->Get();
+  ASSERT_NE(built, nullptr);
+  ASSERT_EQ(pool.HostCountEpoch(*pin0), pin0->triangles);
+  EXPECT_EQ(pin0->plan2d->Get(), built);  // second query reused it
+
+  // Two non-hub endpoints (every vertex under a 1D plan); flip their
+  // edge so the batch really changes the matrix.
+  const std::vector<std::uint8_t>& is_hub = built->partition.plan2d->is_hub;
+  VertexId a = 0;
+  while (a < is_hub.size() && is_hub[a] != 0) ++a;
+  VertexId b = a + 1;
+  while (b < is_hub.size() && is_hub[b] != 0) ++b;
+  ASSERT_LT(b, 100u);
+  EdgeDelta tail;
+  if (session.Snapshot().HasEdge(a, b)) {
+    tail.Erase(a, b);
+  } else {
+    tail.Insert(a, b);
+  }
+  (void)session.Apply(tail);
+  EXPECT_EQ(session.plan2d_invalidations(), 0u);
+  const EpochManager::Pin pin1 = session.PinEpoch();
+  EXPECT_NE(pin1->num_edges, pin0->num_edges);
+  EXPECT_NE(pin1->plan2d, pin0->plan2d);  // own cache, seeded
+  EXPECT_EQ(pin1->plan2d->Get(), built);
+  EXPECT_EQ(pool.HostCountEpoch(*pin1), pin1->triangles);
+  EXPECT_EQ(pin1->plan2d->Get(), built);  // carried, not rebuilt
+  EXPECT_EQ(OracleCount(pin1), pin1->triangles);
+}
+
+TEST_P(SnapshotPlanServing, VertexGrowthInvalidatesCarriedPlan) {
+  // Tile bounds (and is_hub) are sized to the old n: growing the
+  // vertex space must always drop a built plan, even when no hub is
+  // touched.
+  StreamSession session(graph::ErdosRenyi(100, 500, 5));
+  const runtime::BankPool pool(ServingPool(GetParam(), 2));
 
   const EpochManager::Pin pin0 = session.PinEpoch();
   ASSERT_EQ(pool.HostCountEpoch(*pin0), pin0->triangles);
@@ -437,7 +492,106 @@ TEST(Snapshot2dServing, VertexGrowthInvalidatesCarriedPlan) {
   const EpochManager::Pin pin1 = session.PinEpoch();
   EXPECT_FALSE(pin1->plan2d->has_plan());
   EXPECT_EQ(pool.HostCountEpoch(*pin1), pin1->triangles);
+  ASSERT_TRUE(pin1->plan2d->has_plan());
+  EXPECT_EQ(pin1->plan2d->Get()->partition.plan2d->num_vertices,
+            pin1->num_vertices);
   EXPECT_EQ(OracleCount(pin1), pin1->triangles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, SnapshotPlanServing,
+    ::testing::Values(runtime::PartitionStrategy::kDegreeBalanced,
+                      runtime::PartitionStrategy::k2dHubReplicated),
+    [](const auto& info) {
+      return info.param == runtime::PartitionStrategy::kDegreeBalanced
+                 ? std::string("degree")
+                 : std::string("hub2d");
+    });
+
+TEST(SnapshotPlanCache, PoolsWithDifferentPlannersDoNotSharePlans) {
+  // One session, one pinned epoch, several pools: each pool must run
+  // the plan it asked for, never one cached by another pool with the
+  // same bank count (the single cache slot rebuilds on a key change).
+  StreamSession session(graph::Rmat(200, 1500, graph::RmatParams{}, 21));
+  const EpochManager::Pin pin = session.PinEpoch();
+  runtime::BankPoolConfig config =
+      ServingPool(runtime::PartitionStrategy::k2dHubReplicated, 4);
+  config.partition2d.hub_k = 0;
+  const runtime::BankPool no_hubs(config);
+  config.partition2d.hub_k = 50;
+  const runtime::BankPool fifty_hubs(config);
+  const runtime::BankPool one_d(
+      ServingPool(runtime::PartitionStrategy::kDegreeBalanced, 4));
+
+  const auto cached = [&] { return pin->plan2d->Get()->partition; };
+  ASSERT_EQ(no_hubs.HostCountEpoch(*pin), pin->triangles);
+  EXPECT_EQ(cached().plan2d->hubs.size(), 0u);
+  EXPECT_EQ(cached().stats.strategy,
+            runtime::PartitionStrategy::k2dHubReplicated);
+
+  ASSERT_EQ(fifty_hubs.HostCountEpoch(*pin), pin->triangles);
+  EXPECT_EQ(cached().plan2d->hubs.size(), 50u);
+
+  ASSERT_EQ(one_d.HostCountEpoch(*pin), pin->triangles);
+  EXPECT_EQ(cached().stats.strategy,
+            runtime::PartitionStrategy::kDegreeBalanced);
+  EXPECT_EQ(cached().plan2d->col_stripes, 1u);
+  EXPECT_TRUE(cached().plan2d->hubs.empty());
+
+  ASSERT_EQ(no_hubs.HostCountEpoch(*pin), pin->triangles);
+  EXPECT_EQ(cached().plan2d->hubs.size(), 0u);
+  EXPECT_EQ(cached().stats.strategy,
+            runtime::PartitionStrategy::k2dHubReplicated);
+}
+
+TEST(SnapshotPlanCache, CarriedPlanRebuildNeverReachesPinnedEpoch) {
+  // A 1D plan has no hubs, so it carries forward across a batch that
+  // edits a 2D pool's hub column. When the 2D pool then rebuilds on the
+  // new epoch, its hub replicas come from the new matrix; that plan
+  // must land only in the new epoch's cache, or the 2D pool's count on
+  // the still-pinned old epoch would AND old rows against new hub
+  // columns.
+  stream::StreamConfig config;
+  config.orientation = Orientation::kDegree;
+  StreamSession session(graph::Rmat(200, 1500, graph::RmatParams{}, 21),
+                        config);
+  const runtime::BankPool hub2d(
+      ServingPool(runtime::PartitionStrategy::k2dHubReplicated, 3));
+  const runtime::BankPool one_d(
+      ServingPool(runtime::PartitionStrategy::kDegreeBalanced, 3));
+
+  const EpochManager::Pin pin0 = session.PinEpoch();
+  ASSERT_EQ(hub2d.HostCountEpoch(*pin0), pin0->triangles);
+  const VertexId hub = pin0->plan2d->Get()->partition.plan2d->hubs.front();
+  ASSERT_EQ(one_d.HostCountEpoch(*pin0), pin0->triangles);  // 1D cached
+
+  // Erase an arc x -> hub that closes a triangle (i -> x, i -> hub), so
+  // the hub column changes where the old rows read it.
+  const bit::SlicedMatrix& m0 = *pin0->matrix;
+  VertexId x = 0;
+  const auto closes_triangle = [&](VertexId v) {
+    if (v == hub || !m0.TestArc(v, hub)) return false;
+    for (VertexId i = 0; i < pin0->num_vertices; ++i) {
+      if (m0.TestArc(i, v) && m0.TestArc(i, hub)) return true;
+    }
+    return false;
+  };
+  while (x < pin0->num_vertices && !closes_triangle(x)) ++x;
+  ASSERT_LT(x, pin0->num_vertices);
+  EdgeDelta hub_edit;
+  hub_edit.Erase(x, hub);
+  (void)session.Apply(hub_edit);
+  const EpochManager::Pin pin1 = session.PinEpoch();
+  ASSERT_EQ(pin1->num_vertices, pin0->num_vertices);
+  ASSERT_NE(pin1->triangles, pin0->triangles);
+  EXPECT_EQ(pin1->plan2d->Get(), pin0->plan2d->Get());  // 1D carried
+
+  ASSERT_EQ(hub2d.HostCountEpoch(*pin1), pin1->triangles);
+  EXPECT_EQ(pin0->plan2d->Get()->partition.stats.strategy,
+            runtime::PartitionStrategy::kDegreeBalanced);
+  EXPECT_EQ(hub2d.HostCountEpoch(*pin0), pin0->triangles);
+  EXPECT_EQ(one_d.HostCountEpoch(*pin1), pin1->triangles);
+  EXPECT_EQ(OracleCount(pin0), pin0->triangles);
 }
 
 }  // namespace

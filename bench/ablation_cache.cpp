@@ -3,7 +3,9 @@
 // this quantifies LRU vs FIFO vs random across array capacities, plus
 // the kDataOnly vs paper-style index-overhead capacity accounting.
 #include <iostream>
+#include <string>
 
+#include "arch/controller.h"
 #include "bench_common.h"
 #include "core/accelerator.h"
 #include "util/table.h"
@@ -55,8 +57,8 @@ int main() {
     t2.AddRow({model == arch::CapacityModel::kWithIndexOverhead
                    ? "with 4B index (paper formula)"
                    : "data only",
-               model == arch::CapacityModel::kWithIndexOverhead ? "340"
-                                                                : "511",
+               std::to_string(arch::Controller::EffectiveWays(
+                   accel.config().array, accel.config().controller)),
                TablePrinter::Percent(r.exec.cache.HitRate(), 1),
                TablePrinter::Percent(r.exec.cache.ExchangeRate(), 2)});
   }

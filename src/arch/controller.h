@@ -164,10 +164,14 @@ class Controller {
   [[nodiscard]] const SliceMapper& mapper() const noexcept { return mapper_; }
   [[nodiscard]] const SliceCache& cache() const noexcept { return cache_; }
 
- private:
-  static std::uint32_t EffectiveWays(const nvsim::ArrayConfig& config,
-                                     const ControllerConfig& controller);
+  /// Ways per cache set under the capacity model: the subarray's rows
+  /// minus the staging row, shrunk by the valid-slice index overhead
+  /// under kWithIndexOverhead (340 of 511 at |S| = 64). The single
+  /// source of the cache's associativity.
+  [[nodiscard]] static std::uint32_t EffectiveWays(
+      const nvsim::ArrayConfig& config, const ControllerConfig& controller);
 
+ private:
   struct WorkItem;
   /// Executes one pivot row's gathered work (set-grouped sort, staging
   /// writes, cache lookups, ANDs, sink flush) — RunPlan's inner loop,

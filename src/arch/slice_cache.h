@@ -15,10 +15,32 @@
 // *miss* otherwise; a miss that must evict a resident slice to make
 // room is additionally an *exchange*.
 //
+// Bookkeeping is expected O(1) per Access/Install (amortized over a
+// set's growth), and its memory grows with the resident slices, not
+// with capacity (the default 16 MB array has 4096 sets of 340 ways).
+// Per set it keeps the resident ways' tags, a doubly linked recency
+// list over them, a FIFO rotor, and an open-addressing tag -> way
+// index. Placement is identical to the textbook argmin scans
+// (tests/arch_test.cpp keeps one as the oracle) because no way is
+// ever invalidated:
+//   - a set's ways fill in index order, so the resident ways are
+//     exactly [0, occupancy) and a cold fill takes way `occupancy`
+//     (the first invalid way);
+//   - every touch moves a way to the recency list's head, so its tail
+//     is the way with the oldest last use (the argmin over last-use
+//     stamps of a strictly increasing clock);
+//   - once full, every fill replaces the oldest insert, so FIFO
+//     victims cycle 0, 1, ..., ways-1 and the rotor is that argmin;
+//   - random draws exactly one UniformBelow(ways) per exchange, as a
+//     scanning cache does.
+// At full occupancy the heap is <= 16 B per way plus a 4-byte index
+// entry at load <= 3/4 (about 22 B per way at 340 ways).
+//
 // Layer: §7 arch — see docs/ARCHITECTURE.md. Units: CacheStats fields
 // are dimensionless counts; HitRate() lies in [0, 1].
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -98,8 +120,8 @@ class SliceCache {
   /// Same placement/eviction as Access but WITHOUT touching the run
   /// statistics — the hub-replica warm-up path of the 2D runtime
   /// (load-time work, so it must not count as lookups/misses in the
-  /// Fig. 5 accounting). The LRU clock still advances, so warmed
-  /// slices age normally against later fills.
+  /// Fig. 5 accounting). Installed slices still enter the recency
+  /// order, so warmed slices age normally against later fills.
   AccessResult Install(std::uint64_t set, std::uint64_t tag);
 
   /// Lookup without allocation (tests/diagnostics).
@@ -110,17 +132,30 @@ class SliceCache {
   void ResetStats() noexcept { stats_ = {}; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFU;
   struct Way {
     std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t last_use = 0;   // LRU clock
-    std::uint64_t inserted = 0;   // FIFO clock
+    std::uint32_t newer = kNone;  // recency list, toward the head (MRU)
+    std::uint32_t older = kNone;  // toward the tail (LRU)
   };
   struct Set {
-    std::vector<Way> ways;
+    std::vector<Way> ways;             // the resident ways, [0, occupancy)
+    std::vector<std::uint32_t> index;  // linear-probing tag -> way
+    std::uint32_t mru = kNone;
+    std::uint32_t lru = kNone;
+    std::uint32_t fifo_next = 0;       // FIFO rotor: next full-set victim
   };
 
-  [[nodiscard]] std::uint32_t PickVictim(const Set& set);
+  [[nodiscard]] static std::size_t Home(std::uint64_t tag,
+                                        std::size_t mask) noexcept;
+  [[nodiscard]] static std::uint32_t Find(const Set& set,
+                                          std::uint64_t tag) noexcept;
+  static void IndexInsert(Set& set, std::uint32_t way);
+  static void Place(Set& set, std::uint32_t way) noexcept;
+  static void IndexErase(Set& set, std::uint32_t way) noexcept;
+  static void MoveToMru(Set& set, std::uint32_t way) noexcept;
+  [[nodiscard]] std::uint32_t PickVictim(Set& set);
+  void CheckSet(std::uint64_t set_id, const char* what) const;
   AccessResult AccessImpl(std::uint64_t set, std::uint64_t tag,
                           bool count_stats);
 
@@ -128,7 +163,6 @@ class SliceCache {
   ReplacementPolicy policy_;
   std::vector<Set> sets_;
   CacheStats stats_;
-  std::uint64_t clock_ = 0;
   util::Xoshiro256 rng_;
 };
 

@@ -75,15 +75,18 @@ class WorkerPool {
 
 /// Upper bound on banks per pool: far beyond any plausible layout, it
 /// exists to reject configs whose per-bank arrays would exhaust host
-/// memory (each bank prices a full configured-capacity array).
+/// memory (each bank prices a full configured-capacity array). An
+/// in-flight shard holds that functional array plus cache bookkeeping
+/// that grows with its resident slices (arch/slice_cache.h), not a
+/// capacity-sized way table.
 inline constexpr std::uint32_t kMaxBanks = 4096;
 
 struct BankPoolConfig {
   std::uint32_t num_banks = 2;  ///< in [1, kMaxBanks]
   /// Worker threads driving the banks; 0 = one per bank, capped at the
   /// hardware concurrency (bounds peak memory: each in-flight shard
-  /// holds one full functional array). Explicit values are bounded by
-  /// kMaxBanks.
+  /// holds one full functional array plus resident-proportional cache
+  /// bookkeeping). Explicit values are bounded by kMaxBanks.
   std::uint32_t num_threads = 0;
   PartitionStrategy partition = PartitionStrategy::kDegreeBalanced;
   /// Planner options (hub_k; read under k2dHubReplicated only).

@@ -1,10 +1,17 @@
 // Tests for the architecture layer: set-associative slice cache
-// (policies, stats invariants), the slice mapper's physical
-// consistency, and the Algorithm-1 controller on known inputs.
+// (policies, stats invariants, lockstep equivalence with the
+// linear-scan reference), the slice mapper's physical consistency,
+// and the Algorithm-1 controller on known inputs and pinned stats.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <cstddef>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "arch/controller.h"
@@ -157,6 +164,209 @@ TEST(SliceCache, RejectsDegenerateGeometry) {
   SliceCache cache(1, 1, ReplacementPolicy::kLru);
   EXPECT_THROW(cache.Access(1, 0), std::out_of_range);
   EXPECT_THROW((void)cache.Contains(1, 0), std::out_of_range);
+}
+
+// --- reference cache ---------------------------------------------------------
+
+// The textbook linear-scan cache SliceCache replaced: every lookup
+// scans the set's ways for the tag, a miss scans again for the first
+// invalid way, and a full set evicts the argmin last-use (LRU) or
+// argmin insert time (FIFO) way, or a uniform draw (random). Kept as
+// the placement oracle for the O(1) bookkeeping.
+class ReferenceSliceCache {
+ public:
+  ReferenceSliceCache(std::uint64_t num_sets, std::uint32_t associativity,
+                      ReplacementPolicy policy, std::uint64_t seed)
+      : associativity_(associativity),
+        policy_(policy),
+        sets_(num_sets, std::vector<Way>(associativity)),
+        rng_(seed) {}
+
+  AccessResult Access(std::uint64_t set, std::uint64_t tag) {
+    return AccessImpl(set, tag, true);
+  }
+  AccessResult Install(std::uint64_t set, std::uint64_t tag) {
+    return AccessImpl(set, tag, false);
+  }
+  [[nodiscard]] bool Contains(std::uint64_t set, std::uint64_t tag) const {
+    return std::any_of(sets_[set].begin(), sets_[set].end(),
+                       [&](const Way& w) { return w.valid && w.tag == tag; });
+  }
+  [[nodiscard]] std::uint32_t Occupancy(std::uint64_t set) const {
+    return static_cast<std::uint32_t>(
+        std::count_if(sets_[set].begin(), sets_[set].end(),
+                      [](const Way& w) { return w.valid; }));
+  }
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    std::uint64_t last_use = 0;
+    std::uint64_t inserted = 0;
+  };
+
+  AccessResult AccessImpl(std::uint64_t set_id, std::uint64_t tag,
+                          bool count_stats) {
+    std::vector<Way>& set = sets_[set_id];
+    if (count_stats) ++stats_.lookups;
+    ++clock_;
+    for (std::uint32_t w = 0; w < associativity_; ++w) {
+      if (set[w].valid && set[w].tag == tag) {
+        set[w].last_use = clock_;
+        if (count_stats) ++stats_.hits;
+        return {.hit = true, .way = w};
+      }
+    }
+    if (count_stats) {
+      ++stats_.misses;
+      ++stats_.inserts;
+    }
+    const Way fresh{.tag = tag, .valid = true, .last_use = clock_,
+                    .inserted = clock_};
+    for (std::uint32_t w = 0; w < associativity_; ++w) {
+      if (!set[w].valid) {
+        set[w] = fresh;
+        return {.hit = false, .way = w};
+      }
+    }
+    std::uint32_t victim = 0;
+    switch (policy_) {
+      case ReplacementPolicy::kLru:
+        for (std::uint32_t w = 1; w < associativity_; ++w) {
+          if (set[w].last_use < set[victim].last_use) victim = w;
+        }
+        break;
+      case ReplacementPolicy::kFifo:
+        for (std::uint32_t w = 1; w < associativity_; ++w) {
+          if (set[w].inserted < set[victim].inserted) victim = w;
+        }
+        break;
+      case ReplacementPolicy::kRandom:
+        victim = static_cast<std::uint32_t>(rng_.UniformBelow(associativity_));
+        break;
+    }
+    const std::uint64_t old_tag = set[victim].tag;
+    set[victim] = fresh;
+    if (count_stats) ++stats_.exchanges;
+    return {.hit = false, .way = victim, .evicted = true,
+            .evicted_tag = old_tag};
+  }
+
+  std::uint32_t associativity_;
+  ReplacementPolicy policy_;
+  std::vector<std::vector<Way>> sets_;
+  CacheStats stats_;
+  std::uint64_t clock_ = 0;
+  util::Xoshiro256 rng_;
+};
+
+class CacheOracleTest : public ::testing::TestWithParam<ReplacementPolicy> {};
+
+TEST_P(CacheOracleTest, PlacementMatchesTheLinearScanReference) {
+  const ReplacementPolicy policy = GetParam();
+  for (const std::uint64_t num_sets : {1, 2, 7, 64}) {
+    for (const std::uint32_t ways : {1u, 2u, 3u, 8u, 33u, 340u}) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE("sets " + std::to_string(num_sets) + " ways " +
+                     std::to_string(ways) + " seed " + std::to_string(seed));
+        SliceCache cache(num_sets, ways, policy, seed);
+        ReferenceSliceCache reference(num_sets, ways, policy, seed);
+        util::Xoshiro256 rng(seed * 1000 + ways);
+        // Skewed tags: a hot quarter of the ways is reused most of the
+        // time, and the cold universe of 3x the ways forces exchanges.
+        const std::uint64_t hot = std::max<std::uint64_t>(1, ways / 4);
+        const std::uint64_t cold = 3ULL * ways + 2;
+        const std::uint64_t steps = 4 * num_sets * ways + 2000;
+        std::uint64_t hits = 0;
+        std::uint64_t cold_fills = 0;
+        std::uint64_t exchanges = 0;
+        for (std::uint64_t step = 0; step < steps; ++step) {
+          const std::uint64_t set = rng.UniformBelow(num_sets);
+          const std::uint64_t tag = rng.Bernoulli(0.6)
+                                        ? rng.UniformBelow(hot)
+                                        : rng.UniformBelow(cold);
+          const bool install = rng.Bernoulli(0.1);
+          const AccessResult got =
+              install ? cache.Install(set, tag) : cache.Access(set, tag);
+          const AccessResult want = install ? reference.Install(set, tag)
+                                            : reference.Access(set, tag);
+          ASSERT_EQ(got.hit, want.hit) << "step " << step;
+          ASSERT_EQ(got.way, want.way) << "step " << step;
+          ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+          ASSERT_EQ(got.evicted_tag, want.evicted_tag) << "step " << step;
+          hits += got.hit ? 1 : 0;
+          cold_fills += !got.hit && !got.evicted ? 1 : 0;
+          exchanges += got.evicted ? 1 : 0;
+          ASSERT_EQ(cache.Occupancy(set), reference.Occupancy(set));
+          const std::uint64_t probe_set = rng.UniformBelow(num_sets);
+          const std::uint64_t probe_tag = rng.UniformBelow(cold);
+          ASSERT_EQ(cache.Contains(probe_set, probe_tag),
+                    reference.Contains(probe_set, probe_tag))
+              << "step " << step;
+        }
+        for (std::uint64_t set = 0; set < num_sets; ++set) {
+          ASSERT_EQ(cache.Occupancy(set), reference.Occupancy(set));
+        }
+        const CacheStats& got = cache.stats();
+        const CacheStats& want = reference.stats();
+        EXPECT_EQ(got.lookups, want.lookups);
+        EXPECT_EQ(got.hits, want.hits);
+        EXPECT_EQ(got.misses, want.misses);
+        EXPECT_EQ(got.exchanges, want.exchanges);
+        EXPECT_EQ(got.inserts, want.inserts);
+        // The workload exercises every placement path.
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(cold_fills, 0u);
+        EXPECT_GT(exchanges, 0u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, CacheOracleTest,
+                         ::testing::Values(ReplacementPolicy::kLru,
+                                           ReplacementPolicy::kFifo,
+                                           ReplacementPolicy::kRandom),
+                         [](const auto& info) {
+                           return ToString(info.param);
+                         });
+
+// Bytes the process heap holds right now (0 where unmeasurable).
+std::size_t HeapBytesInUse() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(SliceCache, HeapGrowsWithResidentSlicesAndStaysUnder32BytesPerWay) {
+  {
+    const std::size_t before = HeapBytesInUse();
+    const std::vector<std::uint64_t> probe(1 << 17);
+    if (HeapBytesInUse() < before + probe.size() * sizeof(std::uint64_t)) {
+      GTEST_SKIP() << "the allocator does not report heap usage";
+    }
+  }
+  // The default 16 MB array's geometry.
+  constexpr std::uint64_t kSets = 4096;
+  constexpr std::uint32_t kWays = 340;
+  const std::size_t before = HeapBytesInUse();
+  SliceCache cache(kSets, kWays, ReplacementPolicy::kLru);
+  // An empty cache holds per-set headers only, no per-way storage.
+  EXPECT_LE(HeapBytesInUse() - before, kSets * 128);
+  for (std::uint64_t set = 0; set < kSets; ++set) {
+    for (std::uint64_t tag = 0; tag < kWays; ++tag) {
+      (void)cache.Access(set, tag);
+    }
+  }
+  ASSERT_EQ(cache.stats().misses, kSets * kWays);
+  EXPECT_EQ(cache.stats().exchanges, 0u);
+  // Full occupancy: at most the 32 B per way of the old way table.
+  EXPECT_LE(HeapBytesInUse() - before, kSets * kWays * 32);
 }
 
 // --- mapper ----------------------------------------------------------------
@@ -401,6 +611,34 @@ TEST(Controller, AutoSpreadFillsSmallGraphIntoBigArray) {
   EXPECT_GE(s_auto.cache.hits, s_min.cache.hits);
 }
 
+// Random strictly-upper CSR over n vertices: row i draws `draws`
+// targets from (i, i + span] (clipped to n), deduplicated; when
+// `hubs` > 0 every row also links to each of the last `hubs` vertices
+// with probability 1/2.
+bit::SlicedMatrix RandomUpperMatrix(std::uint32_t n, std::uint32_t draws,
+                                    std::uint32_t span, std::uint32_t hubs,
+                                    std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<std::uint32_t> neighbors;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto begin = static_cast<std::ptrdiff_t>(neighbors.size());
+    for (std::uint32_t d = 0; d < draws; ++d) {
+      const std::uint32_t j =
+          i + 1 + static_cast<std::uint32_t>(rng.UniformBelow(span));
+      if (j < n) neighbors.push_back(j);
+    }
+    for (std::uint32_t h = n - hubs; h < n; ++h) {
+      if (h > i && rng.Bernoulli(0.5)) neighbors.push_back(h);
+    }
+    std::sort(neighbors.begin() + begin, neighbors.end());
+    neighbors.erase(std::unique(neighbors.begin() + begin, neighbors.end()),
+                    neighbors.end());
+    offsets.push_back(neighbors.size());
+  }
+  return bit::SlicedMatrix::FromCsr(n, offsets, neighbors, 64);
+}
+
 TEST(Controller, TinyArrayForcesExchanges) {
   // 64 KiB array: 2 subarrays, 16 sets; column slices of a dense-ish
   // matrix must thrash.
@@ -408,27 +646,111 @@ TEST(Controller, TinyArrayForcesExchanges) {
   config.capacity_bytes = 64ULL << 10;
   pim::ComputationalArray array(config);
   Controller controller(array, ControllerConfig{});
-
-  util::Xoshiro256 rng(23);
-  std::vector<std::uint64_t> offsets = {0};
-  std::vector<std::uint32_t> neighbors;
-  const std::uint32_t n = 4096;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t d = 1; d <= 40; ++d) {
-      const std::uint32_t j = i + 1 + rng.UniformBelow(n / 2);
-      if (j < n) neighbors.push_back(j);
-    }
-    std::sort(neighbors.begin() + offsets.back(), neighbors.end());
-    neighbors.erase(
-        std::unique(neighbors.begin() + offsets.back(), neighbors.end()),
-        neighbors.end());
-    offsets.push_back(neighbors.size());
-  }
-  const bit::SlicedMatrix matrix =
-      bit::SlicedMatrix::FromCsr(n, offsets, neighbors, 64);
+  const bit::SlicedMatrix matrix = RandomUpperMatrix(4096, 40, 2048, 0, 23);
   const ExecStats stats = controller.Run(matrix);
   EXPECT_GT(stats.cache.exchanges, 0u);
   EXPECT_EQ(stats.accumulated_bitcount, matrix.AndPopcountAllEdges());
+}
+
+// Every cache-dependent ExecStats field of one RunPlan.
+struct PinnedStats {
+  std::uint64_t valid_pairs;
+  std::uint64_t row_slice_writes;
+  std::uint64_t col_slice_writes;
+  std::uint64_t replica_slice_writes;
+  std::uint64_t lookups;
+  std::uint64_t hits;
+  std::uint64_t misses;
+  std::uint64_t exchanges;
+  std::uint64_t inserts;
+  std::uint64_t accumulated_bitcount;
+  std::vector<std::uint64_t> per_subarray_ands;
+  std::vector<std::uint64_t> per_subarray_writes;
+};
+
+TEST(Controller, PinnedStatsWithExchangesUnderEveryPolicy) {
+  // 64 KiB array (16 sets x 340 ways): all three graphs exchange.
+  // "wide" is TinyArrayForcesExchanges' thrashing graph, "local" is
+  // road-like, and "hub2d" runs a 2D plan whose 8 hub columns are
+  // warmed through Install before the hub lane and two tail tiles.
+  // Golden values were recorded with the linear-scan cache
+  // (ReferenceSliceCache above).
+  const bit::SlicedMatrix wide = RandomUpperMatrix(4096, 40, 2048, 0, 23);
+  const bit::SlicedMatrix local = RandomUpperMatrix(2000, 12, 300, 0, 41);
+  const bit::SlicedMatrix hub2d = RandomUpperMatrix(1500, 8, 400, 8, 43);
+  struct Case {
+    const char* graph;
+    ReplacementPolicy policy;
+    PinnedStats want;
+  };
+  const std::vector<Case> cases = {
+      {"wide", ReplacementPolicy::kLru,
+       {918690, 68876, 673008, 0, 918690, 245682, 673008, 667568, 673008,
+        40595, {458962, 459728}, {369974, 371910}}},
+      {"wide", ReplacementPolicy::kFifo,
+       {918690, 68876, 673683, 0, 918690, 245007, 673683, 668243, 673683,
+        40595, {458962, 459728}, {370242, 372317}}},
+      {"wide", ReplacementPolicy::kRandom,
+       {918690, 68876, 676914, 0, 918690, 241776, 676914, 671474, 676914,
+        40595, {458962, 459728}, {371699, 374091}}},
+      {"local", ReplacementPolicy::kLru,
+       {52281, 8376, 8091, 0, 52281, 44190, 8091, 2719, 8091,
+        4493, {26706, 25575}, {8424, 8043}}},
+      {"local", ReplacementPolicy::kFifo,
+       {52281, 8376, 8091, 0, 52281, 44190, 8091, 2719, 8091,
+        4493, {26706, 25575}, {8424, 8043}}},
+      {"local", ReplacementPolicy::kRandom,
+       {52281, 8376, 9706, 0, 52281, 42575, 9706, 4334, 9706,
+        4493, {26706, 25575}, {9450, 8632}}},
+      {"hub2d", ReplacementPolicy::kLru,
+       {50276, 13199, 5200, 192, 50276, 45076, 5200, 597, 5200,
+        25238, {32230, 18046}, {11627, 6772}}},
+      {"hub2d", ReplacementPolicy::kFifo,
+       {50276, 13199, 5200, 192, 50276, 45076, 5200, 597, 5200,
+        25238, {32230, 18046}, {11627, 6772}}},
+      {"hub2d", ReplacementPolicy::kRandom,
+       {50276, 13199, 5441, 192, 50276, 44835, 5441, 838, 5441,
+        25238, {32230, 18046}, {11868, 6772}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.graph) + " " + ToString(c.policy));
+    const std::string graph = c.graph;
+    const bit::SlicedMatrix& matrix =
+        graph == "wide" ? wide : graph == "local" ? local : hub2d;
+    const std::uint32_t n = matrix.num_vertices();
+    BankExecPlan plan = BankExecPlan::RowRange(0, n, n);
+    std::vector<std::uint8_t> is_hub(n, 0);
+    if (graph == "hub2d") {
+      for (std::uint32_t h = n - 8; h < n; ++h) {
+        plan.hub_cols.push_back(h);
+        is_hub[h] = 1;
+      }
+      plan.is_hub = is_hub.data();
+      plan.hub_row_end = n;
+      plan.tiles = {{0, n / 2, 0, n}, {n / 2, n, 0, n}};
+    }
+    nvsim::ArrayConfig config;
+    config.capacity_bytes = 64ULL << 10;
+    pim::ComputationalArray array(config);
+    ControllerConfig cc;
+    cc.policy = c.policy;
+    Controller controller(array, cc);
+    const ExecStats got = controller.RunPlan(matrix, plan);
+    const PinnedStats& want = c.want;
+    EXPECT_EQ(got.valid_pairs, want.valid_pairs);
+    EXPECT_EQ(got.row_slice_writes, want.row_slice_writes);
+    EXPECT_EQ(got.col_slice_writes, want.col_slice_writes);
+    EXPECT_EQ(got.replica_slice_writes, want.replica_slice_writes);
+    EXPECT_EQ(got.cache.lookups, want.lookups);
+    EXPECT_EQ(got.cache.hits, want.hits);
+    EXPECT_EQ(got.cache.misses, want.misses);
+    EXPECT_EQ(got.cache.exchanges, want.exchanges);
+    EXPECT_EQ(got.cache.inserts, want.inserts);
+    EXPECT_EQ(got.accumulated_bitcount, want.accumulated_bitcount);
+    EXPECT_EQ(got.accumulated_bitcount, matrix.AndPopcountAllEdges());
+    EXPECT_EQ(got.per_subarray_ands, want.per_subarray_ands);
+    EXPECT_EQ(got.per_subarray_writes, want.per_subarray_writes);
+  }
 }
 
 TEST(Controller, CapacityModelShrinksWays) {

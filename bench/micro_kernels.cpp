@@ -12,6 +12,7 @@
 #include "bitmatrix/sliced_matrix.h"
 #include "core/bitwise_tc.h"
 #include "graph/generators.h"
+#include "graph/orientation.h"
 #include "pim/bit_counter.h"
 #include "pim/computational_array.h"
 #include "util/rng.h"
@@ -133,17 +134,34 @@ void BM_PimArrayAnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PimArrayAnd);
 
+// Slicing one oriented CSR into both stores (SlicedMatrix::FromCsr).
+// Arg 0 picks the graph: 0 = a 20k-vertex HolmeKim graph whose
+// per-vertex arrays fit in cache, 1 = a ~500k-vertex GeometricRoad
+// graph (roadNet-CA stand-in size) whose column scatter does not. Arg 1
+// is |S|.
+const graph::OrientedCsr& SliceBenchCsr(std::int64_t which) {
+  static const graph::OrientedCsr kHolmeKim = graph::Orient(
+      graph::HolmeKim(20000, 140000, 0.6, 7), graph::Orientation::kUpper);
+  static const graph::OrientedCsr kRoad =
+      graph::Orient(graph::GeometricRoad(500000, graph::RoadParams{}, 7),
+                    graph::Orientation::kUpper);
+  return which == 0 ? kHolmeKim : kRoad;
+}
+
 void BM_SliceCompression(benchmark::State& state) {
-  const graph::Graph g =
-      graph::HolmeKim(20000, 140000, 0.6, 7);
+  const graph::OrientedCsr& csr = SliceBenchCsr(state.range(0));
+  const auto slice_bits = static_cast<std::uint32_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::BuildSlicedMatrix(g, graph::Orientation::kUpper, 64));
+    benchmark::DoNotOptimize(bit::SlicedMatrix::FromCsr(
+        csr.num_vertices, csr.offsets, csr.neighbors, slice_bits));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
+                          static_cast<std::int64_t>(csr.arc_count()));
+  state.SetLabel(state.range(0) == 0 ? "holmekim-20k" : "road-500k");
 }
-BENCHMARK(BM_SliceCompression);
+BENCHMARK(BM_SliceCompression)
+    ->ArgsProduct({{0, 1}, {64, 512}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "arch/controller.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -29,9 +30,9 @@ Controller::Controller(pim::ComputationalArray& array,
              config.policy, config.rng_seed) {}
 
 ExecStats Controller::Run(const bit::SlicedMatrix& matrix,
-                          EdgeCountSink* sink) {
+                          EdgeCountSink* sink, bit::SliceStats* slice_stats) {
   const std::uint32_t n = matrix.num_vertices();
-  return RunPlan(matrix, BankExecPlan::RowRange(0, n, n), sink);
+  return RunPlan(matrix, BankExecPlan::RowRange(0, n, n), sink, slice_stats);
 }
 
 // One work item = one valid slice pair of one edge.
@@ -43,12 +44,29 @@ struct Controller::WorkItem {
   std::uint32_t edge_ordinal;  // index into this row's edge list
 };
 
+// One bit per valid slice of each store, indexed by GlobalOrdinal: set
+// once the slice enters an AND.
+struct Controller::TouchedSlices {
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint64_t> cols;
+
+  static void Mark(std::vector<std::uint64_t>& bits, std::uint64_t ordinal) {
+    bits[ordinal >> 6] |= std::uint64_t{1} << (ordinal & 63);
+  }
+  static std::uint64_t Count(const std::vector<std::uint64_t>& bits) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t word : bits) total += std::popcount(word);
+    return total;
+  }
+};
+
 void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
                                 std::uint32_t i, std::uint64_t spread,
                                 std::vector<WorkItem>& work,
                                 const std::vector<std::uint32_t>& row_edges,
                                 std::vector<std::uint64_t>& row_edge_count,
-                                ExecStats& stats, EdgeCountSink* sink) {
+                                ExecStats& stats, EdgeCountSink* sink,
+                                TouchedSlices* touched) {
   const bit::SlicedStore& rows = matrix.rows();
   const bit::SlicedStore& cols = matrix.cols();
   const std::uint32_t slices_per_row = array_.slices_per_row();
@@ -77,7 +95,8 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
     // Stage the row slice on first use within this row's set group.
     // The slice index is part of the staging key: two distinct k can
     // alias onto one set (k mod num_sets), and the staging row then
-    // must be rewritten with the new RiSk.
+    // must be rewritten with the new RiSk. Every item's row slice is
+    // staged (or already is), so marking here covers every AND.
     if (!staged || staged_set != set || staged_k != item.slice_index) {
       array_.WriteSlice(mapper_.StagingAddr(set),
                         rows.SliceWords(i, item.row_ordinal));
@@ -86,10 +105,15 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
       staged = true;
       staged_set = set;
       staged_k = item.slice_index;
+      if (touched != nullptr) {
+        TouchedSlices::Mark(touched->rows,
+                            rows.GlobalOrdinal(i, item.row_ordinal));
+      }
     }
     // Column slice: cache lookup, fill on miss.
     const std::uint64_t tag =
         cols.GlobalOrdinal(item.col_vertex, item.col_ordinal);
+    if (touched != nullptr) TouchedSlices::Mark(touched->cols, tag);
     const AccessResult access = cache_.Access(set, tag);
     const pim::SliceAddr col_addr = mapper_.WayAddr(set, access.way);
     if (!access.hit) {
@@ -140,7 +164,8 @@ void Controller::WarmReplicas(const bit::SlicedMatrix& matrix,
 }
 
 ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
-                              const BankExecPlan& plan, EdgeCountSink* sink) {
+                              const BankExecPlan& plan, EdgeCountSink* sink,
+                              bit::SliceStats* slice_stats) {
   if (matrix.slice_bits() != array_.config().access_width_bits) {
     throw std::invalid_argument(
         "Controller: matrix slice width != array access width");
@@ -171,6 +196,13 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
     WarmReplicas(matrix, plan.hub_cols, spread, stats);
   }
 
+  TouchedSlices touched;
+  if (slice_stats != nullptr) {
+    touched.rows.assign((rows.valid_slice_count() + 63) / 64, 0);
+    touched.cols.assign((matrix.cols().valid_slice_count() + 63) / 64, 0);
+  }
+  TouchedSlices* const touch = slice_stats != nullptr ? &touched : nullptr;
+
   std::vector<WorkItem> work;
   std::vector<std::uint32_t> row_edges;
   std::vector<std::uint64_t> row_edge_count;
@@ -198,7 +230,7 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
       matrix.ForEachArcInRect(i, col_begin, col_end, plan.is_hub, mask_value,
                               [&](std::uint32_t j) { gather_arc(i, j); });
       ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count,
-                     stats, sink);
+                     stats, sink, touch);
     }
   };
   // Hub lane: the bank's lane rows against the (replicated) hub
@@ -216,6 +248,21 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
 
   stats.cache = cache_.stats();
   stats.accumulated_bitcount = array_.accumulated_count();
+  if (slice_stats != nullptr) {
+    const bit::SlicedStore& cols = matrix.cols();
+    *slice_stats = bit::SliceStats{
+        .row_valid_slices = rows.valid_slice_count(),
+        .col_valid_slices = cols.valid_slice_count(),
+        .row_slice_slots = rows.total_slice_slots(),
+        .col_slice_slots = cols.total_slice_slots(),
+        .edges = stats.edges_processed,
+        .valid_pairs = stats.valid_pairs,
+        .total_pairs = stats.edges_processed * rows.slices_per_vector(),
+        .touched_row_slices = TouchedSlices::Count(touched.rows),
+        .touched_col_slices = TouchedSlices::Count(touched.cols),
+        .slice_bits = matrix.slice_bits(),
+    };
+  }
   return stats;
 }
 

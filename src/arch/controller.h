@@ -144,9 +144,11 @@ class Controller {
   /// statistics: RunPlan over one hub-free whole-matrix tile. The
   /// array's accumulated bit-counter total equals
   /// stats.accumulated_bitcount afterwards. If `sink` is non-null it
-  /// receives every edge's individual BitCount.
+  /// receives every edge's individual BitCount; if `slice_stats` is
+  /// non-null it receives matrix.ComputeStats(), taken from this walk.
   [[nodiscard]] ExecStats Run(const bit::SlicedMatrix& matrix,
-                              EdgeCountSink* sink = nullptr);
+                              EdgeCountSink* sink = nullptr,
+                              bit::SliceStats* slice_stats = nullptr);
 
   /// Runs one bank's plan: warms the hub replicas (if any) into the
   /// cache + array (counted in stats.replica_slice_writes, not in the
@@ -157,9 +159,19 @@ class Controller {
   /// across calls, so use a fresh controller per run (as BankPool
   /// does). Throws std::out_of_range on a plan that exceeds the
   /// matrix's vertex range.
+  ///
+  /// When `slice_stats` is non-null the walk also marks every distinct
+  /// row and column slice that enters an AND (by GlobalOrdinal, in two
+  /// bitmaps) and reports the plan's bit::SliceStats: edges,
+  /// valid_pairs, total_pairs and the touched counts cover the arcs
+  /// this plan walks; the store fields describe the whole matrix. For
+  /// a whole-matrix plan that is exactly matrix.ComputeStats(), without
+  /// its second walk. Touched counts do not depend on cache placement
+  /// (warmed replicas count only once ANDed).
   [[nodiscard]] ExecStats RunPlan(const bit::SlicedMatrix& matrix,
                                   const BankExecPlan& plan,
-                                  EdgeCountSink* sink = nullptr);
+                                  EdgeCountSink* sink = nullptr,
+                                  bit::SliceStats* slice_stats = nullptr);
 
   [[nodiscard]] const SliceMapper& mapper() const noexcept { return mapper_; }
   [[nodiscard]] const SliceCache& cache() const noexcept { return cache_; }
@@ -173,15 +185,18 @@ class Controller {
 
  private:
   struct WorkItem;
+  struct TouchedSlices;
   /// Executes one pivot row's gathered work (set-grouped sort, staging
   /// writes, cache lookups, ANDs, sink flush) — RunPlan's inner loop,
   /// once per (region, row). `work`/`row_edges` are the caller's
-  /// gather output; `row_edge_count` is reusable scratch.
+  /// gather output; `row_edge_count` is reusable scratch. `touched`
+  /// (nullable) collects the slices ANDed.
   void ProcessRowWork(const bit::SlicedMatrix& matrix, std::uint32_t i,
                       std::uint64_t spread, std::vector<WorkItem>& work,
                       const std::vector<std::uint32_t>& row_edges,
                       std::vector<std::uint64_t>& row_edge_count,
-                      ExecStats& stats, EdgeCountSink* sink);
+                      ExecStats& stats, EdgeCountSink* sink,
+                      TouchedSlices* touched);
   /// Pre-loads every valid slice of `hub_cols` into the cache + array.
   void WarmReplicas(const bit::SlicedMatrix& matrix,
                     const std::vector<std::uint32_t>& hub_cols,

@@ -1,44 +1,171 @@
 #include "bitmatrix/sliced_matrix.h"
 
+#include <algorithm>
+#include <bit>
+#include <memory>
 #include <stdexcept>
 
 #include "bitmatrix/kernel_backend.h"
 
 namespace tcim::bit {
 
+namespace {
+
+// Sentinel slice index: ids are below 2^32 - 1, so no slice index
+// reaches it.
+constexpr std::uint32_t kNoSlice = ~std::uint32_t{0};
+
+// Slice index and in-slice bit of a vertex id. Every CLI width is a
+// power of two, which takes shift and mask; other widths divide in 32
+// bits (ids are 32-bit, so the quotient and remainder are too).
+struct Pow2Slicer {
+  std::uint32_t shift;
+  [[nodiscard]] std::uint32_t Slice(std::uint32_t v) const noexcept {
+    return v >> shift;
+  }
+  [[nodiscard]] std::uint32_t Bit(std::uint32_t v) const noexcept {
+    return v & ((std::uint32_t{1} << shift) - 1);
+  }
+};
+struct DivSlicer {
+  std::uint32_t bits;
+  [[nodiscard]] std::uint32_t Slice(std::uint32_t v) const noexcept {
+    return v / bits;
+  }
+  [[nodiscard]] std::uint32_t Bit(std::uint32_t v) const noexcept {
+    return v % bits;
+  }
+};
+
+}  // namespace
+
 SlicedMatrix SlicedMatrix::FromCsr(std::uint32_t num_vertices,
                                    std::span<const std::uint64_t> offsets,
                                    std::span<const std::uint32_t> neighbors,
                                    std::uint32_t slice_bits) {
-  SlicedMatrix m;
-  m.rows_ = SlicedStore::FromCsr(num_vertices, num_vertices, offsets,
-                                 neighbors, slice_bits);
+  SlicedStore::CheckCsrShape(num_vertices, offsets, neighbors.size(),
+                             slice_bits);
+  if (std::has_single_bit(slice_bits)) {
+    return Build(
+        Pow2Slicer{static_cast<std::uint32_t>(std::countr_zero(slice_bits))},
+        num_vertices, offsets, neighbors, slice_bits);
+  }
+  return Build(DivSlicer{slice_bits}, num_vertices, offsets, neighbors,
+               slice_bits);
+}
 
-  // Transpose by counting sort: bucket each arc (i -> j) under j.
-  // Iterating i in increasing order keeps every bucket sorted by i,
-  // which FromCsr requires.
-  std::vector<std::uint64_t> col_offsets(
-      static_cast<std::size_t>(num_vertices) + 1, 0);
-  for (const std::uint32_t j : neighbors) {
-    if (j >= num_vertices) {
-      throw std::invalid_argument("SlicedMatrix: neighbor out of range");
+template <typename Slicer>
+SlicedMatrix SlicedMatrix::Build(const Slicer& slicer, std::uint32_t n,
+                                 std::span<const std::uint64_t> offsets,
+                                 std::span<const std::uint32_t> neighbors,
+                                 std::uint32_t slice_bits) {
+  SlicedMatrix m;
+  m.rows_ = SlicedStore::Shell(n, n, slice_bits);
+  m.cols_ = SlicedStore::Shell(n, n, slice_bits);
+  // Raw per-slab views, so the per-arc column accesses skip the
+  // shared_ptr and vector indirections.
+  struct SlabView {
+    std::uint64_t* offsets;
+    std::uint32_t* indices;
+    std::uint64_t* words;
+  };
+  const auto views = [](SlicedStore& store) {
+    std::vector<SlabView> out;
+    out.reserve(store.slabs_.size());
+    for (const std::shared_ptr<SlicedStore::Slab>& slab : store.slabs_) {
+      out.push_back(SlabView{slab->offsets.data(), slab->indices.data(),
+                             slab->words.data()});
     }
-    ++col_offsets[static_cast<std::size_t>(j) + 1];
+    return out;
+  };
+  constexpr std::uint32_t kShift = SlicedStore::kSlabVectorShift;
+  constexpr std::uint32_t kLocalMask = SlicedStore::kSlabVectors - 1;
+  // Rows arrive in increasing order, so each column's sources do too:
+  // column j gains a slice exactly when its source's slice differs from
+  // the last one stamped for j. The stamp is the only per-vertex
+  // scratch; both walks use it.
+  std::vector<std::uint32_t> col_last_slice(n, kNoSlice);
+
+  // Walk 1: validate, and count each row's and each column's valid
+  // slices into the slab offsets.
+  {
+    const std::vector<SlabView> cols = views(m.cols_);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint64_t begin = offsets[i];
+      const std::uint64_t end = offsets[i + 1];
+      if (begin > end || end > neighbors.size()) {
+        throw std::invalid_argument("SlicedMatrix: offsets not monotone");
+      }
+      const std::uint32_t source_slice = slicer.Slice(i);
+      std::uint32_t prev_slice = kNoSlice;
+      std::uint64_t row_valid = 0;
+      for (std::uint64_t e = begin; e < end; ++e) {
+        const std::uint32_t j = neighbors[e];
+        if (j >= n) {
+          throw std::invalid_argument("SlicedMatrix: neighbor out of range");
+        }
+        if (e > begin && j <= neighbors[e - 1]) {
+          throw std::invalid_argument(
+              "SlicedMatrix: neighbors must be strictly increasing per row");
+        }
+        const std::uint32_t s = slicer.Slice(j);
+        if (s != prev_slice) {
+          ++row_valid;
+          prev_slice = s;
+        }
+        if (col_last_slice[j] != source_slice) {
+          ++cols[j >> kShift].offsets[(j & kLocalMask) + 1];
+          col_last_slice[j] = source_slice;
+        }
+      }
+      m.rows_.CountSlot(i) = row_valid;
+    }
   }
-  for (std::uint32_t v = 0; v < num_vertices; ++v) {
-    col_offsets[v + 1] += col_offsets[v];
-  }
-  std::vector<std::uint32_t> col_sources(neighbors.size());
-  std::vector<std::uint64_t> cursor(col_offsets.begin(),
-                                    col_offsets.end() - 1);
-  for (std::uint32_t i = 0; i < num_vertices; ++i) {
+  m.rows_.SizeSlabs();
+  m.cols_.SizeSlabs();
+
+  // Walk 2: fill the row store in order and scatter each arc i -> j
+  // into column j's slab. Column j's start offset serves as its fill
+  // cursor and is restored afterwards.
+  std::fill(col_last_slice.begin(), col_last_slice.end(), kNoSlice);
+  const std::vector<SlabView> rows = views(m.rows_);
+  const std::vector<SlabView> cols = views(m.cols_);
+  const std::uint64_t width = m.rows_.words_per_slice();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const SlabView& row = rows[i >> kShift];
+    std::uint64_t row_at = row.offsets[i & kLocalMask];  // next slice slot
+    std::uint32_t prev_slice = kNoSlice;
+    const std::uint32_t source_slice = slicer.Slice(i);
+    const std::uint32_t source_bit = slicer.Bit(i);
+    const std::uint64_t source_word = source_bit / 64;
+    const std::uint64_t source_mask = std::uint64_t{1} << (source_bit % 64);
     for (std::uint64_t e = offsets[i]; e < offsets[i + 1]; ++e) {
       const std::uint32_t j = neighbors[e];
-      col_sources[cursor[j]++] = i;
+      const std::uint32_t s = slicer.Slice(j);
+      if (s != prev_slice) {
+        row.indices[row_at++] = s;
+        prev_slice = s;
+      }
+      const std::uint32_t bit = slicer.Bit(j);
+      row.words[(row_at - 1) * width + bit / 64] |= std::uint64_t{1}
+                                                    << (bit % 64);
+
+      const SlabView& col = cols[j >> kShift];
+      std::uint64_t& col_at = col.offsets[j & kLocalMask];
+      if (col_last_slice[j] != source_slice) {
+        col.indices[col_at++] = source_slice;
+        col_last_slice[j] = source_slice;
+      }
+      col.words[(col_at - 1) * width + source_word] |= source_mask;
     }
   }
-  m.cols_ = SlicedStore::FromCsr(num_vertices, num_vertices, col_offsets,
-                                 col_sources, slice_bits);
+  // Each cursor now sits at its column's end, i.e. the next column's
+  // start: shift them back up one place.
+  for (const SlabView& col : cols) {
+    std::copy_backward(col.offsets, col.offsets + kLocalMask + 1,
+                       col.offsets + kLocalMask + 2);
+    col.offsets[0] = 0;
+  }
   return m;
 }
 

@@ -48,6 +48,8 @@ struct SliceStats {
 
   std::uint32_t slice_bits = 64;
 
+  bool operator==(const SliceStats&) const = default;
+
   /// NVS*(|S|/8+4) over both stores (paper's storage formula).
   [[nodiscard]] std::uint64_t CompressedBytes() const noexcept {
     return (row_valid_slices + col_valid_slices) *
@@ -160,7 +162,14 @@ class SlicedMatrix {
   /// Builds both stores from a CSR adjacency (out-neighbors).
   ///  - offsets/neighbors: CSR of the *oriented* matrix, per-row sorted
   ///    strictly increasing;
-  ///  - the column store is derived internally by transposition.
+  ///  - the column store comes from the same walks, with no transpose:
+  ///    one walk validates and counts every row's and column's valid
+  ///    slices, a second fills the row store in order and scatters each
+  ///    arc i -> j into column j (rows arrive in increasing order, so
+  ///    each column's sources do too). The only per-vertex scratch is
+  ///    one 32-bit last-slice stamp per column.
+  /// Throws std::invalid_argument on malformed input, as
+  /// SlicedStore::FromCsr does.
   static SlicedMatrix FromCsr(std::uint32_t num_vertices,
                               std::span<const std::uint64_t> offsets,
                               std::span<const std::uint32_t> neighbors,
@@ -266,7 +275,11 @@ class SlicedMatrix {
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
-  /// Full statistics pass (Tables III/IV); costs one edge iteration.
+  /// Full statistics pass (Tables III/IV); costs one walk over every
+  /// arc's valid slice pairs. The reference for the stats the
+  /// simulated pass collects from its own walk
+  /// (arch::Controller::RunPlan), and the stats source where no single
+  /// walk covers the matrix (multi-bank runtime::BankPool::Count).
   [[nodiscard]] SliceStats ComputeStats() const;
 
   /// O(log slices) test of one non-zero: is A[i][j] set?
@@ -291,6 +304,14 @@ class SlicedMatrix {
   }
 
  private:
+  /// FromCsr's two walks, instantiated per slicer (shift/mask for a
+  /// power-of-two |S|, division otherwise).
+  template <typename Slicer>
+  static SlicedMatrix Build(const Slicer& slicer, std::uint32_t n,
+                            std::span<const std::uint64_t> offsets,
+                            std::span<const std::uint32_t> neighbors,
+                            std::uint32_t slice_bits);
+
   SlicedStore rows_;
   SlicedStore cols_;
 };

@@ -57,22 +57,24 @@ SlicedStore::Slab& SlicedStore::WritableSlab(std::size_t s,
   return *slot;
 }
 
-SlicedStore SlicedStore::FromCsr(std::uint32_t num_vectors,
-                                 std::uint64_t universe,
-                                 std::span<const std::uint64_t> offsets,
-                                 std::span<const std::uint32_t> positions,
-                                 std::uint32_t slice_bits) {
+void SlicedStore::CheckCsrShape(std::uint32_t num_vectors,
+                                std::span<const std::uint64_t> offsets,
+                                std::size_t num_positions,
+                                std::uint32_t slice_bits) {
   if (slice_bits == 0 || slice_bits > 512) {
     throw std::invalid_argument("SlicedStore: slice_bits must be in [1,512]");
   }
   if (offsets.size() != static_cast<std::size_t>(num_vectors) + 1) {
     throw std::invalid_argument("SlicedStore: offsets size mismatch");
   }
-  if (!offsets.empty() &&
-      (offsets.front() != 0 || offsets.back() != positions.size())) {
+  if (offsets.front() != 0 || offsets.back() != num_positions) {
     throw std::invalid_argument("SlicedStore: offsets must span positions");
   }
+}
 
+SlicedStore SlicedStore::Shell(std::uint32_t num_vectors,
+                               std::uint64_t universe,
+                               std::uint32_t slice_bits) {
   SlicedStore store;
   store.num_vectors_ = num_vectors;
   store.universe_ = universe;
@@ -80,15 +82,44 @@ SlicedStore SlicedStore::FromCsr(std::uint32_t num_vectors,
   store.words_per_slice_ = (slice_bits + 63) / 64;
   store.slices_per_vector_ =
       universe == 0 ? 0 : (universe + slice_bits - 1) / slice_bits;
+  const std::size_t num_slabs = SlabCountFor(num_vectors);
+  store.slabs_.reserve(num_slabs);
+  for (std::size_t s = 0; s < num_slabs; ++s) {
+    store.slabs_.push_back(MakeEmptySlab());
+  }
+  store.slab_base_.assign(num_slabs + 1, 0);
+  return store;
+}
+
+void SlicedStore::SizeSlabs() {
+  for (std::size_t s = 0; s < slabs_.size(); ++s) {
+    Slab& slab = *slabs_[s];
+    for (std::uint32_t lv = 0; lv < kSlabVectors; ++lv) {
+      slab.offsets[lv + 1] += slab.offsets[lv];
+    }
+    const std::uint64_t slab_valid = slab.offsets[kSlabVectors];
+    slab.indices.assign(slab_valid, 0);
+    slab.words.assign(slab_valid * words_per_slice_, 0);
+    slab_base_[s + 1] = slab_base_[s] + slab_valid;
+  }
+}
+
+SlicedStore SlicedStore::FromCsr(std::uint32_t num_vectors,
+                                 std::uint64_t universe,
+                                 std::span<const std::uint64_t> offsets,
+                                 std::span<const std::uint32_t> positions,
+                                 std::uint32_t slice_bits) {
+  CheckCsrShape(num_vectors, offsets, positions.size(), slice_bits);
+  SlicedStore store = Shell(num_vectors, universe, slice_bits);
 
   // Pass 1: validate and count valid slices per vector.
-  std::vector<std::uint64_t> valid_per_vector(num_vectors, 0);
   for (std::uint32_t v = 0; v < num_vectors; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
+    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > positions.size()) {
       throw std::invalid_argument("SlicedStore: offsets not monotone");
     }
     std::uint64_t prev_slice = ~0ULL;
     std::uint64_t prev_pos = ~0ULL;
+    std::uint64_t valid = 0;
     for (std::uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
       const std::uint64_t pos = positions[e];
       if (pos >= universe) {
@@ -101,48 +132,31 @@ SlicedStore SlicedStore::FromCsr(std::uint32_t num_vectors,
       prev_pos = pos;
       const std::uint64_t s = pos / slice_bits;
       if (s != prev_slice) {
-        ++valid_per_vector[v];
+        ++valid;
         prev_slice = s;
       }
     }
+    store.CountSlot(v) = valid;
   }
 
-  // Pass 2: materialize one slab per kSlabVectors vectors.
-  const std::size_t num_slabs = SlabCountFor(num_vectors);
-  store.slabs_.reserve(num_slabs);
-  store.slab_base_.assign(num_slabs + 1, 0);
-  for (std::size_t s = 0; s < num_slabs; ++s) {
-    auto slab = MakeEmptySlab();
-    const std::uint32_t base_v =
-        static_cast<std::uint32_t>(s << kSlabVectorShift);
-    std::uint64_t slab_valid = 0;
-    for (std::uint32_t lv = 0; lv < kSlabVectors; ++lv) {
-      const std::uint32_t v = base_v + lv;
-      if (v < num_vectors) slab_valid += valid_per_vector[v];
-      slab->offsets[lv + 1] = slab_valid;
-    }
-    slab->indices.assign(slab_valid, 0);
-    slab->words.assign(slab_valid * store.words_per_slice_, 0);
-    for (std::uint32_t lv = 0; lv < kSlabVectors; ++lv) {
-      const std::uint32_t v = base_v + lv;
-      if (v >= num_vectors) break;
-      std::uint64_t cursor = slab->offsets[lv];
-      std::uint64_t prev_slice = ~0ULL;
-      for (std::uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-        const std::uint64_t pos = positions[e];
-        const std::uint64_t sl = pos / slice_bits;
-        if (sl != prev_slice) {
-          slab->indices[cursor] = static_cast<std::uint32_t>(sl);
-          prev_slice = sl;
-          ++cursor;
-        }
-        const std::uint64_t in_slice = pos % slice_bits;
-        const std::uint64_t word_base = (cursor - 1) * store.words_per_slice_;
-        slab->words[word_base + in_slice / 64] |= 1ULL << (in_slice % 64);
+  // Pass 2: fill each vector's slices in place.
+  store.SizeSlabs();
+  for (std::uint32_t v = 0; v < num_vectors; ++v) {
+    Slab& slab = *store.slabs_[SlabOf(v)];
+    std::uint64_t cursor = slab.offsets[LocalOf(v)];
+    std::uint64_t prev_slice = ~0ULL;
+    for (std::uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const std::uint64_t pos = positions[e];
+      const std::uint64_t sl = pos / slice_bits;
+      if (sl != prev_slice) {
+        slab.indices[cursor] = static_cast<std::uint32_t>(sl);
+        prev_slice = sl;
+        ++cursor;
       }
+      const std::uint64_t in_slice = pos % slice_bits;
+      const std::uint64_t word_base = (cursor - 1) * store.words_per_slice_;
+      slab.words[word_base + in_slice / 64] |= 1ULL << (in_slice % 64);
     }
-    store.slab_base_[s + 1] = store.slab_base_[s] + slab_valid;
-    store.slabs_.push_back(std::move(slab));
   }
   return store;
 }

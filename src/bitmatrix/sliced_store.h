@@ -308,6 +308,11 @@ class SlicedStore {
                                      const SlicedStore& b) noexcept;
 
  private:
+  // SlicedMatrix::FromCsr builds both of its stores through Shell,
+  // CountSlot and SizeSlabs, and fills them through the slabs' raw
+  // arrays.
+  friend class SlicedMatrix;
+
   /// One refcounted group of kSlabVectors consecutive vectors. The
   /// arrays are the same CSR layout the store used to hold globally,
   /// but local to the slab: offsets has kSlabVectors+1 entries
@@ -325,6 +330,28 @@ class SlicedStore {
   /// Returns a uniquely-owned, writable slab s, cloning a shared one.
   Slab& WritableSlab(std::size_t s, PatchStats& stats);
   static std::shared_ptr<Slab> MakeEmptySlab();
+
+  /// The CSR checks every builder makes before walking positions:
+  /// slice_bits in [1, 512], offsets sized num_vectors+1 and spanning
+  /// [0, num_positions]. Throws std::invalid_argument.
+  static void CheckCsrShape(std::uint32_t num_vectors,
+                            std::span<const std::uint64_t> offsets,
+                            std::size_t num_positions,
+                            std::uint32_t slice_bits);
+  /// Every CSR builder counts, then fills, into the same slab layout:
+  /// Shell() makes a store of the given shape whose slabs hold zeroed
+  /// offsets only; the builder counts vector v's valid slices into
+  /// CountSlot(v); SizeSlabs() turns those counts into per-slab
+  /// offsets, allocates every slab's zeroed indices and words to match
+  /// and sets slab_base_, ready to be filled in vector order. Stores
+  /// built either way therefore share one layout and HeapBytes().
+  static SlicedStore Shell(std::uint32_t num_vectors, std::uint64_t universe,
+                           std::uint32_t slice_bits);
+  std::uint64_t& CountSlot(std::uint32_t v) {
+    return slabs_[v >> kSlabVectorShift]
+        ->offsets[(v & (kSlabVectors - 1)) + 1];
+  }
+  void SizeSlabs();
 
   std::uint32_t num_vectors_ = 0;
   std::uint64_t universe_ = 0;

@@ -42,12 +42,9 @@ TcimResult TcimAccelerator::Run(const graph::Graph& g) const {
 
 TcimResult TcimAccelerator::RunOnMatrix(const bit::SlicedMatrix& matrix,
                                         graph::Orientation orientation) const {
-  util::Timer timer;
-  TcimResult result =
-      RunOnMatrixRows(matrix, orientation, 0, matrix.num_vertices());
-  result.slices = matrix.ComputeStats();
-  result.host_seconds = timer.ElapsedSeconds();
-  return result;
+  const std::uint32_t n = matrix.num_vertices();
+  return Execute(matrix, orientation, arch::BankExecPlan::RowRange(0, n, n),
+                 /*with_slice_stats=*/true);
 }
 
 TcimResult TcimAccelerator::RunOnMatrixRows(const bit::SlicedMatrix& matrix,
@@ -62,6 +59,13 @@ TcimResult TcimAccelerator::RunOnMatrixRows(const bit::SlicedMatrix& matrix,
 TcimResult TcimAccelerator::RunOnMatrixPlan(
     const bit::SlicedMatrix& matrix, graph::Orientation orientation,
     const arch::BankExecPlan& plan) const {
+  return Execute(matrix, orientation, plan, /*with_slice_stats=*/false);
+}
+
+TcimResult TcimAccelerator::Execute(const bit::SlicedMatrix& matrix,
+                                    graph::Orientation orientation,
+                                    const arch::BankExecPlan& plan,
+                                    bool with_slice_stats) const {
   util::Timer timer;
   if (matrix.slice_bits() != config_.slice_bits) {
     throw std::invalid_argument(
@@ -72,7 +76,8 @@ TcimResult TcimAccelerator::RunOnMatrixPlan(
   arch::Controller controller(array, config_.controller);
 
   TcimResult result;
-  result.exec = controller.RunPlan(matrix, plan);
+  result.exec = controller.RunPlan(matrix, plan, /*sink=*/nullptr,
+                                  with_slice_stats ? &result.slices : nullptr);
   result.triangles = result.exec.accumulated_bitcount /
                      graph::CountMultiplier(orientation);
   result.perf = EvaluatePerf(result.exec, array_model_->perf(),

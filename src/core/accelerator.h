@@ -72,6 +72,8 @@ class TcimAccelerator {
   /// Pipeline over a pre-built sliced matrix (skips orientation +
   /// slicing; used by benches that sweep cache/policy on a fixed
   /// matrix). `orientation` must match how the matrix was built.
+  /// `slices` equals matrix.ComputeStats(), collected by the simulated
+  /// pass's own walk (arch::Controller::RunPlan).
   [[nodiscard]] TcimResult RunOnMatrix(const bit::SlicedMatrix& matrix,
                                        graph::Orientation orientation) const;
 
@@ -107,6 +109,13 @@ class TcimAccelerator {
   }
 
  private:
+  /// The one simulated run behind every RunOnMatrix* entry point; fills
+  /// `slices` from the controller walk when `with_slice_stats`.
+  [[nodiscard]] TcimResult Execute(const bit::SlicedMatrix& matrix,
+                                   graph::Orientation orientation,
+                                   const arch::BankExecPlan& plan,
+                                   bool with_slice_stats) const;
+
   TcimConfig config_;
   std::unique_ptr<device::MtjDevice> device_;
   std::unique_ptr<nvsim::ArrayModel> array_model_;

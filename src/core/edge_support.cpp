@@ -108,14 +108,16 @@ EdgeSupports ComputeEdgeSupportsTcim(const Graph& g,
   pim::ComputationalArray array(accelerator.config().array,
                                 accelerator.config().bit_counter);
   arch::Controller controller(array, accelerator.config().controller);
-  arch::ExecStats stats = controller.Run(matrix, &sink);
+  bit::SliceStats slices;
+  arch::ExecStats stats =
+      controller.Run(matrix, &sink, result != nullptr ? &slices : nullptr);
 
   if (result != nullptr) {
     result->exec = std::move(stats);
     result->triangles = result->exec.accumulated_bitcount /
                         graph::CountMultiplier(
                             graph::Orientation::kFullSymmetric);
-    result->slices = matrix.ComputeStats();
+    result->slices = slices;
     result->perf =
         EvaluatePerf(result->exec, accelerator.array_perf(),
                      accelerator.config().bit_counter,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+
+#include "graph/relabel.h"
 
 namespace tcim::graph {
 
@@ -53,26 +56,21 @@ OrientedCsr OrientFull(const Graph& g) {
 
 OrientedCsr OrientDegree(const Graph& g) {
   const VertexId n = g.num_vertices();
-  // rank[old] = position of old in the (degree, id)-ascending order.
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    const auto da = g.Degree(a);
-    const auto db = g.Degree(b);
-    return da != db ? da < db : a < b;
-  });
+  // The (degree, id)-ascending order relabel uses (a stable counting
+  // sort); rank[old] is old's position in it.
+  const VertexRelabeling order = VertexRelabeling::DegreeAscending(g);
+  const std::span<const VertexId> old_of_rank = order.old_of_new();
   std::vector<VertexId> rank(n);
   for (VertexId pos = 0; pos < n; ++pos) {
-    rank[order[pos]] = pos;
+    rank[old_of_rank[pos]] = pos;
   }
 
   OrientedCsr out;
   out.num_vertices = n;
   out.orientation = Orientation::kDegree;
-  out.relabel = rank;
   out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
 
-  // Count arcs per relabelled source, then fill and sort rows.
+  // Arcs point from lower to higher rank: count each ranked row.
   for (VertexId u = 0; u < n; ++u) {
     const VertexId ru = rank[u];
     for (const VertexId v : g.Neighbors(u)) {
@@ -81,25 +79,20 @@ OrientedCsr OrientDegree(const Graph& g) {
       }
     }
   }
-  for (VertexId v = 0; v < n; ++v) {
-    out.offsets[v + 1] += out.offsets[v];
-  }
-  out.neighbors.assign(g.num_edges(), 0);
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+  // Sources in ascending rank append themselves to the rows of their
+  // lower-ranked neighbours, so every row fills already sorted.
+  out.neighbors.assign(out.offsets.back(), 0);
   std::vector<std::uint64_t> cursor(out.offsets.begin(),
                                     out.offsets.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    const VertexId ru = rank[u];
-    for (const VertexId v : g.Neighbors(u)) {
+  for (VertexId r = 0; r < n; ++r) {
+    for (const VertexId v : g.Neighbors(old_of_rank[r])) {
       const VertexId rv = rank[v];
-      if (rv > ru) out.neighbors[cursor[ru]++] = rv;
+      if (rv < r) out.neighbors[cursor[rv]++] = r;
     }
   }
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(out.neighbors.begin() +
-                  static_cast<std::ptrdiff_t>(out.offsets[v]),
-              out.neighbors.begin() +
-                  static_cast<std::ptrdiff_t>(out.offsets[v + 1]));
-  }
+  out.relabel = std::move(rank);
   return out;
 }
 

@@ -1,11 +1,20 @@
 // Tests for popcount strategies and BitVector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bitmatrix/bitvector.h"
 #include "bitmatrix/popcount.h"
+#include "bitmatrix/sliced_matrix.h"
+#include "bitmatrix/sliced_store.h"
+#include "graph/datasets.h"
+#include "graph/orientation.h"
 #include "util/rng.h"
 
 namespace tcim::bit {
@@ -242,6 +251,185 @@ TEST(BitVector, ZeroSizeIsWellBehaved) {
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.Count(), 0u);
   v.ForEachSetBit([](std::uint64_t) { FAIL(); });
+}
+
+// --- SlicedMatrix::FromCsr against the transpose-based oracle ----------
+
+// The builder FromCsr replaced, kept as the oracle: the row store
+// straight from the CSR, the column store from an E-sized counting-sort
+// transpose of it.
+struct OracleStores {
+  SlicedStore rows;
+  SlicedStore cols;
+};
+
+OracleStores TransposeBuild(std::uint32_t num_vertices,
+                            std::span<const std::uint64_t> offsets,
+                            std::span<const std::uint32_t> neighbors,
+                            std::uint32_t slice_bits) {
+  OracleStores out;
+  out.rows = SlicedStore::FromCsr(num_vertices, num_vertices, offsets,
+                                  neighbors, slice_bits);
+  std::vector<std::uint64_t> col_offsets(
+      static_cast<std::size_t>(num_vertices) + 1, 0);
+  for (const std::uint32_t j : neighbors) {
+    if (j >= num_vertices) {
+      throw std::invalid_argument("oracle: neighbor out of range");
+    }
+    ++col_offsets[static_cast<std::size_t>(j) + 1];
+  }
+  for (std::uint32_t v = 0; v < num_vertices; ++v) {
+    col_offsets[v + 1] += col_offsets[v];
+  }
+  std::vector<std::uint32_t> col_sources(neighbors.size());
+  std::vector<std::uint64_t> cursor(col_offsets.begin(),
+                                    col_offsets.end() - 1);
+  for (std::uint32_t i = 0; i < num_vertices; ++i) {
+    for (std::uint64_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      col_sources[cursor[neighbors[e]]++] = i;
+    }
+  }
+  out.cols = SlicedStore::FromCsr(num_vertices, num_vertices, col_offsets,
+                                  col_sources, slice_bits);
+  return out;
+}
+
+// Bit-identical stores: shape, every vector's slice indices, words and
+// global ordinals, and the slab layout behind HeapBytes().
+void ExpectSameStore(const SlicedStore& got, const SlicedStore& want) {
+  ASSERT_EQ(got.num_vectors(), want.num_vectors());
+  ASSERT_EQ(got.universe(), want.universe());
+  ASSERT_EQ(got.slice_bits(), want.slice_bits());
+  ASSERT_EQ(got.slices_per_vector(), want.slices_per_vector());
+  ASSERT_EQ(got.valid_slice_count(), want.valid_slice_count());
+  ASSERT_EQ(got.slab_count(), want.slab_count());
+  ASSERT_EQ(got.HeapBytes(), want.HeapBytes());
+  for (std::uint32_t v = 0; v < want.num_vectors(); ++v) {
+    const std::span<const std::uint32_t> gi = got.SliceIndices(v);
+    const std::span<const std::uint32_t> wi = want.SliceIndices(v);
+    ASSERT_TRUE(std::equal(gi.begin(), gi.end(), wi.begin(), wi.end()))
+        << "slice indices of vector " << v;
+    for (std::size_t k = 0; k < wi.size(); ++k) {
+      const std::span<const std::uint64_t> gw = got.SliceWords(v, k);
+      const std::span<const std::uint64_t> ww = want.SliceWords(v, k);
+      ASSERT_TRUE(std::equal(gw.begin(), gw.end(), ww.begin(), ww.end()))
+          << "words of vector " << v << " slice " << k;
+      ASSERT_EQ(got.GlobalOrdinal(v, k), want.GlobalOrdinal(v, k));
+    }
+  }
+}
+
+void ExpectMatchesOracle(std::uint32_t n,
+                         std::span<const std::uint64_t> offsets,
+                         std::span<const std::uint32_t> neighbors,
+                         std::uint32_t slice_bits) {
+  const SlicedMatrix m =
+      SlicedMatrix::FromCsr(n, offsets, neighbors, slice_bits);
+  const OracleStores want = TransposeBuild(n, offsets, neighbors, slice_bits);
+  {
+    SCOPED_TRACE("row store");
+    ExpectSameStore(m.rows(), want.rows);
+  }
+  {
+    SCOPED_TRACE("column store");
+    ExpectSameStore(m.cols(), want.cols);
+  }
+  EXPECT_EQ(m.HeapBytes(), want.rows.HeapBytes() + want.cols.HeapBytes());
+}
+
+struct Csr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint32_t> neighbors;
+};
+
+// A random directed n x n matrix at `density`, with about a fifth of
+// the rows and a seventh of the columns forced empty.
+Csr RandomCsr(std::uint32_t n, double density, util::Xoshiro256& rng) {
+  Csr csr;
+  csr.offsets.push_back(0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!rng.Bernoulli(0.2)) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (j % 7 != 3 && rng.Bernoulli(density)) csr.neighbors.push_back(j);
+      }
+    }
+    csr.offsets.push_back(csr.neighbors.size());
+  }
+  return csr;
+}
+
+constexpr std::uint32_t kOracleSliceBits[] = {1,  7,   8,   63, 64,
+                                              65, 100, 128, 512};
+
+TEST(SlicedMatrixFromCsr, MatchesTransposeOracleOnRandomCsrs) {
+  util::Xoshiro256 rng(2024);
+  for (const std::uint32_t n :
+       {0u, 1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 200u, 300u}) {
+    for (const double density : {0.0, 0.01, 0.05, 0.25}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        const Csr csr = RandomCsr(n, density, rng);
+        for (const std::uint32_t bits : kOracleSliceBits) {
+          SCOPED_TRACE("n=" + std::to_string(n) +
+                       " density=" + std::to_string(density) +
+                       " rep=" + std::to_string(rep) +
+                       " slice_bits=" + std::to_string(bits));
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectMatchesOracle(n, csr.offsets, csr.neighbors, bits));
+        }
+      }
+    }
+  }
+}
+
+TEST(SlicedMatrixFromCsr, MatchesTransposeOracleOnPaperStandIns) {
+  for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
+    const graph::Graph g =
+        graph::SynthesizePaperGraph(ref.id, 0.002, 3).graph;
+    for (const auto o :
+         {graph::Orientation::kUpper, graph::Orientation::kDegree,
+          graph::Orientation::kFullSymmetric}) {
+      const graph::OrientedCsr csr = graph::Orient(g, o);
+      for (const std::uint32_t bits : {64u, 100u, 512u}) {
+        SCOPED_TRACE(std::string(ref.name) + " " + graph::ToString(o) +
+                     " slice_bits=" + std::to_string(bits));
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+            csr.num_vertices, csr.offsets, csr.neighbors, bits));
+      }
+    }
+  }
+}
+
+// Both builders reject the same malformed inputs with the same type.
+TEST(SlicedMatrixFromCsr, RejectsMalformedInputLikeTheOracle) {
+  struct Bad {
+    const char* what;
+    std::uint32_t n;
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint32_t> neighbors;
+    std::uint32_t slice_bits;
+  };
+  const Bad cases[] = {
+      {"unsorted neighbors", 4, {0, 2, 2, 2, 2}, {2, 1}, 64},
+      {"duplicate neighbors", 4, {0, 2, 2, 2, 2}, {1, 1}, 64},
+      {"neighbor >= n", 4, {0, 1, 2, 2, 2}, {1, 4}, 64},
+      {"offsets too short", 4, {0, 1, 1, 1}, {1}, 64},
+      {"offsets too long", 4, {0, 1, 1, 1, 1, 1}, {1}, 64},
+      {"offsets not monotone", 4, {0, 2, 1, 3, 3}, {1, 2, 3}, 64},
+      {"offsets entry past |neighbors|", 4, {0, 5, 1, 2, 2}, {1, 2}, 64},
+      {"offsets.back() != |neighbors|", 4, {0, 1, 1, 1, 1}, {1, 2}, 64},
+      {"offsets.front() != 0", 4, {1, 1, 1, 1, 1}, {1}, 64},
+      {"slice_bits 0", 4, {0, 1, 1, 1, 1}, {1}, 0},
+      {"slice_bits 513", 4, {0, 1, 1, 1, 1}, {1}, 513},
+  };
+  for (const Bad& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_THROW((void)SlicedMatrix::FromCsr(c.n, c.offsets, c.neighbors,
+                                             c.slice_bits),
+                 std::invalid_argument);
+    EXPECT_THROW((void)TransposeBuild(c.n, c.offsets, c.neighbors,
+                                      c.slice_bits),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // the perf model, and the TcimAccelerator facade.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baseline/cpu_tc.h"
 #include "core/accelerator.h"
 #include "core/bitwise_tc.h"
+#include "core/edge_support.h"
 #include "core/perf_model.h"
 #include "graph/generators.h"
 
@@ -246,6 +249,76 @@ TEST(Accelerator, SmallerArrayMeansMoreExchanges) {
   EXPECT_EQ(rb.triangles, rs.triangles);  // capacity never changes counts
   EXPECT_GE(rs.exec.cache.exchanges, rb.exec.cache.exchanges);
   EXPECT_LE(rs.exec.cache.HitRate(), rb.exec.cache.HitRate() + 1e-9);
+}
+
+// RunOnMatrix and ComputeEdgeSupportsTcim take their SliceStats from
+// the simulated pass's own walk; ComputeStats() is the reference.
+struct FamilyCase {
+  const char* name;
+  Graph (*make)();
+};
+
+const FamilyCase kStatsFamilies[] = {
+    {"erdos", [] { return graph::ErdosRenyi(400, 1800, 3); }},
+    {"rmat", [] { return graph::Rmat(512, 4000, graph::RmatParams{}, 3); }},
+    {"holmekim", [] { return graph::HolmeKim(350, 2600, 0.8, 3); }},
+    {"smallworld", [] { return graph::WattsStrogatz(500, 4, 0.3, 3); }},
+    {"community",
+     [] {
+       return graph::CommunityCliques(600, 5000, graph::CommunityParams{}, 3);
+     }},
+    {"road", [] { return graph::GeometricRoad(900, graph::RoadParams{}, 3); }},
+    {"grid", [] { return graph::GridLattice(30, 20); }},
+};
+
+TEST(Accelerator, SliceStatsFromTheWalkEqualComputeStats) {
+  for (const FamilyCase& family : kStatsFamilies) {
+    const Graph g = family.make();
+    for (const auto o : {Orientation::kUpper, Orientation::kDegree,
+                         Orientation::kFullSymmetric}) {
+      for (const std::uint32_t s : {8u, 64u, 512u}) {
+        SCOPED_TRACE(std::string(family.name) + " " + graph::ToString(o) +
+                     " slice=" + std::to_string(s));
+        TcimConfig c;
+        c.slice_bits = s;
+        c.orientation = o;
+        c.array.capacity_bytes = 2ULL << 20;
+        const TcimAccelerator accel{c};
+        const bit::SlicedMatrix m = BuildSlicedMatrix(g, o, s);
+        const TcimResult r = accel.RunOnMatrix(m, o);
+        EXPECT_EQ(r.slices, m.ComputeStats());
+        EXPECT_EQ(accel.Run(g).slices, r.slices);
+      }
+    }
+  }
+}
+
+TEST(Accelerator, TouchedSlicesDoNotDependOnCachePlacement) {
+  const Graph g = graph::HolmeKim(4000, 40000, 0.5, 8);
+  const bit::SlicedMatrix m = BuildSlicedMatrix(g, Orientation::kUpper, 64);
+  TcimConfig tiny;
+  tiny.array.capacity_bytes = 64ULL << 10;
+  const TcimResult r = TcimAccelerator{tiny}.RunOnMatrix(m, Orientation::kUpper);
+  ASSERT_GT(r.exec.cache.exchanges, 0u);
+  EXPECT_EQ(r.slices, m.ComputeStats());
+}
+
+TEST(EdgeSupports, SliceStatsFromTheWalkEqualComputeStats) {
+  for (const FamilyCase& family : kStatsFamilies) {
+    const Graph g = family.make();
+    for (const std::uint32_t s : {8u, 64u, 512u}) {
+      SCOPED_TRACE(std::string(family.name) + " slice=" + std::to_string(s));
+      TcimConfig c;
+      c.slice_bits = s;
+      c.array.capacity_bytes = 2ULL << 20;
+      const TcimAccelerator accel{c};
+      TcimResult r;
+      const EdgeSupports supports = ComputeEdgeSupportsTcim(g, accel, &r);
+      EXPECT_EQ(supports.TriangleCount(), r.triangles);
+      EXPECT_EQ(r.slices, BuildSlicedMatrix(g, Orientation::kFullSymmetric, s)
+                              .ComputeStats());
+    }
+  }
 }
 
 }  // namespace

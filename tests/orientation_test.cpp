@@ -3,6 +3,11 @@
 // orientations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "baseline/cpu_tc.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
@@ -120,6 +125,78 @@ TEST(Orientation, RowsAreSortedStrictlyIncreasing) {
         ASSERT_LT(dag.neighbors[e - 1], dag.neighbors[e]);
       }
     }
+  }
+}
+
+// The sort-based kDegree orientation Orient replaced, kept as the
+// oracle: rank by std::sort on (degree, id), scatter arcs, then sort
+// every row.
+OrientedCsr SortBasedOrientDegree(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    const auto da = g.Degree(a);
+    const auto db = g.Degree(b);
+    return da != db ? da < db : a < b;
+  });
+  std::vector<VertexId> rank(n);
+  for (VertexId pos = 0; pos < n; ++pos) rank[order[pos]] = pos;
+
+  OrientedCsr out;
+  out.num_vertices = n;
+  out.orientation = Orientation::kDegree;
+  out.relabel = rank;
+  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (rank[v] > rank[u]) ++out.offsets[rank[u] + 1];
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
+  out.neighbors.assign(g.num_edges(), 0);
+  std::vector<std::uint64_t> cursor(out.offsets.begin(),
+                                    out.offsets.end() - 1);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (rank[v] > rank[u]) out.neighbors[cursor[rank[u]]++] = rank[v];
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    std::sort(out.neighbors.begin() +
+                  static_cast<std::ptrdiff_t>(out.offsets[v]),
+              out.neighbors.begin() +
+                  static_cast<std::ptrdiff_t>(out.offsets[v + 1]));
+  }
+  return out;
+}
+
+TEST(Orientation, DegreeMatchesSortBasedOracle) {
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  const Case cases[] = {
+      {"empty", Graph{}},
+      {"star", Star(50)},
+      {"complete", Complete(12)},
+      {"grid", GridLattice(25, 17)},
+      {"erdos", ErdosRenyi(700, 5000, 4)},
+      {"rmat", Rmat(1024, 9000, RmatParams{}, 4)},
+      {"holmekim", HolmeKim(900, 7000, 0.6, 4)},
+      {"smallworld", WattsStrogatz(800, 4, 0.3, 4)},
+      {"community", CommunityCliques(900, 8000, CommunityParams{}, 4)},
+      {"road", GeometricRoad(2500, RoadParams{}, 4)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const OrientedCsr got = Orient(c.g, Orientation::kDegree);
+    const OrientedCsr want = SortBasedOrientDegree(c.g);
+    EXPECT_EQ(got.num_vertices, want.num_vertices);
+    EXPECT_EQ(got.orientation, want.orientation);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.neighbors, want.neighbors);
+    EXPECT_EQ(got.relabel, want.relabel);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "arch/slice_cache.h"
-#include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/popcount.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "core/bitwise_tc.h"
@@ -43,39 +42,19 @@ BENCHMARK(BM_Popcount)
     ->Arg(static_cast<int>(bit::PopcountKind::kLut8))
     ->Arg(static_cast<int>(bit::PopcountKind::kLut16));
 
+// The host AND+BitCount kernel over one span; arg = words per operand
+// (8 = one |S|=512 slice, 65536 = L2-spilling).
 void BM_AndPopcountFused(benchmark::State& state) {
-  const auto a = RandomWords(4096, 2);
-  const auto b = RandomWords(4096, 3);
+  const std::size_t words = static_cast<std::size_t>(state.range(0));
+  const auto a = RandomWords(words, 2);
+  const auto b = RandomWords(words, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(bit::AndPopcount(a, b));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          4096 * 16);
-}
-BENCHMARK(BM_AndPopcountFused);
-
-void BM_AndPopcountBackend(benchmark::State& state) {
-  const auto backend = static_cast<bit::KernelBackend>(state.range(0));
-  if (!bit::BackendSupported(backend)) {
-    state.SkipWithError("backend not supported on this machine");
-    return;
-  }
-  const std::size_t words = static_cast<std::size_t>(state.range(1));
-  const auto a = RandomWords(words, 2);
-  const auto b = RandomWords(words, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bit::AndPopcountBackend(a, b, backend));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(words) * 16);
-  state.SetLabel(bit::ToString(backend));
 }
-BENCHMARK(BM_AndPopcountBackend)
-    ->ArgsProduct({{static_cast<int>(bit::KernelBackend::kScalar),
-                    static_cast<int>(bit::KernelBackend::kAvx2),
-                    static_cast<int>(bit::KernelBackend::kAvx512Vpopcnt),
-                    static_cast<int>(bit::KernelBackend::kNeon)},
-                   {8, 512, 65536}});
+BENCHMARK(BM_AndPopcountFused)->Arg(8)->Arg(512)->Arg(4096)->Arg(65536);
 
 void BM_HardwareBitCounterModel(benchmark::State& state) {
   const auto words = RandomWords(4096, 4);

@@ -1,41 +1,32 @@
-// Kernel-backend perf-regression harness.
+// Host-pass perf-regression harness.
 //
-// Sweeps every supported KernelBackend over (a) raw AND+popcount span
-// throughput and (b) the end-to-end Eq. (5) pass (AndPopcountAllEdges)
-// on the Table II dataset stand-ins, next to the dispatch-per-slice-pair
-// formulation it replaced, so the zero-copy path and its one direct
-// exception stay measured, not assumed. Part (c)
-// measures the load-time relabeling choice (graph::ChooseRelabeling):
-// valid-slice counts under the chosen order vs the native ids, and vs
-// an id-shuffled instance standing in for real SNAP labelings, plus
-// the wall time of choosing and applying it. Every
-// count is cross-checked against the CPU baseline and the results
-// land in a machine-readable BENCH_kernels.json (schema_version 6;
-// see docs/KERNELS.md for the schema and the regression workflow).
-// Every dump is stamped with run metadata — UTC date, compiler,
-// TCIM_SCALE, active kernel backend — so archived JSONs stay
+// Measures (a) the end-to-end Eq. (5) host pass (AndPopcountAllEdges)
+// on the Table II dataset stand-ins at |S| = 64 and 512, next to the
+// per-slice-pair formulation it replaced, so the zero-copy path and
+// its one direct exception stay measured, not assumed; and (b) the
+// load-time relabeling choice (graph::ChooseRelabeling): valid-slice
+// counts under the chosen order vs the native ids, and vs an
+// id-shuffled instance standing in for real SNAP labelings, plus the
+// wall time of choosing and applying it. Every count is cross-checked
+// against the CPU baseline and the results land in a machine-readable
+// BENCH_kernels.json (schema_version 7; see docs/KERNELS.md for the
+// schema and the regression workflow). Every dump is stamped with run
+// metadata — UTC date, compiler, TCIM_SCALE — so archived JSONs stay
 // attributable.
 //
 // Usage:
-//   perf_harness [--out FILE] [--print-best] [--check]
+//   perf_harness [--out FILE] [--check]
 //     --out FILE     JSON output path (default BENCH_kernels.json)
-//     --print-best   print the widest supported backend name and exit
-//                    (used by CI to build its forced-backend matrix)
 //     --check        exit non-zero when any floor fails:
-//                    * best backend >10% slower than scalar end-to-end
-//                      on any dataset row (the dispatch-bound
-//                      regression class this harness exists to catch);
 //                    * a road-graph |S|=512 row where the host pass
-//                      drops below 0.97x of per-pair dispatch (the
+//                      drops below 0.97x of the per-pair loop (the
 //                      gather-bound regression class: a batched memcpy
 //                      gather once showed 19% there);
 //                    * relabeling: the auto choice increases the
 //                      valid-slice count of any dataset, or fails to
 //                      reduce it on >= 6 of 9 id-shuffled instances.
 //
-// Knobs: TCIM_SCALE / TCIM_SEED / TCIM_DATA_DIR as in every bench;
-// TCIM_KERNEL has no effect here — the harness forces each backend
-// explicitly.
+// Knobs: TCIM_SCALE / TCIM_SEED / TCIM_DATA_DIR as in every bench.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -46,7 +37,6 @@
 
 #include "baseline/cpu_tc.h"
 #include "bench_common.h"
-#include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "core/bitwise_tc.h"
 #include "graph/orientation.h"
@@ -61,30 +51,17 @@ namespace {
 
 using namespace tcim;
 
-struct ThroughputResult {
-  bit::KernelBackend backend;
-  std::size_t words = 0;
-  double gbps = 0.0;
-  double speedup_vs_scalar = 1.0;
-};
-
-struct BackendLatency {
-  bit::KernelBackend backend;
-  double seconds = 0.0;            ///< the host pass (AndPopcountAllEdges)
-  double per_edge_seconds = 0.0;   ///< legacy dispatch-per-slice-pair loop
-  double speedup_vs_scalar = 1.0;  ///< host pass vs host-pass-scalar
-  double adaptive_speedup = 1.0;   ///< per_edge / host pass (paired)
-};
-
 struct EndToEndResult {
   std::string dataset;
   std::uint32_t slice_bits = 64;
   std::uint64_t triangles = 0;
   bool verified = false;
-  /// Where the host pass routed this row's pairs (backend-independent:
-  /// ChooseDirectPairLoop is a function of the matrix alone).
+  /// Where the host pass routed this row's pairs (ChooseDirectPairLoop
+  /// is a function of the matrix alone).
   bit::PairPathCounters paths;
-  std::vector<BackendLatency> backends;
+  double seconds = 0.0;           ///< the host pass (AndPopcountAllEdges)
+  double per_edge_seconds = 0.0;  ///< legacy per-slice-pair loop
+  double adaptive_speedup = 1.0;  ///< per_edge / host pass (paired)
 
   /// Route of the row: "perpair" when the direct rule fired.
   [[nodiscard]] std::string Route() const {
@@ -156,8 +133,8 @@ RelabelRow MeasureRelabel(const graph::DatasetInstance& inst) {
   return row;
 }
 
-/// The dispatch-per-slice-pair formulation the gathered kernel replaced
-/// (one AndPopcount call per valid pair): kept here as the measured
+/// The per-slice-pair formulation the gathered kernel replaced (one
+/// AndPopcount call per valid pair): kept here as the measured
 /// counterfactual behind the JSON's adaptive_speedup column.
 std::uint64_t PerEdgeAndPopcountAllEdges(const bit::SlicedMatrix& matrix) {
   std::uint64_t total = 0;
@@ -177,12 +154,13 @@ std::uint64_t PerEdgeAndPopcountAllEdges(const bit::SlicedMatrix& matrix) {
   return total;
 }
 
-/// One measurement cell (see MeasureEndToEnd). Every cell of a dataset
-/// row is measured once per ROUND, in shuffled order, so each round's
+/// One measurement cell (see MeasureEndToEnd). Both cells of a dataset
+/// row are measured once per ROUND, back to back, so each round's
 /// samples share the same frequency/cache/ambient-load conditions:
-/// the ratio columns are then computed as medians of *per-round paired
-/// ratios*, which cancels round-common drift — the |S|=64 rows are
-/// decided by 1–3% margins, where independently-sampled minima lie.
+/// the ratio column is then computed as the median of *per-round
+/// paired ratios*, which cancels round-common drift — the |S|=512 road
+/// rows are decided by a few percent, where independently-sampled
+/// minima lie.
 struct CellSamples {
   std::vector<double> rounds;
   double accumulated = 0.0;
@@ -220,7 +198,7 @@ double Median(std::vector<double> values) {
 }
 
 /// Median over rounds of numerator[r] / denominator[r] — the paired
-/// drift-immune ratio estimator behind every speedup column.
+/// drift-immune ratio estimator behind the speedup column.
 double PairedRatio(const std::vector<double>& num,
                    const std::vector<double>& den) {
   std::vector<double> ratios;
@@ -231,72 +209,9 @@ double PairedRatio(const std::vector<double>& num,
   return Median(std::move(ratios));
 }
 
-/// Raw span-kernel throughput at one span size; reps calibrated so
-/// each backend runs >= ~0.2 s of kernel time.
-std::vector<ThroughputResult> MeasureThroughputAt(std::size_t words) {
-  util::Xoshiro256 rng(util::BaseSeed());
-  std::vector<std::uint64_t> a(words);
-  std::vector<std::uint64_t> b(words);
-  for (auto& w : a) w = rng();
-  for (auto& w : b) w = rng();
-
-  const std::uint64_t expected =
-      bit::AndPopcountBackend(a, b, bit::KernelBackend::kScalar);
-
-  std::vector<ThroughputResult> results;
-  double scalar_gbps = 0.0;
-  for (const bit::KernelBackend backend : bit::SupportedKernelBackends()) {
-    // Calibrate: time one pass, then pick reps for ~0.2 s total.
-    util::Timer calibrate;
-    std::uint64_t count = bit::AndPopcountBackend(a, b, backend);
-    const double once = std::max(calibrate.ElapsedSeconds(), 1e-9);
-    if (count != expected) {
-      std::cerr << "FATAL: backend " << bit::ToString(backend)
-                << " disagrees with scalar on the throughput input\n";
-      std::exit(1);
-    }
-    const int reps =
-        static_cast<int>(std::max(1.0, std::min(2e6, 0.2 / once)));
-    util::Timer timer;
-    std::uint64_t sink = 0;
-    for (int r = 0; r < reps; ++r) {
-      sink += bit::AndPopcountBackend(a, b, backend);
-    }
-    const double seconds = timer.ElapsedSeconds();
-    if (sink != expected * static_cast<std::uint64_t>(reps)) {
-      std::cerr << "FATAL: backend " << bit::ToString(backend)
-                << " non-deterministic across repetitions\n";
-      std::exit(1);
-    }
-    // Two input streams of `words` 64-bit words per call.
-    const double bytes = 2.0 * 8.0 * static_cast<double>(words) * reps;
-    ThroughputResult r;
-    r.backend = backend;
-    r.words = words;
-    r.gbps = bytes / seconds / 1e9;
-    if (backend == bit::KernelBackend::kScalar) scalar_gbps = r.gbps;
-    results.push_back(r);
-  }
-  for (auto& r : results) {
-    r.speedup_vs_scalar = scalar_gbps > 0 ? r.gbps / scalar_gbps : 1.0;
-  }
-  return results;
-}
-
-/// Two span sizes: 2 Ki words keeps both streams L1-resident (pure
-/// kernel speed), 64 Ki words spills to L2/L3 (bulk-bitwise regime of
-/// a whole-store PopcountWords pass).
-std::vector<ThroughputResult> MeasureThroughput() {
-  std::vector<ThroughputResult> all;
-  for (const std::size_t words : {std::size_t{1} << 11, std::size_t{1} << 16}) {
-    const auto at = MeasureThroughputAt(words);
-    all.insert(all.end(), at.begin(), at.end());
-  }
-  return all;
-}
-
-/// End-to-end Eq. (5) pass per backend on one dataset at one slice
-/// width; the count is cross-checked against the CPU baseline once.
+/// End-to-end Eq. (5) pass on one dataset at one slice width, next to
+/// the per-pair loop; the count is cross-checked against the CPU
+/// baseline.
 EndToEndResult MeasureEndToEnd(const graph::DatasetInstance& inst,
                                std::uint32_t slice_bits,
                                std::uint64_t cpu_triangles) {
@@ -308,90 +223,36 @@ EndToEndResult MeasureEndToEnd(const graph::DatasetInstance& inst,
       inst.graph, graph::Orientation::kUpper, slice_bits);
 
   // One instrumented pass records where the host pass routes this
-  // row's pairs (backend-independent).
-  (void)matrix.AndPopcountAllEdges(bit::PopcountKind::kBuiltin,
-                                   &result.paths);
+  // row's pairs.
+  const std::uint64_t raw = matrix.AndPopcountAllEdges(
+      bit::PopcountKind::kBuiltin, &result.paths);
 
-  const bit::KernelBackend saved = bit::ActiveBackend();
-  const std::span<const bit::KernelBackend> backends =
-      bit::SupportedKernelBackends();
-  std::vector<CellSamples> adaptive(backends.size());
-  std::vector<CellSamples> per_edge(backends.size());
-  std::vector<std::uint64_t> counts(backends.size(), 0);
-  std::size_t scalar_index = 0;
-
-  // Every cell is measured once per round (in shuffled order, so a
-  // periodic background disturbance cannot systematically land on the
-  // same cell) until ALL cells have enough data — keeping the rounds
-  // aligned is what makes the paired ratios below meaningful.
-  std::vector<std::size_t> order(backends.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    order[k] = k;
-    if (backends[k] == bit::KernelBackend::kScalar) scalar_index = k;
-  }
-  // vs-scalar ratios come from *adjacent* A/B pairs: a scalar host
-  // pass runs immediately before each non-scalar backend's pass, so
-  // the two samples of one ratio share machine conditions as closely
-  // as the hardware allows.
-  std::vector<std::vector<double>> vs_scalar(backends.size());
-  util::Xoshiro256 order_rng(util::BaseSeed() ^ (slice_bits * 2654435761ULL));
-  for (bool all_done = false; !all_done;) {
-    all_done = true;
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[order_rng.UniformBelow(i)]);
-    }
-    for (const std::size_t k : order) {
-      // The companion sample feeds ONLY the vs-scalar ratio — it is
-      // kept out of scalar's own cell so that cell's Best()/pairing
-      // stays sampled identically to every other backend's.
-      double scalar_companion = 0.0;
-      if (k != scalar_index) {
-        bit::SetActiveBackend(bit::KernelBackend::kScalar);
-        util::Timer companion_timer;
-        counts[scalar_index] = matrix.AndPopcountAllEdges();
-        scalar_companion = companion_timer.ElapsedSeconds();
-      }
-      bit::SetActiveBackend(backends[k]);
-      adaptive[k].Measure([&] { counts[k] = matrix.AndPopcountAllEdges(); });
-      if (k != scalar_index) {
-        vs_scalar[k].push_back(scalar_companion / adaptive[k].rounds.back());
-      }
-      std::uint64_t count_per_edge = 0;
-      per_edge[k].Measure(
-          [&] { count_per_edge = PerEdgeAndPopcountAllEdges(matrix); });
-      if (count_per_edge != counts[k]) {
-        std::cerr << "FATAL: backend " << bit::ToString(backends[k])
-                  << " per-pair count diverges on " << result.dataset << "\n";
-        std::exit(1);
-      }
-      all_done = all_done && adaptive[k].Done() && per_edge[k].Done();
-    }
-  }
-  bit::SetActiveBackend(saved);
-
-  for (std::size_t k = 0; k < backends.size(); ++k) {
-    const std::uint64_t triangles =
-        counts[k] / graph::CountMultiplier(graph::Orientation::kUpper);
-    if (result.backends.empty()) {
-      result.triangles = triangles;
-      result.verified = triangles == cpu_triangles;
-    } else if (triangles != result.triangles) {
-      std::cerr << "FATAL: backend " << bit::ToString(backends[k])
-                << " count diverges on " << result.dataset << "\n";
+  // Both cells are measured once per round until both have enough
+  // data — keeping the rounds aligned is what makes the paired ratio
+  // below meaningful.
+  CellSamples adaptive;
+  CellSamples per_edge;
+  while (!adaptive.Done() || !per_edge.Done()) {
+    std::uint64_t count = 0;
+    std::uint64_t count_per_edge = 0;
+    adaptive.Measure([&] { count = matrix.AndPopcountAllEdges(); });
+    per_edge.Measure(
+        [&] { count_per_edge = PerEdgeAndPopcountAllEdges(matrix); });
+    if (count != raw || count_per_edge != raw) {
+      std::cerr << "FATAL: host pass or per-pair count diverges on "
+                << result.dataset << "\n";
       std::exit(1);
     }
-    BackendLatency lat;
-    lat.backend = backends[k];
-    lat.seconds = adaptive[k].Best();
-    lat.per_edge_seconds = per_edge[k].Best();
-    // Ratios are medians of paired comparisons, not ratios of
-    // independently-sampled minima: both samples of a pair ran
-    // back-to-back, so common drift cancels.
-    lat.adaptive_speedup =
-        PairedRatio(per_edge[k].rounds, adaptive[k].rounds);
-    lat.speedup_vs_scalar = k == scalar_index ? 1.0 : Median(vs_scalar[k]);
-    result.backends.push_back(lat);
   }
+
+  result.triangles = raw / graph::CountMultiplier(graph::Orientation::kUpper);
+  result.verified = result.triangles == cpu_triangles;
+  result.seconds = adaptive.Best();
+  result.per_edge_seconds = per_edge.Best();
+  // A median of paired comparisons, not a ratio of independently-
+  // sampled minima: both samples of a pair ran back-to-back, so common
+  // drift cancels.
+  result.adaptive_speedup = PairedRatio(per_edge.rounds, adaptive.rounds);
   return result;
 }
 
@@ -405,7 +266,6 @@ std::string JsonEscape(const std::string& s) {
 }
 
 void WriteJson(const std::string& path,
-               const std::vector<ThroughputResult>& throughput,
                const std::vector<EndToEndResult>& end_to_end,
                const std::vector<RelabelRow>& relabel) {
   std::ofstream os(path);
@@ -415,41 +275,13 @@ void WriteJson(const std::string& path,
   }
   os << "{\n";
   os << "  \"bench\": \"kernels\",\n";
-  os << "  \"schema_version\": 6,\n";
+  os << "  \"schema_version\": 7,\n";
   os << "  \"scale\": " << util::WorkloadScale(0.25) << ",\n";
   os << "  \"seed\": " << util::BaseSeed() << ",\n";
-  // v3: run-attribution stamp (obs::CollectRunMetadata) + the backend
-  // the host process actually ran with (TCIM_KERNEL-sensitive).
-  os << "  \"run\": {" << obs::RunMetadataJsonFields()
-     << ",\"kernel_backend\":\"" << bit::ToString(bit::ActiveBackend())
-     << "\"},\n";
-  os << "  \"machine\": {\n";
-  os << "    \"compiled_backends\": [";
-  bool first = true;
-  for (const auto backend : bit::AllKernelBackends()) {
-    if (!bit::BackendCompiledIn(backend)) continue;
-    os << (first ? "" : ", ") << '"' << bit::ToString(backend) << '"';
-    first = false;
-  }
-  os << "],\n    \"supported_backends\": [";
-  first = true;
-  for (const auto backend : bit::SupportedKernelBackends()) {
-    os << (first ? "" : ", ") << '"' << bit::ToString(backend) << '"';
-    first = false;
-  }
-  os << "],\n    \"best_backend\": \""
-     << bit::ToString(bit::BestSupportedBackend()) << "\"\n  },\n";
+  // v3: run-attribution stamp (obs::CollectRunMetadata).
+  os << "  \"run\": {" << obs::RunMetadataJsonFields() << "},\n";
 
-  os << "  \"kernel_throughput\": [\n";
-  for (std::size_t i = 0; i < throughput.size(); ++i) {
-    const auto& r = throughput[i];
-    os << "    {\"backend\": \"" << bit::ToString(r.backend)
-       << "\", \"words\": " << r.words << ", \"gbps\": " << r.gbps
-       << ", \"speedup_vs_scalar\": " << r.speedup_vs_scalar << "}"
-       << (i + 1 < throughput.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-
+  // v7: one host-pass time per row (the kernel has one implementation).
   os << "  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < end_to_end.size(); ++i) {
     const auto& e = end_to_end[i];
@@ -460,16 +292,10 @@ void WriteJson(const std::string& path,
        << ", \"route\": \"" << e.Route() << "\""
        << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs
        << ", \"perpair\": " << e.paths.per_pair_pairs << "}"
-       << ", \"backends\": [";
-    for (std::size_t j = 0; j < e.backends.size(); ++j) {
-      const auto& lat = e.backends[j];
-      os << (j == 0 ? "" : ", ") << "{\"backend\": \""
-         << bit::ToString(lat.backend) << "\", \"seconds\": " << lat.seconds
-         << ", \"per_edge_seconds\": " << lat.per_edge_seconds
-         << ", \"adaptive_speedup\": " << lat.adaptive_speedup
-         << ", \"speedup_vs_scalar\": " << lat.speedup_vs_scalar << "}";
-    }
-    os << "]}" << (i + 1 < end_to_end.size() ? "," : "") << "\n";
+       << ", \"seconds\": " << e.seconds
+       << ", \"per_edge_seconds\": " << e.per_edge_seconds
+       << ", \"adaptive_speedup\": " << e.adaptive_speedup << "}"
+       << (i + 1 < end_to_end.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
 
@@ -502,60 +328,23 @@ int main(int argc, char** argv) {
   bool check = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--print-best") {
-      std::cout << bit::ToString(bit::BestSupportedBackend()) << "\n";
-      return 0;
-    }
     if (arg == "--check") {
       check = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::cerr << "usage: perf_harness [--out FILE] [--print-best] "
-                   "[--check]\n";
+      std::cerr << "usage: perf_harness [--out FILE] [--check]\n";
       return 2;
     }
   }
 
-  bench::PrintHeader("Kernel backends: Eq. (5) host hot-path sweep",
-                     "Raw AND+popcount span throughput and end-to-end "
-                     "AndPopcountAllEdges latency per SIMD backend\n"
-                     "(zero-copy host pass vs the legacy "
-                     "dispatch-per-slice-pair loop), every count "
-                     "cross-checked against the CPU baseline.");
+  bench::PrintHeader("Host Eq. (5) pass: end-to-end sweep",
+                     "AndPopcountAllEdges latency (zero-copy host pass vs "
+                     "the legacy per-slice-pair loop) and the load-time\n"
+                     "relabeling choice, every count cross-checked against "
+                     "the CPU baseline.");
 
-  std::cout << "Backends: compiled[";
-  for (const auto backend : bit::AllKernelBackends()) {
-    if (bit::BackendCompiledIn(backend)) {
-      std::cout << " " << bit::ToString(backend);
-    }
-  }
-  std::cout << " ]  supported[";
-  for (const auto backend : bit::SupportedKernelBackends()) {
-    std::cout << " " << bit::ToString(backend);
-  }
-  std::cout << " ]  best: " << bit::ToString(bit::BestSupportedBackend())
-            << "\n\n";
-
-  // --- Part A: raw kernel throughput -------------------------------------
-  const std::vector<ThroughputResult> throughput = MeasureThroughput();
-  {
-    util::TablePrinter table(
-        {"Backend", "Words/span", "GB/s", "Speedup vs scalar"},
-        {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-         util::Align::kRight});
-    for (const auto& r : throughput) {
-      table.AddRow({bit::ToString(r.backend), std::to_string(r.words),
-                    util::TablePrinter::Fixed(r.gbps, 2),
-                    util::TablePrinter::Ratio(r.speedup_vs_scalar, 2)});
-    }
-    std::cout << "Span kernel, two input streams, bit-exact across "
-                 "backends (2 Ki words: L1-resident; 64 Ki: L2+):\n";
-    table.Print(std::cout);
-    std::cout << "\n";
-  }
-
-  // --- Part B: end-to-end Eq. (5) pass ------------------------------------
+  // --- Part A: end-to-end Eq. (5) pass ------------------------------------
   std::vector<EndToEndResult> end_to_end;
   std::vector<RelabelRow> relabel;
   for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
@@ -563,8 +352,8 @@ int main(int argc, char** argv) {
     bench::PrintProvenance(std::cout, inst);
     const std::uint64_t cpu_triangles =
         baseline::CountTrianglesReference(inst.graph);
-    // |S|=64 is the paper's default (1 word per slice AND: dispatch-
-    // bound); |S|=512 gives the SIMD backends whole-vector slices.
+    // |S|=64 is the paper's default (1 word per slice AND); |S|=512
+    // gives 8-word slices.
     for (const std::uint32_t slice_bits : {64u, 512u}) {
       end_to_end.push_back(MeasureEndToEnd(inst, slice_bits, cpu_triangles));
       if (!end_to_end.back().verified) {
@@ -576,45 +365,28 @@ int main(int argc, char** argv) {
     relabel.push_back(MeasureRelabel(inst));
   }
   {
-    std::vector<std::string> headers = {"Dataset", "|S|", "Triangles",
-                                        "Verified"};
-    std::vector<util::Align> aligns = {util::Align::kLeft, util::Align::kRight,
-                                       util::Align::kRight,
-                                       util::Align::kLeft};
-    for (const auto backend : bit::SupportedKernelBackends()) {
-      headers.push_back(std::string(bit::ToString(backend)) + " [ms]");
-      aligns.push_back(util::Align::kRight);
-    }
-    headers.push_back("route");
-    aligns.push_back(util::Align::kLeft);
-    headers.push_back("vs per-edge");
-    aligns.push_back(util::Align::kRight);
-    util::TablePrinter table(headers, aligns);
-    const bit::KernelBackend best_backend = bit::BestSupportedBackend();
+    util::TablePrinter table(
+        {"Dataset", "|S|", "Triangles", "Verified", "pass [ms]",
+         "per-pair [ms]", "route", "vs per-edge"},
+        {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
+         util::Align::kLeft, util::Align::kRight, util::Align::kRight,
+         util::Align::kLeft, util::Align::kRight});
     for (const auto& e : end_to_end) {
-      std::vector<std::string> row = {
-          e.dataset, std::to_string(e.slice_bits),
-          util::TablePrinter::WithThousands(e.triangles),
-          e.verified ? "yes" : "NO"};
-      double best_adaptive_speedup = 1.0;
-      for (const auto& lat : e.backends) {
-        row.push_back(util::TablePrinter::Fixed(lat.seconds * 1e3, 2));
-        if (lat.backend == best_backend) {
-          best_adaptive_speedup = lat.adaptive_speedup;
-        }
-      }
-      row.push_back(e.Route());
-      row.push_back(util::TablePrinter::Ratio(best_adaptive_speedup, 2));
-      table.AddRow(row);
+      table.AddRow({e.dataset, std::to_string(e.slice_bits),
+                    util::TablePrinter::WithThousands(e.triangles),
+                    e.verified ? "yes" : "NO",
+                    util::TablePrinter::Fixed(e.seconds * 1e3, 2),
+                    util::TablePrinter::Fixed(e.per_edge_seconds * 1e3, 2),
+                    e.Route(),
+                    util::TablePrinter::Ratio(e.adaptive_speedup, 2)});
     }
     std::cout << "\nEnd-to-end AndPopcountAllEdges (fastest of a timed "
                  "window, upper orientation; last columns: the row's "
-                 "route and the host pass vs the dispatch-per-pair loop "
-                 "on the best backend):\n";
+                 "route and the host pass vs the per-pair loop):\n";
     table.Print(std::cout);
   }
 
-  // --- Part C: load-time relabeling ---------------------------------------
+  // --- Part B: load-time relabeling ---------------------------------------
   {
     util::TablePrinter table(
         {"Dataset", "Auto picks", "NVS ratio", "choose [ms]", "apply [ms]",
@@ -637,63 +409,26 @@ int main(int argc, char** argv) {
     table.Print(std::cout);
   }
 
-  WriteJson(out_path, throughput, end_to_end, relabel);
+  WriteJson(out_path, end_to_end, relabel);
   std::cout << "\nWrote " << out_path << "\n";
 
-  // Closing check mirrored by the JSON: the widest SIMD backend should
-  // beat the scalar span kernel clearly, or something regressed.
-  double best_simd = 1.0;
-  for (const auto& r : throughput) {
-    if (r.backend != bit::KernelBackend::kScalar) {
-      best_simd = std::max(best_simd, r.speedup_vs_scalar);
-    }
-  }
-  std::cout << "Best SIMD speedup vs scalar (span kernel): "
-            << util::TablePrinter::Ratio(best_simd, 2)
-            << (best_simd >= 2.0 ? "  [OK >= 2x]" : "  [WARN < 2x]") << "\n";
-
   if (check) {
-    // The perf_smoke gates. Floor 1: with a shared gather cost the
-    // widest backend can only lose to scalar through a dispatch-
-    // granularity regression — the class of bug this harness exists
-    // to catch. 10% allowance covers scheduler noise on shared
-    // runners; a real regression (the schema-v1 seed showed up to
-    // -20% at |S|=64) clears it easily.
-    constexpr double kNoiseAllowance = 0.90;  // speedup floor
-    const bit::KernelBackend best_backend = bit::BestSupportedBackend();
     int failures = 0;
-    std::cout << "\n--check: end-to-end " << bit::ToString(best_backend)
-              << " vs scalar, road |S|=512 host pass >= 0.97x per-pair, "
+    std::cout << "\n--check: road |S|=512 host pass >= 0.97x per-pair, "
                  "relabeling\n";
     for (const auto& e : end_to_end) {
-      double speedup = 1.0;
-      double adaptive_speedup = 1.0;
-      for (const auto& lat : e.backends) {
-        if (lat.backend == best_backend) {
-          speedup = lat.speedup_vs_scalar;
-          adaptive_speedup = lat.adaptive_speedup;
-        }
-      }
-      if (speedup < kNoiseAllowance) {
-        ++failures;
-        std::cout << "  FAIL " << e.dataset << " |S|=" << e.slice_bits << ": "
-                  << bit::ToString(best_backend) << " at "
-                  << util::TablePrinter::Ratio(speedup, 3)
-                  << " vs scalar (paired-median end-to-end)\n";
-      }
       // Floor 2, the gather-bound regression class: sparse road rows
-      // at |S|=512 must not lose to per-pair dispatch. The direct
+      // at |S|=512 must not lose to the per-pair loop. The direct
       // route runs these rows near parity, so the floor sits 3% under
       // it — far above the 19% loss a batched memcpy gather once
       // showed here, but not flaky when a round lands at 0.99x.
       constexpr double kRoadFloor = 0.97;
       if (e.dataset.rfind("roadNet", 0) == 0 && e.slice_bits == 512 &&
-          adaptive_speedup < kRoadFloor) {
+          e.adaptive_speedup < kRoadFloor) {
         ++failures;
-        std::cout << "  FAIL " << e.dataset
-                  << " |S|=512: host pass at "
-                  << util::TablePrinter::Ratio(adaptive_speedup, 3)
-                  << " vs per-pair dispatch (gather-bound regression)\n";
+        std::cout << "  FAIL " << e.dataset << " |S|=512: host pass at "
+                  << util::TablePrinter::Ratio(e.adaptive_speedup, 3)
+                  << " vs the per-pair loop (gather-bound regression)\n";
       }
     }
     // Floor 3: relabeling. Auto must never pick a worse-than-identity
@@ -722,9 +457,8 @@ int main(int argc, char** argv) {
                 << "violation(s); see rows above\n";
       return 1;
     }
-    std::cout << "perf_smoke: OK — " << bit::ToString(best_backend)
-              << " never worse than scalar on all " << end_to_end.size()
-              << " rows, roads >= per-pair at |S|=512, relabeling sound on "
+    std::cout << "perf_smoke: OK — roads >= per-pair at |S|=512 on all "
+              << end_to_end.size() << " rows, relabeling sound on "
               << relabel.size() << " datasets\n";
   }
   return 0;

@@ -29,7 +29,6 @@
 
 #include "baseline/cpu_tc.h"
 #include "graph/relabel.h"
-#include "bitmatrix/kernel_backend.h"
 #include "core/accelerator.h"
 #include "graph/datasets.h"
 #include "graph/io.h"
@@ -282,9 +281,7 @@ int EmitReport(bool json, const ReportCommon& c, JsonMiddle&& json_middle,
     std::cout << ",\"chip_energy_j\":" << c.chip_energy_j
               << ",\"platform_energy_j\":" << c.platform_energy_j
               << ",\"host_seconds\":" << c.host_seconds
-              << ",\"kernel\":\""
-              << tcim::bit::ToString(tcim::bit::ActiveBackend())
-              << "\",\"verified\":" << (c.verified ? "true" : "false")
+              << ",\"verified\":" << (c.verified ? "true" : "false")
               << "}\n";
   } else {
     using tcim::util::TablePrinter;
@@ -302,8 +299,6 @@ int EmitReport(bool json, const ReportCommon& c, JsonMiddle&& json_middle,
     t.AddRow({"platform energy",
               tcim::util::FormatJoules(c.platform_energy_j)});
     t.AddRow({"host wall-clock", tcim::util::FormatSeconds(c.host_seconds)});
-    t.AddRow({"host kernel backend",
-              tcim::bit::ToString(tcim::bit::ActiveBackend())});
     t.AddRow({"verified vs CPU", c.verify_requested
                                      ? (c.verified ? "yes" : "MISMATCH")
                                      : "skipped"});

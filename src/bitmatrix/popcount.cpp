@@ -1,8 +1,7 @@
 #include "bitmatrix/popcount.h"
 
+#include <algorithm>
 #include <array>
-
-#include "bitmatrix/kernel_backend.h"
 
 namespace tcim::bit {
 namespace {
@@ -84,15 +83,9 @@ int Popcount(std::uint64_t x, PopcountKind kind) noexcept {
 
 std::uint64_t PopcountWords(std::span<const std::uint64_t> words,
                             PopcountKind kind) noexcept {
-  if (kind == PopcountKind::kBuiltin) {
-    // Host fast path: the active SIMD kernel backend.
-    return PopcountWordsActive(words.data(), words.size());
-  }
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : words) {
-    total += static_cast<std::uint64_t>(Popcount(w, kind));
-  }
-  return total;
+  // popcount(w & w) == popcount(w): the AND kernel with both operands
+  // aliased is the span popcount.
+  return AndPopcount(words, words, kind);
 }
 
 std::uint64_t AndPopcount(std::span<const std::uint64_t> a,
@@ -100,13 +93,54 @@ std::uint64_t AndPopcount(std::span<const std::uint64_t> a,
                           PopcountKind kind) noexcept {
   const std::size_t n = a.size() < b.size() ? a.size() : b.size();
   if (kind == PopcountKind::kBuiltin) {
-    // Host fast path: the active SIMD kernel backend. The hardware-
-    // model strategies below keep the exact per-word loop instead.
-    return AndPopcountActive(a.data(), b.data(), n);
+    return AndPopcountBuiltin(a.data(), b.data(), n);
   }
   std::uint64_t total = 0;
   for (std::size_t k = 0; k < n; ++k) {
     total += static_cast<std::uint64_t>(Popcount(a[k] & b[k], kind));
+  }
+  return total;
+}
+
+std::uint64_t AndPopcountPairsZeroCopy(
+    std::span<const PairRef> pairs) noexcept {
+  std::uint64_t total = 0;
+  const std::size_t n = pairs.size();
+#if defined(__GNUC__) || defined(__clang__)
+  // Summing one pair is a few dozen cycles — far less than a DRAM miss —
+  // so a lookahead of one pair only hides latency while the list is
+  // cache-resident. Prime a deeper window and keep it full: 8 pairs of
+  // lookahead is enough slack for an LLC-spilling |S|=512 working set
+  // (the roadNet rows at full scale) without hurting the L1/L2 case.
+  constexpr std::size_t kPrefetchPairs = 8;
+  // Slice spans are 8-byte aligned, so an 8-word (|S|=512) span usually
+  // straddles two cache lines — prefetch the tail line as well or half
+  // the loop's loads still miss.
+  const auto prefetch = [](const PairRef& p) {
+    __builtin_prefetch(p.a);
+    __builtin_prefetch(p.b);
+    if (p.words > 1) {
+      __builtin_prefetch(p.a + p.words - 1);
+      __builtin_prefetch(p.b + p.words - 1);
+    }
+  };
+  for (std::size_t i = 0, prime = std::min(n, kPrefetchPairs); i < prime;
+       ++i) {
+    prefetch(pairs[i]);
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+    if (i + kPrefetchPairs < n) prefetch(pairs[i + kPrefetchPairs]);
+#endif
+    const PairRef& p = pairs[i];
+    // Single-word pairs (|S|=64, the narrowest slice geometry and the
+    // common case) skip the loop setup.
+    if (p.words == 1) {
+      total += static_cast<std::uint64_t>(std::popcount(p.a[0] & p.b[0]));
+    } else {
+      total += AndPopcountBuiltin(p.a, p.b, p.words);
+    }
   }
   return total;
 }

@@ -1,4 +1,4 @@
-// Population-count strategies.
+// Population-count strategies and the host AND+BitCount kernel.
 //
 // The TCIM architecture (paper §V-A) realizes BitCount in hardware as
 // per-byte 8→256 look-up tables followed by an adder tree. This header
@@ -7,21 +7,22 @@
 // builtin — all behaviourally identical, which the tests assert and the
 // micro-kernel bench compares for throughput.
 //
-// Span kernels (PopcountWords / AndPopcount) called with the default
-// PopcountKind::kBuiltin route through the process-wide SIMD kernel
-// backend (kernel_backend.h) — the vectorized host stand-in for the
-// in-MRAM AND+BitCount unit. A per-slice-pair AndPopcount call pays
-// the whole dispatch bill for a 1–8 word payload, so the Eq. (5) hot
-// paths gather their pairs and use the zero-copy form instead
+// PopcountKind::kBuiltin is the host stand-in for the in-MRAM
+// AND+BitCount unit: one std::popcount loop, which the x86-64 build
+// (-mpopcnt, see CMakeLists.txt) turns into one POPCNT per word. A
+// valid slice is 1–8 words, so the Eq. (5) hot paths gather their
+// pairs as in-place descriptors and sum a whole list per call
 // (bit::PairRef + bit::AndPopcountPairsZeroCopy; see docs/KERNELS.md,
 // "The Eq. (5) pair path"). The hardware-model strategies (kSwar,
-// kLut8, kLut16) always run the exact per-word loop so pim::BitCounter
-// and the ablations stay faithful to the modeled structure.
+// kLut8, kLut16) run the same per-word loop with their modeled count
+// so pim::BitCounter and the ablations stay faithful to the modeled
+// structure.
 //
 // Layer: §5 bitmatrix — see docs/ARCHITECTURE.md and docs/KERNELS.md.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -29,8 +30,7 @@ namespace tcim::bit {
 
 /// Which popcount implementation to use.
 enum class PopcountKind : std::uint8_t {
-  kBuiltin,   ///< host fast path: SIMD backend for spans (kernel_backend.h),
-              ///< std::popcount for single words
+  kBuiltin,   ///< host fast path: std::popcount (one POPCNT per word)
   kSwar,      ///< branch-free SWAR bit trickery
   kLut8,      ///< per-byte 8->256 LUT + adder tree (hardware model)
   kLut16,     ///< per-halfword 16->65536 LUT
@@ -61,6 +61,18 @@ enum class PopcountKind : std::uint8_t {
 /// Popcount of one word with the selected strategy.
 [[nodiscard]] int Popcount(std::uint64_t x, PopcountKind kind) noexcept;
 
+/// Σ popcount(a[k] & b[k]) over n words — the kBuiltin kernel body.
+/// Inline so the per-pair direct route of the Eq. (5) pass runs it
+/// without a call; a/b may be null only when n == 0.
+[[nodiscard]] inline std::uint64_t AndPopcountBuiltin(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    total += static_cast<std::uint64_t>(std::popcount(a[k] & b[k]));
+  }
+  return total;
+}
+
 /// Popcount of a word span (Σ per-word counts) with the selected
 /// strategy. Used to count a multi-word slice in one call.
 [[nodiscard]] std::uint64_t PopcountWords(std::span<const std::uint64_t> words,
@@ -72,5 +84,22 @@ enum class PopcountKind : std::uint8_t {
                                         std::span<const std::uint64_t> b,
                                         PopcountKind kind =
                                             PopcountKind::kBuiltin) noexcept;
+
+/// One matched slice pair, referenced in place. `words` is the slice
+/// width (≤ 8 for every slice geometry the matrix layer produces, but
+/// the kernel accepts any length).
+struct PairRef {
+  const std::uint64_t* a;
+  const std::uint64_t* b;
+  std::uint32_t words;
+};
+
+/// Σ popcount(a & b) over every descriptor — the zero-copy pair kernel
+/// behind every kBuiltin Eq. (5) pass. Consumes the descriptors in
+/// place and software-prefetches the next pairs' words while the
+/// current one is summed. Descriptor pointers may be null only when
+/// that descriptor's `words` is 0.
+[[nodiscard]] std::uint64_t AndPopcountPairsZeroCopy(
+    std::span<const PairRef> pairs) noexcept;
 
 }  // namespace tcim::bit

@@ -5,8 +5,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "bitmatrix/kernel_backend.h"
-
 namespace tcim::bit {
 
 namespace {
@@ -199,16 +197,16 @@ namespace {
 
 // Flush window of the Eq. (5) gather: 2 Ki words = 16 KiB of slice
 // data per side keeps one window L1/L2-resident while still amortizing
-// one backend dispatch over hundreds-to-thousands of slice pairs.
+// one kernel call over hundreds-to-thousands of slice pairs.
 constexpr std::size_t kGatherFlushWords = std::size_t{1} << 11;
 
 // Eq. (5) pair stream: valid slice pairs are gathered into a fixed
 // window of in-place (a, b, width) descriptors — a descriptor is 16
 // bytes regardless of slice width, so enumeration itself copies no
 // slice words — and each full window runs through the zero-copy kernel
-// with one dispatch resolution. Pair boundaries don't affect the sum,
-// so a window may close mid-arc or mid-row (a single hub row can
-// gather far past the L1 budget).
+// in one call. Pair boundaries don't affect the sum, so a window may
+// close mid-arc or mid-row (a single hub row can gather far past the
+// L1 budget).
 class PairStreamExecutor {
  public:
   PairStreamExecutor(std::size_t width, PairPathCounters* counters)
@@ -277,8 +275,8 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
       ChooseDirectPairLoop(width, m.HeapBytes(),
                            static_cast<double>(rows.valid_slice_count()) /
                                static_cast<double>(rows.num_vectors()));
-  // Per-pair merge loop, instantiated for the direct route (the active
-  // backend called straight from the enumeration) and for the
+  // Per-pair merge loop, instantiated for the direct route (the
+  // kBuiltin kernel inlined into the enumeration) and for the
   // hardware-model strategies (kSwar/kLut8/kLut16 model structure, not
   // throughput).
   const auto per_pair_pass = [&](const auto& and_popcount) {
@@ -301,7 +299,7 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
   using Words = std::span<const std::uint64_t>;
   if (direct) {
     return per_pair_pass([](Words a, Words b) {
-      return AndPopcountActive(a.data(), b.data(), a.size());
+      return AndPopcountBuiltin(a.data(), b.data(), a.size());
     });
   }
   if (kind != PopcountKind::kBuiltin) {
@@ -349,14 +347,6 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
 std::uint64_t SlicedMatrix::AndPopcountAllEdges(
     PopcountKind kind, PairPathCounters* counters) const {
   return AndPopcountRect(0, num_vertices(), 0, num_vertices(), nullptr, true,
-                         nullptr, kind, counters);
-}
-
-std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
-                                            std::uint32_t row_end,
-                                            PopcountKind kind,
-                                            PairPathCounters* counters) const {
-  return AndPopcountRect(row_begin, row_end, 0, num_vertices(), nullptr, true,
                          nullptr, kind, counters);
 }
 

@@ -229,23 +229,12 @@ class SlicedMatrix {
   /// default kind (kBuiltin) the valid slice pairs are gathered per
   /// pivot row as zero-copy descriptors and evaluated in flush batches
   /// (AndPopcountPairsZeroCopy), unless ChooseDirectPairLoop routes the
-  /// whole pass through immediate per-pair dispatch; the
+  /// whole pass through the immediate per-pair kernel call; the
   /// hardware-model kinds run the exact per-word per-pair loop
   /// instead. When `counters` is non-null the per-route pair
   /// accounting of this pass is accumulated into it. Equivalent to
   /// AndPopcountRect over every row and column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
-      PopcountKind kind = PopcountKind::kBuiltin,
-      PairPathCounters* counters = nullptr) const;
-
-  /// Eq. (5) over rows [row_begin, row_end) only. Column lookups see
-  /// the whole matrix, so disjoint row ranges partition
-  /// AndPopcountAllEdges() exactly: summing ranges reproduces the full
-  /// pass. Throws std::out_of_range on an invalid range.
-  /// AndPopcountRect over every column with no mask (a one-column-
-  /// stripe tile, the shape of a 1D bank shard).
-  [[nodiscard]] std::uint64_t AndPopcountRows(
-      std::uint32_t row_begin, std::uint32_t row_end,
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
@@ -265,9 +254,8 @@ class SlicedMatrix {
   /// and num_vectors (throws std::invalid_argument) and must hold
   /// bit-identical data for every enumerated column.
   /// Throws std::out_of_range on an invalid rectangle. This is the one
-  /// Eq. (5) enumerator: AndPopcountAllEdges and AndPopcountRows
-  /// forward here, and the route (zero-copy or direct) is chosen as
-  /// for AndPopcountAllEdges.
+  /// Eq. (5) enumerator: AndPopcountAllEdges forwards here, and the
+  /// route (zero-copy or direct) is chosen as for AndPopcountAllEdges.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
       std::uint32_t col_end, const std::uint8_t* col_mask = nullptr,

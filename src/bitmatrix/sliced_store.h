@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bitmatrix/bitvector.h"
-#include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/popcount.h"
 #include "obs/metrics.h"
 
@@ -405,7 +404,7 @@ void ForEachCommonSlice(std::span<const std::uint32_t> a,
 /// `refs` — the gather half of the zero-copy Eq. (5) kernel
 /// (AndPopcountPairsZeroCopy consumes the list). Callers batching
 /// several vector pairs (e.g. the stream layer's 4-way wedge kernel)
-/// gather them all before ONE dispatched call. Returns the number of
+/// gather them all before ONE kernel call. Returns the number of
 /// descriptors appended. The stores must share slice_bits.
 std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
                                 const SlicedStore& b, std::uint32_t vb,
@@ -419,7 +418,7 @@ std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
 /// non-null it is incremented by the number of slice ANDs issued (the
 /// streaming layer's AND-op accounting). Like AndPopcountAllEdges,
 /// the default kind gathers the matched slices as zero-copy
-/// descriptors and sums them with one dispatch resolution; the
+/// descriptors and sums them with one kernel call; the
 /// hardware-model kinds keep the exact per-word per-pair loop.
 [[nodiscard]] std::uint64_t AndPopcountVectors(
     const SlicedStore& a, std::uint32_t va, const SlicedStore& b,

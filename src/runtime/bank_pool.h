@@ -107,7 +107,7 @@ class BankPool {
   /// The host-kernel count: counts the ALREADY-SLICED matrix of a
   /// pinned COW epoch snapshot on the bank shards with the host Eq. (5)
   /// pass (CountBankShard2d -> SlicedMatrix::AndPopcountRect on the
-  /// active SIMD kernel backend) instead of the functional in-MRAM
+  /// host AND+popcount kernel) instead of the functional in-MRAM
   /// simulation — no orient, no re-slice, no architectural statistics.
   /// The tile plan (+ per-bank hub replicas, when it has hubs) is
   /// fetched from, or built into, the epoch's PlanCache2d under this

@@ -56,7 +56,7 @@ std::uint64_t IncrementalCounter::MatrixCommonNeighbors(
   // neighbourhood is the disjoint sum of the four store combinations
   // (just row/row when full-symmetric), so all four gather as
   // zero-copy descriptors and the whole wedge is summed with one
-  // dispatch resolution.
+  // kernel call.
   wedge_refs_.clear();
   std::size_t matched = bit::GatherValidPairRefs(rows, u, rows, v,
                                                  wedge_refs_);

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 
-#include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/popcount.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "graph/graph.h"
@@ -55,8 +54,8 @@ struct StreamConfig {
   /// 0.5–1% of edges on the Table II stand-ins, hence the 1% default.
   double recount_fraction = 0.01;
   /// Strategy for the 4-way AND-popcount kernel and recount passes; at
-  /// the default (kBuiltin) every slice AND runs on the active SIMD
-  /// kernel backend (bit::ActiveBackend, forceable via TCIM_KERNEL).
+  /// the default (kBuiltin) every slice AND runs on the host kernel
+  /// (bit::AndPopcountPairsZeroCopy).
   bit::PopcountKind popcount = bit::PopcountKind::kBuiltin;
 };
 
@@ -99,8 +98,8 @@ class IncrementalCounter {
   /// |N(u) ∩ N(v)| against the pre-batch matrix (zero for vertices
   /// beyond its universe). At the default kBuiltin the four store
   /// combinations are gathered as zero-copy descriptors and the whole
-  /// wedge is summed by AndPopcountPairsZeroCopy with one dispatch
-  /// resolution instead of four per-pair sweeps. `stats` (when
+  /// wedge is summed by one AndPopcountPairsZeroCopy call instead of
+  /// four per-pair sweeps. `stats` (when
   /// non-null) accumulates and_ops.
   [[nodiscard]] std::uint64_t MatrixCommonNeighbors(
       graph::VertexId u, graph::VertexId v, BatchStats* stats) const;

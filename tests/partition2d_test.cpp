@@ -140,8 +140,8 @@ TEST_P(Partition2dExactnessTest, EveryCellMatchesBaselineRawAndDivided) {
       // Per-tile/lane raw bitcounts must sum to the full-matrix raw
       // bitcount BEFORE the orientation divide — the kFullSymmetric
       // trap (a single shard's bitcount need not divide by 6).
-      const std::uint64_t raw_full =
-          matrix.AndPopcountRows(0, matrix.num_vertices());
+      const std::uint64_t raw_full = matrix.AndPopcountRect(
+          0, matrix.num_vertices(), 0, matrix.num_vertices());
       EXPECT_EQ(SumShards(matrix, *p.plan2d), raw_full);
       EXPECT_EQ(raw_full / graph::CountMultiplier(orientation), expected);
       // And the pool's serving read path agrees end to end.
@@ -207,8 +207,8 @@ TEST(Partition2dTest, ExplicitHubCountsIncludingZeroOneAndAllStayExact) {
   const Graph g = graph::Rmat(512, 4000, graph::RmatParams{}, 9);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  const std::uint64_t raw_full =
-      matrix.AndPopcountRows(0, matrix.num_vertices());
+  const std::uint64_t raw_full = matrix.AndPopcountRect(
+      0, matrix.num_vertices(), 0, matrix.num_vertices());
   const std::uint32_t n = matrix.num_vertices();
   for (const std::uint32_t hub_k : {0u, 1u, n, n + 100u}) {
     for (const std::uint32_t banks : {1u, 3u, 8u}) {
@@ -414,7 +414,7 @@ TEST(Partition2dFuzzTest, RandomizedTilePlansNeverDoubleCount) {
     const bit::SlicedMatrix matrix =
         core::BuildSlicedMatrix(g, orientation, 64);
     const std::uint32_t n = matrix.num_vertices();
-    const std::uint64_t raw_full = matrix.AndPopcountRows(0, n);
+    const std::uint64_t raw_full = matrix.AndPopcountRect(0, n, 0, n);
     const auto banks =
         static_cast<std::uint32_t>(1 + rng.UniformBelow(9));
     const TilePlan2d plan = RandomPlan(rng, n, banks);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "baseline/cpu_tc.h"
-#include "bitmatrix/kernel_backend.h"
 #include "core/accelerator.h"
 #include "core/bitwise_tc.h"
 #include "graph/generators.h"
@@ -271,26 +270,16 @@ TEST_P(FamilySeedTest, ConcurrentEpochReadsMatchSequentialReplay) {
   }
 }
 
-TEST_P(FamilySeedTest, KernelBackendsAgreeOnTriangleCount) {
-  // Every compiled-in-and-supported SIMD backend must produce the same
-  // triangle count as the CPU reference on every family x seed —
-  // forced through the process-wide dispatch, exactly as production
-  // code reaches the kernels. Scope-exit restore so a throw mid-loop
-  // cannot leak a forced backend into the rest of the binary.
-  struct BackendRestore {
-    bit::KernelBackend saved = bit::ActiveBackend();
-    ~BackendRestore() { bit::SetActiveBackend(saved); }
-  } restore;
+TEST_P(FamilySeedTest, HostKernelAgreesOnTriangleCount) {
+  // The host AND+popcount kernel must produce the same triangle count
+  // as the CPU reference on every family x seed, through the same
+  // entry point production code uses.
   const Graph g = MakeGraph();
   const std::uint64_t expected = baseline::CountTrianglesReference(g);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  for (const bit::KernelBackend backend : bit::SupportedKernelBackends()) {
-    bit::SetActiveBackend(backend);
-    EXPECT_EQ(core::CountTrianglesSliced(matrix, Orientation::kUpper),
-              expected)
-        << "backend=" << bit::ToString(backend);
-  }
+  EXPECT_EQ(core::CountTrianglesSliced(matrix, Orientation::kUpper),
+            expected);
 }
 
 std::string CaseName(

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "bitmatrix/sliced_store.h"
 #include "util/env.h"
@@ -344,11 +343,11 @@ TEST(SlicedMatrix, HeapBytesPositiveForNonEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Host Eq. (5) pass: AndPopcountAllEdges and AndPopcountRows forward to
-// the one enumerator, AndPopcountRect, which gathers valid pairs and
-// issues block dispatches; these tests pin it to the per-pair
-// formulation it replaced, across slice widths (words_per_slice 1..8),
-// row shards, rectangles and forced backends.
+// Host Eq. (5) pass: AndPopcountAllEdges forwards to the one
+// enumerator, AndPopcountRect, which gathers valid pairs and sums them
+// in flush blocks; these tests pin it to the per-pair formulation it
+// replaced, across slice widths (words_per_slice 1..8), row shards and
+// rectangles.
 
 /// Random upper-triangular CSR over `n` vertices with ~`avg_degree`
 /// out-arcs per vertex.
@@ -373,9 +372,8 @@ SlicedMatrix RandomUpperMatrix(std::uint32_t n, std::uint32_t avg_degree,
   return SlicedMatrix::FromCsr(n, offsets, neighbors, slice_bits);
 }
 
-/// The dispatch-per-slice-pair reference, evaluated with the exact
-/// per-word SWAR strategy so it never touches the SIMD dispatch under
-/// test.
+/// The per-slice-pair reference, evaluated with the exact per-word
+/// SWAR strategy so it never touches the kBuiltin kernel under test.
 std::uint64_t PerPairReference(const SlicedMatrix& m) {
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < m.num_vertices(); ++i) {
@@ -391,52 +389,73 @@ std::uint64_t PerPairReference(const SlicedMatrix& m) {
   return total;
 }
 
-/// Restores the active backend on scope exit.
-class ActiveBackendGuard {
- public:
-  ActiveBackendGuard() : saved_(ActiveBackend()) {}
-  ~ActiveBackendGuard() { SetActiveBackend(saved_); }
+/// Every PopcountKind: kBuiltin takes the gathered zero-copy route
+/// (or the direct route), the hardware-model kinds the per-word
+/// per-pair loop of the same enumerator.
+constexpr PopcountKind kAllKinds[] = {PopcountKind::kBuiltin,
+                                      PopcountKind::kSwar, PopcountKind::kLut8,
+                                      PopcountKind::kLut16};
 
- private:
-  KernelBackend saved_;
-};
+std::string KindName(const ::testing::TestParamInfo<PopcountKind>& info) {
+  switch (info.param) {
+    case PopcountKind::kBuiltin:
+      return "builtin";
+    case PopcountKind::kSwar:
+      return "swar";
+    case PopcountKind::kLut8:
+      return "lut8";
+    case PopcountKind::kLut16:
+      return "lut16";
+  }
+  return "unknown";
+}
 
-TEST(SlicedMatrixBatched, MatchesPerPairLoopAcrossWidthsAndBackends) {
-  ActiveBackendGuard guard;
+/// Pairs the gathered route reports for a pass of `valid_pairs` pairs
+/// under `kind`; the hardware-model loop reports none.
+std::uint64_t ZeroCopyPairsFor(PopcountKind kind, std::uint64_t valid_pairs) {
+  return kind == PopcountKind::kBuiltin ? valid_pairs : 0;
+}
+
+class SlicedMatrixBatchedKindTest
+    : public ::testing::TestWithParam<PopcountKind> {};
+
+TEST_P(SlicedMatrixBatchedKindTest, MatchesPerPairLoopAcrossWidths) {
   // words_per_slice covers 1..8 (|S| = 64w), plus non-multiples of 64
   // to exercise zero-padded tail words inside each pair.
+  const PopcountKind kind = GetParam();
   for (const std::uint32_t slice_bits :
        {8u, 64u, 100u, 128u, 192u, 256u, 320u, 384u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 4242);
     const std::uint32_t n = m.num_vertices();
     const std::uint64_t expected = PerPairReference(m);
-    for (const KernelBackend backend : SupportedKernelBackends()) {
-      SetActiveBackend(backend);
-      EXPECT_EQ(m.AndPopcountAllEdges(), expected)
-          << "slice_bits=" << slice_bits << " backend=" << ToString(backend);
-      EXPECT_EQ(m.AndPopcountRows(0, n), expected);
-      EXPECT_EQ(m.AndPopcountRect(0, n, 0, n), expected);
-    }
+    EXPECT_EQ(m.AndPopcountAllEdges(kind), expected)
+        << "slice_bits=" << slice_bits;
+    EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr, kind),
+              expected)
+        << "slice_bits=" << slice_bits;
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(AllKinds, SlicedMatrixBatchedKindTest,
+                         ::testing::ValuesIn(kAllKinds), KindName);
+
 TEST(SlicedMatrixBatched, DisjointRowShardsPartitionTheTotal) {
   const SlicedMatrix m = RandomUpperMatrix(500, 5, 64, 77);
+  const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = m.AndPopcountAllEdges();
   for (const std::uint32_t shards : {1u, 2u, 3u, 7u}) {
     std::uint64_t sum = 0;
     for (std::uint32_t s = 0; s < shards; ++s) {
-      const std::uint32_t begin = m.num_vertices() * s / shards;
-      const std::uint32_t end = m.num_vertices() * (s + 1) / shards;
-      sum += m.AndPopcountRows(begin, end);
+      const std::uint32_t begin = n * s / shards;
+      const std::uint32_t end = n * (s + 1) / shards;
+      sum += m.AndPopcountRect(begin, end, 0, n);
     }
     EXPECT_EQ(sum, total) << "shards=" << shards;
   }
-  EXPECT_EQ(m.AndPopcountRows(0, 0), 0u);
-  EXPECT_EQ(m.AndPopcountRows(m.num_vertices(), m.num_vertices()), 0u);
-  EXPECT_THROW((void)m.AndPopcountRows(2, 1), std::out_of_range);
-  EXPECT_THROW((void)m.AndPopcountRows(0, m.num_vertices() + 1),
-               std::out_of_range);
+  EXPECT_EQ(m.AndPopcountRect(0, 0, 0, n), 0u);
+  EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
+  EXPECT_THROW((void)m.AndPopcountRect(2, 1, 0, n), std::out_of_range);
+  EXPECT_THROW((void)m.AndPopcountRect(0, n + 1, 0, n), std::out_of_range);
 }
 
 TEST(SlicedMatrixBatched, LargeRowCrossesFlushBoundary) {
@@ -453,7 +472,7 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
   const SlicedMatrix m = RandomUpperMatrix(200, 8, 64, 5);
   const std::uint64_t before = Lut8Invocations();
   (void)m.AndPopcountAllEdges();
-  (void)m.AndPopcountRows(0, m.num_vertices());
+  (void)m.AndPopcountRect(0, m.num_vertices(), 0, m.num_vertices());
   (void)AndPopcountVectors(m.rows(), 0, m.cols(), 1);
   EXPECT_EQ(Lut8Invocations(), before)
       << "kBuiltin host path fed words to the LUT8 hardware model";
@@ -510,7 +529,8 @@ TEST(SlicedMatrixRoute, RowShardCountersSumToWholeMatrix) {
        {std::pair<std::uint32_t, std::uint32_t>{0, 100},
         {100, 101},
         {101, 400}}) {
-    sum += m.AndPopcountRows(begin, end, PopcountKind::kBuiltin, &sharded);
+    sum += m.AndPopcountRect(begin, end, 0, m.num_vertices(), nullptr, true,
+                             nullptr, PopcountKind::kBuiltin, &sharded);
   }
   EXPECT_EQ(sum, total);
   EXPECT_EQ(sharded.TotalPairs(), whole.TotalPairs());
@@ -534,7 +554,6 @@ SlicedMatrix BandMatrix(std::uint32_t n, std::uint32_t slice_bits) {
 }
 
 TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
-  ActiveBackendGuard guard;
   constexpr std::uint32_t kN = 1u << 18;
   const SlicedMatrix m = BandMatrix(kN, 512);
   const double avg_valid = static_cast<double>(m.rows().valid_slice_count()) /
@@ -556,62 +575,49 @@ TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
   }
   const SlicedStore replica = m.cols().ExtractVectors(hubs);
 
-  for (const KernelBackend backend : SupportedKernelBackends()) {
-    SetActiveBackend(backend);
-    SCOPED_TRACE(ToString(backend));
-    PairPathCounters all;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
-    EXPECT_EQ(all.per_pair_pairs, valid_pairs);
-    EXPECT_EQ(all.zero_copy_pairs, 0u);
+  PairPathCounters all;
+  EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
+  EXPECT_EQ(all.per_pair_pairs, valid_pairs);
+  EXPECT_EQ(all.zero_copy_pairs, 0u);
 
-    PairPathCounters rows;
-    EXPECT_EQ(m.AndPopcountRows(0, kN / 3, PopcountKind::kBuiltin, &rows) +
-                  m.AndPopcountRows(kN / 3, kN, PopcountKind::kBuiltin, &rows),
-              expected);
-    EXPECT_EQ(rows.per_pair_pairs, valid_pairs);
+  PairPathCounters rows;
+  EXPECT_EQ(m.AndPopcountRect(0, kN / 3, 0, kN, nullptr, true, nullptr,
+                              PopcountKind::kBuiltin, &rows) +
+                m.AndPopcountRect(kN / 3, kN, 0, kN, nullptr, true, nullptr,
+                                  PopcountKind::kBuiltin, &rows),
+            expected);
+  EXPECT_EQ(rows.per_pair_pairs, valid_pairs);
 
-    // Upper-triangular, so the lower-left quadrant is empty and these
-    // three rectangles cover every arc.
-    EXPECT_EQ(m.AndPopcountRect(0, kN / 2, 0, kN) +
-                  m.AndPopcountRect(kN / 2, kN, kN / 2, kN),
-              expected);
+  // Upper-triangular, so the lower-left quadrant is empty and these
+  // three rectangles cover every arc.
+  EXPECT_EQ(m.AndPopcountRect(0, kN / 2, 0, kN) +
+                m.AndPopcountRect(kN / 2, kN, kN / 2, kN),
+            expected);
 
-    PairPathCounters masked;
-    const std::uint64_t hub_lane =
-        m.AndPopcountRect(0, kN, 0, kN, hub_mask.data(), true, &replica,
-                          PopcountKind::kBuiltin, &masked);
-    const std::uint64_t tail = m.AndPopcountRect(
-        0, kN, 0, kN, hub_mask.data(), false, nullptr,
-        PopcountKind::kBuiltin, &masked);
-    EXPECT_GT(hub_lane, 0u);
-    EXPECT_EQ(hub_lane + tail, expected);
-    EXPECT_EQ(masked.per_pair_pairs, valid_pairs);
-    EXPECT_EQ(masked.zero_copy_pairs, 0u);
-  }
+  PairPathCounters masked;
+  const std::uint64_t hub_lane =
+      m.AndPopcountRect(0, kN, 0, kN, hub_mask.data(), true, &replica,
+                        PopcountKind::kBuiltin, &masked);
+  const std::uint64_t tail = m.AndPopcountRect(
+      0, kN, 0, kN, hub_mask.data(), false, nullptr,
+      PopcountKind::kBuiltin, &masked);
+  EXPECT_GT(hub_lane, 0u);
+  EXPECT_EQ(hub_lane + tail, expected);
+  EXPECT_EQ(masked.per_pair_pairs, valid_pairs);
+  EXPECT_EQ(masked.zero_copy_pairs, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// The one enumerator under each forced backend: every entry point and
+// The one enumerator under each PopcountKind: every entry point and
 // every way of tiling a pass (row shards, column ranges, a 2D grid,
 // hub/tail masks read through a replica store) sums to the per-pair
-// reference. These stores are cache-resident, so every pair takes the
-// gathered zero-copy route.
+// reference. These stores are cache-resident, so every kBuiltin pair
+// takes the gathered zero-copy route.
 
-class EnumeratorBackendTest : public ::testing::TestWithParam<KernelBackend> {
- protected:
-  void SetUp() override {
-    if (!BackendSupported(GetParam())) {
-      GTEST_SKIP() << ToString(GetParam())
-                   << " is not executable on this machine";
-    }
-    SetActiveBackend(GetParam());
-  }
+class EnumeratorKindTest : public ::testing::TestWithParam<PopcountKind> {};
 
- private:
-  ActiveBackendGuard guard_;
-};
-
-TEST_P(EnumeratorBackendTest, RowsRectAndAllEdgesMatchPerPairAcrossWidths) {
+TEST_P(EnumeratorKindTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
+  const PopcountKind kind = GetParam();
   for (const std::uint32_t slice_bits : {8u, 64u, 100u, 192u, 512u}) {
     SCOPED_TRACE("slice_bits=" + std::to_string(slice_bits));
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 1234);
@@ -619,22 +625,26 @@ TEST_P(EnumeratorBackendTest, RowsRectAndAllEdgesMatchPerPairAcrossWidths) {
     const std::uint64_t expected = PerPairReference(m);
     const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
     PairPathCounters all;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
+    EXPECT_EQ(m.AndPopcountAllEdges(kind, &all), expected);
     PairPathCounters rows;
-    EXPECT_EQ(m.AndPopcountRows(0, n, PopcountKind::kBuiltin, &rows),
+    EXPECT_EQ(m.AndPopcountRect(0, n / 2, 0, n, nullptr, true, nullptr,
+                                kind, &rows) +
+                  m.AndPopcountRect(n / 2, n, 0, n, nullptr, true, nullptr,
+                                    kind, &rows),
               expected);
     PairPathCounters rect;
     EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr,
-                                PopcountKind::kBuiltin, &rect),
+                                kind, &rect),
               expected);
     for (const PairPathCounters& c : {all, rows, rect}) {
-      EXPECT_EQ(c.zero_copy_pairs, valid_pairs);
+      EXPECT_EQ(c.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
       EXPECT_EQ(c.per_pair_pairs, 0u);
     }
   }
 }
 
-TEST_P(EnumeratorBackendTest, ColumnRangesAndGridTileTheMatrix) {
+TEST_P(EnumeratorKindTest, ColumnRangesAndGridTileTheMatrix) {
+  const PopcountKind kind = GetParam();
   const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 99);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
@@ -644,10 +654,10 @@ TEST_P(EnumeratorBackendTest, ColumnRangesAndGridTileTheMatrix) {
     for (std::uint32_t c = 0; c < parts; ++c) {
       const std::uint32_t c0 = n * c / parts;
       const std::uint32_t c1 = n * (c + 1) / parts;
-      by_cols += m.AndPopcountRect(0, n, c0, c1);
+      by_cols += m.AndPopcountRect(0, n, c0, c1, nullptr, true, nullptr, kind);
       for (std::uint32_t r = 0; r < parts; ++r) {
         by_grid += m.AndPopcountRect(n * r / parts, n * (r + 1) / parts, c0,
-                                     c1);
+                                     c1, nullptr, true, nullptr, kind);
       }
     }
     EXPECT_EQ(by_cols, total) << "parts=" << parts;
@@ -659,7 +669,8 @@ TEST_P(EnumeratorBackendTest, ColumnRangesAndGridTileTheMatrix) {
   EXPECT_THROW((void)m.AndPopcountRect(0, n, 0, n + 1), std::out_of_range);
 }
 
-TEST_P(EnumeratorBackendTest, MaskedRectWithReplicaSplitsTheTotal) {
+TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
+  const PopcountKind kind = GetParam();
   const SlicedMatrix m = RandomUpperMatrix(300, 8, 128, 555);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
@@ -674,21 +685,26 @@ TEST_P(EnumeratorBackendTest, MaskedRectWithReplicaSplitsTheTotal) {
   PairPathCounters counters;
   const std::uint64_t hub_lane =
       m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true, &replica,
-                        PopcountKind::kBuiltin, &counters);
+                        kind, &counters);
   const std::uint64_t tail =
       m.AndPopcountRect(0, n, 0, n, hub_mask.data(), false, nullptr,
-                        PopcountKind::kBuiltin, &counters);
+                        kind, &counters);
   EXPECT_GT(hub_lane, 0u);
   EXPECT_GT(tail, 0u);
   EXPECT_EQ(hub_lane + tail, total);
-  EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
+  EXPECT_EQ(counters.zero_copy_pairs,
+            ZeroCopyPairsFor(kind, m.ComputeStats().valid_pairs));
   EXPECT_EQ(counters.per_pair_pairs, 0u);
   // The replica holds bit-identical hub columns, so reading them from
   // the shared column store gives the same hub lane.
-  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true), hub_lane);
+  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true, nullptr, kind),
+            hub_lane);
 }
 
-TEST_P(EnumeratorBackendTest, HardwareModelKindMatchesBuiltinOnMaskedRect) {
+INSTANTIATE_TEST_SUITE_P(AllKinds, EnumeratorKindTest,
+                         ::testing::ValuesIn(kAllKinds), KindName);
+
+TEST(Enumerator, HardwareModelKindMatchesBuiltinOnMaskedRect) {
   // The hardware-model kinds take the per-word per-pair loop of the
   // same enumerator; with a mask and a replica they must still agree
   // with the gathered kBuiltin route.
@@ -716,43 +732,33 @@ TEST_P(EnumeratorBackendTest, HardwareModelKindMatchesBuiltinOnMaskedRect) {
   }
 }
 
-TEST_P(EnumeratorBackendTest, FlushMidRowIsExact) {
+TEST(Enumerator, FlushMidRowIsExact) {
   // Row 0 alone gathers far more than one 2 Ki-word flush block, so
-  // the gather flushes mid-row under every backend.
+  // the gather flushes mid-row.
   const SlicedMatrix m = RandomUpperMatrix(1000, 1000, 64, 2718);
   ASSERT_GT(m.edge_count(), 200000u);
   EXPECT_EQ(m.AndPopcountAllEdges(), PerPairReference(m));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EnumeratorBackendTest,
-    ::testing::ValuesIn(std::vector<KernelBackend>(
-        AllKernelBackends().begin(), AllKernelBackends().end())),
-    [](const auto& info) { return std::string(ToString(info.param)); });
-
 TEST(SlicedStoreGather, GatherValidPairRefsMatchesMergeAndCountsPairs) {
-  ActiveBackendGuard guard;
   const SlicedMatrix m = RandomUpperMatrix(120, 10, 64, 321);
   for (std::uint32_t u = 0; u < 40; ++u) {
     for (std::uint32_t v = u; v < 40; v += 7) {
-      // Reference: exact per-pair strategy path (no SIMD dispatch).
+      // Reference: exact per-pair strategy path (no kBuiltin kernel).
       std::uint64_t ref_pairs = 0;
       const std::uint64_t ref = AndPopcountVectors(
           m.rows(), u, m.cols(), v, PopcountKind::kSwar, &ref_pairs);
-      for (const KernelBackend backend : SupportedKernelBackends()) {
-        SetActiveBackend(backend);
-        std::uint64_t pairs = 0;
-        EXPECT_EQ(AndPopcountVectors(m.rows(), u, m.cols(), v,
-                                     PopcountKind::kBuiltin, &pairs),
-                  ref)
-            << "u=" << u << " v=" << v << " backend=" << ToString(backend);
-        EXPECT_EQ(pairs, ref_pairs);
-        std::vector<PairRef> refs;
-        EXPECT_EQ(GatherValidPairRefs(m.rows(), u, m.cols(), v, refs),
-                  ref_pairs);
-        EXPECT_EQ(refs.size(), ref_pairs);
-        EXPECT_EQ(AndPopcountPairsZeroCopy(refs), ref);
-      }
+      std::uint64_t pairs = 0;
+      EXPECT_EQ(AndPopcountVectors(m.rows(), u, m.cols(), v,
+                                   PopcountKind::kBuiltin, &pairs),
+                ref)
+          << "u=" << u << " v=" << v;
+      EXPECT_EQ(pairs, ref_pairs);
+      std::vector<PairRef> refs;
+      EXPECT_EQ(GatherValidPairRefs(m.rows(), u, m.cols(), v, refs),
+                ref_pairs);
+      EXPECT_EQ(refs.size(), ref_pairs);
+      EXPECT_EQ(AndPopcountPairsZeroCopy(refs), ref);
     }
   }
 }

@@ -60,7 +60,7 @@ LAYER_RANK = {
     "graph": 1,       # §2
     "device": 1,      # §3
     "nvsim": 2,       # §4  — device physics consumer
-    "bitmatrix": 2,   # §5 + §12 kernel backends
+    "bitmatrix": 2,   # §5 + §12 AND+popcount kernel
     "pim": 3,         # §6
     "baseline": 3,    # §9
     "arch": 4,        # §7

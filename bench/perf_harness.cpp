@@ -9,7 +9,7 @@
 // id-shuffled instance standing in for real SNAP labelings, plus the
 // wall time of choosing and applying it. Every count is cross-checked
 // against the CPU baseline and the results land in a machine-readable
-// BENCH_kernels.json (schema_version 7; see docs/KERNELS.md for the
+// BENCH_kernels.json (schema_version 8; see docs/KERNELS.md for the
 // schema and the regression workflow). Every dump is stamped with run
 // metadata — UTC date, compiler, TCIM_SCALE — so archived JSONs stay
 // attributable.
@@ -59,6 +59,9 @@ struct EndToEndResult {
   /// Where the host pass routed this row's pairs (ChooseDirectPairLoop
   /// is a function of the matrix alone).
   bit::PairPathCounters paths;
+  /// The matrix's two probe totals, which pick the gathered pivot.
+  std::uint64_t row_pivot_probes = 0;
+  std::uint64_t column_pivot_probes = 0;
   double seconds = 0.0;           ///< the host pass (AndPopcountAllEdges)
   double per_edge_seconds = 0.0;  ///< legacy per-slice-pair loop
   double adaptive_speedup = 1.0;  ///< per_edge / host pass (paired)
@@ -67,6 +70,11 @@ struct EndToEndResult {
   [[nodiscard]] std::string Route() const {
     return paths.per_pair_pairs > paths.zero_copy_pairs ? "perpair"
                                                         : "zerocopy";
+  }
+  /// Pivot of the row's pairs: "column" when the gathered route pivoted
+  /// on columns; the direct route always pivots on rows.
+  [[nodiscard]] std::string Pivot() const {
+    return paths.column_pivot_pairs > 0 ? "column" : "row";
   }
 };
 
@@ -226,6 +234,8 @@ EndToEndResult MeasureEndToEnd(const graph::DatasetInstance& inst,
   // row's pairs.
   const std::uint64_t raw = matrix.AndPopcountAllEdges(
       bit::PopcountKind::kBuiltin, &result.paths);
+  result.row_pivot_probes = matrix.row_pivot_probes();
+  result.column_pivot_probes = matrix.column_pivot_probes();
 
   // Both cells are measured once per round until both have enough
   // data — keeping the rounds aligned is what makes the paired ratio
@@ -275,13 +285,14 @@ void WriteJson(const std::string& path,
   }
   os << "{\n";
   os << "  \"bench\": \"kernels\",\n";
-  os << "  \"schema_version\": 7,\n";
+  os << "  \"schema_version\": 8,\n";
   os << "  \"scale\": " << util::WorkloadScale(0.25) << ",\n";
   os << "  \"seed\": " << util::BaseSeed() << ",\n";
   // v3: run-attribution stamp (obs::CollectRunMetadata).
   os << "  \"run\": {" << obs::RunMetadataJsonFields() << "},\n";
 
-  // v7: one host-pass time per row (the kernel has one implementation).
+  // v7: one host-pass time per row (the kernel has one implementation);
+  // v8: + the gathered pivot and the two probe totals behind it.
   os << "  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < end_to_end.size(); ++i) {
     const auto& e = end_to_end[i];
@@ -292,6 +303,9 @@ void WriteJson(const std::string& path,
        << ", \"route\": \"" << e.Route() << "\""
        << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs
        << ", \"perpair\": " << e.paths.per_pair_pairs << "}"
+       << ", \"pivot\": \"" << e.Pivot() << "\""
+       << ", \"probes\": {\"row_pivot\": " << e.row_pivot_probes
+       << ", \"column_pivot\": " << e.column_pivot_probes << "}"
        << ", \"seconds\": " << e.seconds
        << ", \"per_edge_seconds\": " << e.per_edge_seconds
        << ", \"adaptive_speedup\": " << e.adaptive_speedup << "}"
@@ -367,22 +381,23 @@ int main(int argc, char** argv) {
   {
     util::TablePrinter table(
         {"Dataset", "|S|", "Triangles", "Verified", "pass [ms]",
-         "per-pair [ms]", "route", "vs per-edge"},
+         "per-pair [ms]", "route", "pivot", "vs per-edge"},
         {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
          util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-         util::Align::kLeft, util::Align::kRight});
+         util::Align::kLeft, util::Align::kLeft, util::Align::kRight});
     for (const auto& e : end_to_end) {
       table.AddRow({e.dataset, std::to_string(e.slice_bits),
                     util::TablePrinter::WithThousands(e.triangles),
                     e.verified ? "yes" : "NO",
                     util::TablePrinter::Fixed(e.seconds * 1e3, 2),
                     util::TablePrinter::Fixed(e.per_edge_seconds * 1e3, 2),
-                    e.Route(),
+                    e.Route(), e.Pivot(),
                     util::TablePrinter::Ratio(e.adaptive_speedup, 2)});
     }
     std::cout << "\nEnd-to-end AndPopcountAllEdges (fastest of a timed "
                  "window, upper orientation; last columns: the row's "
-                 "route and the host pass vs the per-pair loop):\n";
+                 "route, its pivot and the host pass vs the per-pair "
+                 "loop):\n";
     table.Print(std::cout);
   }
 

@@ -35,6 +35,29 @@ struct DivSlicer {
   }
 };
 
+// Σ bits(V)·|V| over the given distinct vectors V of `store` — their
+// share of a probe total. Vectors the store does not hold yet weigh 0.
+std::uint64_t ProbeWeight(const SlicedStore& store,
+                          std::span<const std::uint32_t> vectors) {
+  std::uint64_t weight = 0;
+  for (const std::uint32_t v : vectors) {
+    if (v >= store.num_vectors()) continue;
+    const SlicedStore::VectorSlices slices = store.Slices(v);
+    if (slices.indices.empty()) continue;
+    weight += slices.indices.size() *
+              PopcountWords({slices.words, slices.indices.size() *
+                                               store.words_per_slice()},
+                            PopcountKind::kBuiltin);
+  }
+  return weight;
+}
+
+std::vector<std::uint32_t> Distinct(std::vector<std::uint32_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 SlicedMatrix SlicedMatrix::FromCsr(std::uint32_t num_vertices,
@@ -81,13 +104,18 @@ SlicedMatrix SlicedMatrix::Build(const Slicer& slicer, std::uint32_t n,
   // Rows arrive in increasing order, so each column's sources do too:
   // column j gains a slice exactly when its source's slice differs from
   // the last one stamped for j. The stamp is the only per-vertex
-  // scratch; both walks use it.
+  // scratch both walks use; walk 1 also counts each column's bits.
   std::vector<std::uint32_t> col_last_slice(n, kNoSlice);
 
   // Walk 1: validate, and count each row's and each column's valid
-  // slices into the slab offsets.
+  // slices into the slab offsets, and each column's bits, which the
+  // probe totals weigh its slice count by. The totals accumulate in
+  // locals: a per-row store into `m` may alias the offsets the walk
+  // counts into, which slowed the walk measurably.
   {
     const std::vector<SlabView> cols = views(m.cols_);
+    std::vector<std::uint32_t> col_bits(n, 0);
+    std::uint64_t column_pivot_probes = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t begin = offsets[i];
       const std::uint64_t end = offsets[i + 1];
@@ -111,13 +139,21 @@ SlicedMatrix SlicedMatrix::Build(const Slicer& slicer, std::uint32_t n,
           ++row_valid;
           prev_slice = s;
         }
+        ++col_bits[j];
         if (col_last_slice[j] != source_slice) {
           ++cols[j >> kShift].offsets[(j & kLocalMask) + 1];
           col_last_slice[j] = source_slice;
         }
       }
       m.rows_.CountSlot(i) = row_valid;
+      column_pivot_probes += (end - begin) * row_valid;
     }
+    std::uint64_t row_pivot_probes = 0;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      row_pivot_probes += std::uint64_t{col_bits[j]} * m.cols_.CountSlot(j);
+    }
+    m.row_pivot_probes_ = row_pivot_probes;
+    m.column_pivot_probes_ = column_pivot_probes;
   }
   m.rows_.SizeSlabs();
   m.cols_.SizeSlabs();
@@ -171,18 +207,34 @@ MatrixPatchStats SlicedMatrix::ApplyArcEdits(std::span<const ArcEdit> edits,
                                              std::uint32_t new_num_vertices) {
   std::vector<SliceEdit> row_edits;
   std::vector<SliceEdit> col_edits;
+  std::vector<std::uint32_t> touched_rows;
+  std::vector<std::uint32_t> touched_cols;
   row_edits.reserve(edits.size());
   col_edits.reserve(edits.size());
+  touched_rows.reserve(edits.size());
+  touched_cols.reserve(edits.size());
   for (const ArcEdit& edit : edits) {
     row_edits.push_back(SliceEdit{edit.from, edit.to, edit.set});
     col_edits.push_back(SliceEdit{edit.to, edit.from, edit.set});
+    touched_rows.push_back(edit.from);
+    touched_cols.push_back(edit.to);
   }
+  touched_rows = Distinct(std::move(touched_rows));
+  touched_cols = Distinct(std::move(touched_cols));
+  const std::uint64_t old_row_weight = ProbeWeight(rows_, touched_rows);
+  const std::uint64_t old_col_weight = ProbeWeight(cols_, touched_cols);
   MatrixPatchStats stats;
   // The row store validates the whole batch before mutating; once it
   // accepts, the mirrored column batch cannot fail (the stores encode
   // the same matrix), so the two stores move together or not at all.
   stats.rows = rows_.ApplyEdits(row_edits, new_num_vertices, new_num_vertices);
   stats.cols = cols_.ApplyEdits(col_edits, new_num_vertices, new_num_vertices);
+  // Rows weigh into the column pivot's total and columns into the row
+  // pivot's; a rejected batch has thrown above with both unchanged.
+  column_pivot_probes_ =
+      column_pivot_probes_ - old_row_weight + ProbeWeight(rows_, touched_rows);
+  row_pivot_probes_ =
+      row_pivot_probes_ - old_col_weight + ProbeWeight(cols_, touched_cols);
   return stats;
 }
 
@@ -209,10 +261,8 @@ constexpr std::size_t kGatherFlushWords = std::size_t{1} << 11;
 // L1 budget).
 class PairStreamExecutor {
  public:
-  PairStreamExecutor(std::size_t width, PairPathCounters* counters)
-      : width_(width),
-        counters_(counters),
-        refs_(kGatherFlushWords / (width == 0 ? 1 : width)) {}
+  explicit PairStreamExecutor(std::size_t width)
+      : width_(width), refs_(kGatherFlushWords / (width == 0 ? 1 : width)) {}
 
   void Push(const std::uint64_t* a, const std::uint64_t* b) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -238,30 +288,125 @@ class PairStreamExecutor {
     return total_;
   }
 
+  /// Pairs summed so far.
+  [[nodiscard]] std::uint64_t pairs() const noexcept { return pairs_; }
+
  private:
   void Flush() {
     if (size_ == 0) return;
     total_ += AndPopcountPairsZeroCopy({refs_.data(), size_});
-    if (counters_ != nullptr) counters_->zero_copy_pairs += size_;
+    pairs_ += size_;
     size_ = 0;
   }
 
   std::size_t width_;
-  PairPathCounters* counters_;
   std::vector<PairRef> refs_;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
+  std::uint64_t pairs_ = 0;
 };
 
-// The one Eq. (5) pass: rows [row_begin, row_end) of `m` against
-// `cols` (m.cols() or a replica of it), where for_each_arc(i, visit)
-// calls visit(j) for every arc A[i][j] the caller's rectangle/mask
-// enumerates.
-template <typename ForEachArc>
+// The arcs one Eq. (5) pass enumerates: rows [row_begin, row_end) x
+// columns [col_begin, col_end), filtered by the column mask as in
+// SlicedMatrix::ForEachArcInRect.
+struct PassRect {
+  std::uint32_t row_begin;
+  std::uint32_t row_end;
+  std::uint32_t col_begin;
+  std::uint32_t col_end;
+  const std::uint8_t* col_mask;
+  bool mask_value;
+};
+
+// The gathered pass, one body for both pivots: for every pivot vector
+// p (row i, or column j), p's valid slices are indexed ONCE into a
+// sparse lookup table (the §IV-A row-reuse idea on the host); then
+// each vector q an arc pairs with p (column j of arc A[i][j], or row i)
+// is probed, one table lookup per valid slice of q. The row pivot
+// walks rows i of the rectangle and row i's arcs (ForEachArcInRect);
+// the column pivot walks the columns j the range and mask select and
+// column j's set bits in [row_begin, row_end), read off m.cols(), which
+// mirrors the row store bit for bit. Either way round, a matched pair
+// lands as the same (row words, column words) descriptor. Returns the
+// pass total and sets `pairs` to the pairs it summed. Kept out of line:
+// inlined beside the other pivot and the per-pair loops, the hot loop
+// spilled its registers and the row pivot ran ~10% slower on
+// com-youtube.
+template <bool kPivotOnColumns>
+[[gnu::noinline]] std::uint64_t GatherPass(const SlicedMatrix& m,
+                                           const SlicedStore& cols,
+                                           const PassRect& rect,
+                                           std::uint64_t& pairs) {
+  const SlicedStore& pivots = kPivotOnColumns ? cols : m.rows();
+  const SlicedStore& probes = kPivotOnColumns ? m.rows() : cols;
+  const std::size_t width = pivots.words_per_slice();
+  PairStreamExecutor exec(width);
+  // ordinal_of_slice[k] = ordinal of slice k within the current pivot,
+  // or -1. Only the pivot's own entries are ever written and reset, so
+  // the table costs O(|pivot|) per pivot after one O(slots) init.
+  std::vector<std::int32_t> ordinal_of_slice(
+      static_cast<std::size_t>(
+          std::max(pivots.slices_per_vector(), probes.slices_per_vector())),
+      -1);
+  const std::uint32_t pivot_begin =
+      kPivotOnColumns ? rect.col_begin : rect.row_begin;
+  const std::uint32_t pivot_end = kPivotOnColumns ? rect.col_end : rect.row_end;
+  const bool all_rows = rect.row_begin == 0 && rect.row_end == m.num_vertices();
+  for (std::uint32_t p = pivot_begin; p < pivot_end; ++p) {
+    if (kPivotOnColumns && rect.col_mask != nullptr &&
+        (rect.col_mask[p] != 0) != rect.mask_value) {
+      continue;
+    }
+    const SlicedStore::VectorSlices pivot = pivots.Slices(p);
+    if (pivot.indices.empty()) continue;
+    for (std::size_t a = 0; a < pivot.indices.size(); ++a) {
+      ordinal_of_slice[pivot.indices[a]] = static_cast<std::int32_t>(a);
+    }
+    const auto probe = [&](std::uint32_t q) {
+      // An arc joins p and q, so q has valid slices.
+      const SlicedStore::VectorSlices slices = probes.Slices(q);
+      for (std::size_t b = 0; b < slices.indices.size(); ++b) {
+        const std::int32_t a = ordinal_of_slice[slices.indices[b]];
+        if (a >= 0) {
+          const std::uint64_t* pivot_words =
+              pivot.words + static_cast<std::size_t>(a) * width;
+          const std::uint64_t* probe_words = slices.words + b * width;
+          if constexpr (kPivotOnColumns) {
+            exec.Push(probe_words, pivot_words);
+          } else {
+            exec.Push(pivot_words, probe_words);
+          }
+        }
+      }
+    };
+    if constexpr (kPivotOnColumns) {
+      const auto select = [&](std::uint64_t i) {
+        probe(static_cast<std::uint32_t>(i));
+      };
+      if (all_rows) {
+        m.cols().ForEachSetBit(p, select);
+      } else {
+        m.cols().ForEachSetBitInRange(p, rect.row_begin, rect.row_end,
+                                      select);
+      }
+    } else {
+      m.ForEachArcInRect(p, rect.col_begin, rect.col_end, rect.col_mask,
+                         rect.mask_value, probe);
+    }
+    for (const std::uint32_t slice : pivot.indices) {
+      ordinal_of_slice[slice] = -1;
+    }
+  }
+  const std::uint64_t total = exec.Finish();
+  pairs = exec.pairs();
+  return total;
+}
+
+// The one Eq. (5) pass: the arcs of `rect` of `m`, ANDing rows of m
+// against `cols` (m.cols() or a replica of it).
 std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
-                           std::uint32_t row_begin, std::uint32_t row_end,
-                           PopcountKind kind, PairPathCounters* counters,
-                           const ForEachArc& for_each_arc) {
+                           const PassRect& rect, PopcountKind kind,
+                           PairPathCounters* counters) {
   const SlicedStore& rows = m.rows();
   const std::size_t width = rows.words_per_slice();
   // The one measured exception, decided once per pass from the whole
@@ -278,20 +423,22 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
   // Per-pair merge loop, instantiated for the direct route (the
   // kBuiltin kernel inlined into the enumeration) and for the
   // hardware-model strategies (kSwar/kLut8/kLut16 model structure, not
-  // throughput).
+  // throughput). Both pivot on rows.
   const auto per_pair_pass = [&](const auto& and_popcount) {
     std::uint64_t total = 0;
     std::uint64_t pairs = 0;
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
+    for (std::uint32_t i = rect.row_begin; i < rect.row_end; ++i) {
       const std::span<const std::uint32_t> ri = rows.SliceIndices(i);
-      for_each_arc(i, [&](std::uint32_t j) {
-        ForEachCommonSlice(ri, cols.SliceIndices(j),
-                           [&](std::size_t a, std::size_t b) {
-                             total += and_popcount(rows.SliceWords(i, a),
-                                                   cols.SliceWords(j, b));
-                             ++pairs;
-                           });
-      });
+      m.ForEachArcInRect(
+          i, rect.col_begin, rect.col_end, rect.col_mask, rect.mask_value,
+          [&](std::uint32_t j) {
+            ForEachCommonSlice(ri, cols.SliceIndices(j),
+                               [&](std::size_t a, std::size_t b) {
+                                 total += and_popcount(rows.SliceWords(i, a),
+                                                       cols.SliceWords(j, b));
+                                 ++pairs;
+                               });
+          });
     }
     if (direct && counters != nullptr) counters->per_pair_pairs += pairs;
     return total;
@@ -307,39 +454,18 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
         [kind](Words a, Words b) { return AndPopcount(a, b, kind); });
   }
 
-  // Gathered zero-copy path: one gather pass per pivot row — the row's
-  // valid slices are indexed ONCE into a sparse lookup table (the
-  // §IV-A row-reuse idea on the host), so each arc pays O(|Cj|)
-  // lookups instead of re-merging the row's whole valid-slice list,
-  // and every matched pair lands as a zero-copy descriptor.
-  PairStreamExecutor exec(width, counters);
-  // row_ordinal_of_slice[k] = ordinal of slice k within the current
-  // pivot row, or -1. Only the row's own entries are ever written and
-  // reset, so the table costs O(|Ri|) per row after one O(slots) init.
-  std::vector<std::int32_t> row_ordinal_of_slice(
-      static_cast<std::size_t>(rows.slices_per_vector()), -1);
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const SlicedStore::VectorSlices row = rows.Slices(i);
-    if (row.indices.empty()) continue;
-    for (std::size_t a = 0; a < row.indices.size(); ++a) {
-      row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
-    }
-    for_each_arc(i, [&](std::uint32_t j) {
-      // Column j holds bit i (the arc exists), so it has valid slices.
-      const SlicedStore::VectorSlices col = cols.Slices(j);
-      for (std::size_t b = 0; b < col.indices.size(); ++b) {
-        const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
-        if (a >= 0) {
-          exec.Push(row.words + static_cast<std::size_t>(a) * width,
-                    col.words + b * width);
-        }
-      }
-    });
-    for (const std::uint32_t slice : row.indices) {
-      row_ordinal_of_slice[slice] = -1;
-    }
+  // Gathered zero-copy path, pivoting on whichever side probes fewer
+  // slices over the whole matrix.
+  const bool column_pivot = m.PrefersColumnPivot();
+  std::uint64_t pairs = 0;
+  const std::uint64_t total = column_pivot
+                                  ? GatherPass<true>(m, cols, rect, pairs)
+                                  : GatherPass<false>(m, cols, rect, pairs);
+  if (counters != nullptr) {
+    counters->zero_copy_pairs += pairs;
+    if (column_pivot) counters->column_pivot_pairs += pairs;
   }
-  return exec.Finish();
+  return total;
 }
 
 }  // namespace
@@ -366,11 +492,10 @@ std::uint64_t SlicedMatrix::AndPopcountRect(
     throw std::invalid_argument(
         "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
   }
-  return EvaluatePass(*this, cols, row_begin, row_end, kind, counters,
-                      [&](std::uint32_t i, const auto& visit) {
-                        ForEachArcInRect(i, col_begin, col_end, col_mask,
-                                         mask_value, visit);
-                      });
+  return EvaluatePass(
+      *this, cols,
+      PassRect{row_begin, row_end, col_begin, col_end, col_mask, mask_value},
+      kind, counters);
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

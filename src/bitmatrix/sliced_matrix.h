@@ -80,16 +80,21 @@ struct SliceStats {
 
 /// Per-route pair accounting of one host Eq. (5) pass: how many valid
 /// slice pairs the gathered zero-copy path consumed and how many the
-/// direct per-pair route (ChooseDirectPairLoop) did. The route is
-/// otherwise invisible from outside — these counters are how tests pin
-/// it and how the runtime.bank.pairs_*_total metrics report it.
+/// direct per-pair route (ChooseDirectPairLoop) did, plus which pivot
+/// the gathered path took. The route is otherwise invisible from
+/// outside — these counters are how tests pin it and how the
+/// runtime.bank.pairs_*_total metrics report it.
 struct PairPathCounters {
   std::uint64_t zero_copy_pairs = 0;
   std::uint64_t per_pair_pairs = 0;
+  /// The subset of zero_copy_pairs gathered under the column pivot
+  /// (SlicedMatrix::PrefersColumnPivot); the rest took the row pivot.
+  std::uint64_t column_pivot_pairs = 0;
 
   PairPathCounters& operator+=(const PairPathCounters& o) noexcept {
     zero_copy_pairs += o.zero_copy_pairs;
     per_pair_pairs += o.per_pair_pairs;
+    column_pivot_pairs += o.column_pivot_pairs;
     return *this;
   }
 
@@ -167,7 +172,8 @@ class SlicedMatrix {
   ///    slices, a second fills the row store in order and scatters each
   ///    arc i -> j into column j (rows arrive in increasing order, so
   ///    each column's sources do too). The only per-vertex scratch is
-  ///    one 32-bit last-slice stamp per column.
+  ///    one 32-bit last-slice stamp per column, plus one 32-bit bit
+  ///    count per column for the probe totals during the first walk.
   /// Throws std::invalid_argument on malformed input, as
   /// SlicedStore::FromCsr does.
   static SlicedMatrix FromCsr(std::uint32_t num_vertices,
@@ -206,7 +212,11 @@ class SlicedMatrix {
   /// exactly once). A rectangle spanning every column takes the plain
   /// row walk, which skips the ranged walk's per-row lower_bound. The
   /// one arc-selection rule of both the host pass (AndPopcountRect)
-  /// and the simulated pass (arch::Controller::RunPlan).
+  /// and the simulated pass (arch::Controller::RunPlan). The host
+  /// pass's column pivot applies it from the column side: each column
+  /// j the range and mask select, then column j's set bits in
+  /// [row_begin, row_end) of the column store, which mirrors the row
+  /// store bit for bit.
   template <typename Fn>
   void ForEachArcInRect(std::uint32_t i, std::uint32_t col_begin,
                         std::uint32_t col_end, const std::uint8_t* col_mask,
@@ -226,14 +236,19 @@ class SlicedMatrix {
   /// every non-zero A[i][j], Σ BitCount(AND(RiSk, CjSk)) over valid
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
   /// the triangle count; the caller owns that interpretation. At the
-  /// default kind (kBuiltin) the valid slice pairs are gathered per
-  /// pivot row as zero-copy descriptors and evaluated in flush batches
-  /// (AndPopcountPairsZeroCopy), unless ChooseDirectPairLoop routes the
-  /// whole pass through the immediate per-pair kernel call; the
-  /// hardware-model kinds run the exact per-word per-pair loop
-  /// instead. When `counters` is non-null the per-route pair
-  /// accounting of this pass is accumulated into it. Equivalent to
-  /// AndPopcountRect over every row and column with no mask.
+  /// default kind (kBuiltin) the valid slice pairs are gathered as
+  /// zero-copy descriptors and evaluated in flush batches
+  /// (AndPopcountPairsZeroCopy). The gather indexes one pivot vector's
+  /// valid slices once and probes the other side's slices against it,
+  /// one lookup per probed slice: pivoting on row i costs |Cj| lookups
+  /// per arc, pivoting on column j costs |Ri|, and the pass takes the
+  /// side whose whole-matrix total is smaller (PrefersColumnPivot).
+  /// ChooseDirectPairLoop may instead route the whole pass through the
+  /// immediate per-pair kernel call; the hardware-model kinds run the
+  /// exact per-word per-pair loop. Both of those pivot on the row.
+  /// When `counters` is non-null the per-route pair accounting of this
+  /// pass is accumulated into it. Equivalent to AndPopcountRect over
+  /// every row and column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
@@ -255,13 +270,34 @@ class SlicedMatrix {
   /// bit-identical data for every enumerated column.
   /// Throws std::out_of_range on an invalid rectangle. This is the one
   /// Eq. (5) enumerator: AndPopcountAllEdges forwards here, and the
-  /// route (zero-copy or direct) is chosen as for AndPopcountAllEdges.
+  /// route (zero-copy or direct) and the pivot are chosen as for
+  /// AndPopcountAllEdges, from the whole matrix, so every shard of a
+  /// partition takes the same ones.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
       std::uint32_t col_end, const std::uint8_t* col_mask = nullptr,
       bool mask_value = true, const SlicedStore* cols_override = nullptr,
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
+
+  /// The gather's probe totals, kept exact by FromCsr and
+  /// ApplyArcEdits. Pivoting on rows probes every valid slice of Cj for
+  /// each arc A[i][j]: Σ_arcs |Cj| = Σ_j bits(Cj)·|Cj|. Pivoting on
+  /// columns probes every valid slice of Ri: Σ_arcs |Ri| =
+  /// Σ_i bits(Ri)·|Ri|. (|V| is V's valid-slice count.)
+  [[nodiscard]] std::uint64_t row_pivot_probes() const noexcept {
+    return row_pivot_probes_;
+  }
+  [[nodiscard]] std::uint64_t column_pivot_probes() const noexcept {
+    return column_pivot_probes_;
+  }
+  /// The gathered pass's pivot rule: the column pivot exactly when it
+  /// probes fewer slices; ties keep the row pivot. Hub-skewed matrices
+  /// whose hubs sit on the column side (a degree order under kUpper)
+  /// take the column pivot.
+  [[nodiscard]] bool PrefersColumnPivot() const noexcept {
+    return column_pivot_probes_ < row_pivot_probes_;
+  }
 
   /// Full statistics pass (Tables III/IV); costs one walk over every
   /// arc's valid slice pairs. The reference for the stats the
@@ -282,7 +318,8 @@ class SlicedMatrix {
   /// Duplicate edits or non-flips throw std::invalid_argument (see
   /// SlicedStore::ApplyEdits); on throw the matrix is unchanged
   /// (edits are validated against the row store before either store
-  /// is touched).
+  /// is touched). The probe totals are re-weighed over the distinct
+  /// rows and columns the batch touches, once both stores accept it.
   MatrixPatchStats ApplyArcEdits(std::span<const ArcEdit> edits,
                                  std::uint32_t new_num_vertices);
 
@@ -302,6 +339,8 @@ class SlicedMatrix {
 
   SlicedStore rows_;
   SlicedStore cols_;
+  std::uint64_t row_pivot_probes_ = 0;     // Σ_arcs |Cj|
+  std::uint64_t column_pivot_probes_ = 0;  // Σ_arcs |Ri|
 };
 
 }  // namespace tcim::bit

@@ -37,8 +37,9 @@ namespace tcim::core {
 /// Sliced evaluation of Eq. (5) — the "w/o PIM" software path.
 /// Returns the triangle count (orientation multiplier applied). At
 /// the default popcount the valid slice pairs are gathered per pivot
-/// row and evaluated in blocks by the zero-copy pair kernel — one call
-/// per block, not per slice pair (bit::AndPopcountPairsZeroCopy).
+/// row or column (whichever side probes fewer slices) and evaluated in
+/// blocks by the zero-copy pair kernel — one call per block, not per
+/// slice pair (bit::AndPopcountPairsZeroCopy).
 [[nodiscard]] std::uint64_t CountTrianglesSliced(
     const graph::Graph& g,
     graph::Orientation orientation = graph::Orientation::kUpper,

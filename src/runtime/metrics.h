@@ -63,6 +63,7 @@ struct BankPoolMetrics {
   // pairs consumed per route (bit::PairPathCounters).
   obs::Counter& pairs_zero_copy;     // pairs via zero-copy descriptors
   obs::Counter& pairs_per_pair;      // pairs via the direct per-pair route
+  obs::Counter& pairs_column_pivot;  // zero-copy pairs under the column pivot
 
   static BankPoolMetrics& Get();
   // Per-bank busy counter, registered on first use:

@@ -432,5 +432,177 @@ TEST(SlicedMatrixFromCsr, RejectsMalformedInputLikeTheOracle) {
   }
 }
 
+// --- The Eq. (5) gather's probe totals ---------------------------------
+
+// Brute force: walk every arc A[i][j] and add up the valid slices the
+// row pivot probes (those of Cj) and the column pivot probes (Ri).
+struct ProbeTotals {
+  std::uint64_t row_pivot = 0;
+  std::uint64_t column_pivot = 0;
+};
+
+ProbeTotals ArcWalkProbeTotals(const SlicedMatrix& m) {
+  ProbeTotals totals;
+  for (std::uint32_t i = 0; i < m.num_vertices(); ++i) {
+    m.rows().ForEachSetBit(i, [&](std::uint64_t j) {
+      totals.row_pivot += m.cols().SliceCount(static_cast<std::uint32_t>(j));
+      totals.column_pivot += m.rows().SliceCount(i);
+    });
+  }
+  return totals;
+}
+
+void ExpectExactProbeTotals(const SlicedMatrix& m) {
+  const ProbeTotals want = ArcWalkProbeTotals(m);
+  EXPECT_EQ(m.row_pivot_probes(), want.row_pivot);
+  EXPECT_EQ(m.column_pivot_probes(), want.column_pivot);
+  EXPECT_EQ(m.PrefersColumnPivot(), want.column_pivot < want.row_pivot);
+}
+
+constexpr std::uint32_t kProbeSliceBits[] = {1, 7, 64, 100, 512};
+
+TEST(SlicedMatrixProbeTotals, FromCsrMatchesArcWalkOnRandomCsrs) {
+  util::Xoshiro256 rng(77);
+  for (const std::uint32_t n : {0u, 1u, 65u, 129u, 300u}) {
+    for (const double density : {0.0, 0.01, 0.05, 0.25}) {
+      const Csr csr = RandomCsr(n, density, rng);
+      for (const std::uint32_t bits : kProbeSliceBits) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " density=" + std::to_string(density) +
+                     " slice_bits=" + std::to_string(bits));
+        ExpectExactProbeTotals(
+            SlicedMatrix::FromCsr(n, csr.offsets, csr.neighbors, bits));
+      }
+    }
+  }
+}
+
+TEST(SlicedMatrixProbeTotals, FromCsrMatchesArcWalkOnPaperStandIns) {
+  for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
+    const graph::Graph g =
+        graph::SynthesizePaperGraph(ref.id, 0.002, 3).graph;
+    for (const auto o :
+         {graph::Orientation::kUpper, graph::Orientation::kDegree,
+          graph::Orientation::kFullSymmetric}) {
+      const graph::OrientedCsr csr = graph::Orient(g, o);
+      for (const std::uint32_t bits : kProbeSliceBits) {
+        SCOPED_TRACE(std::string(ref.name) + " " + graph::ToString(o) +
+                     " slice_bits=" + std::to_string(bits));
+        ExpectExactProbeTotals(SlicedMatrix::FromCsr(
+            csr.num_vertices, csr.offsets, csr.neighbors, bits));
+      }
+    }
+  }
+}
+
+// A dense arc model the random edit batches flip against.
+struct ArcModel {
+  std::uint32_t n = 0;
+  std::vector<std::vector<bool>> arcs;  // arcs[i][j]
+
+  void Grow(std::uint32_t new_n) {
+    n = new_n;
+    arcs.resize(n);
+    for (auto& row : arcs) row.resize(n, false);
+  }
+  [[nodiscard]] SlicedMatrix Fresh(std::uint32_t slice_bits) const {
+    Csr csr;
+    csr.offsets.push_back(0);
+    for (const auto& row : arcs) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (row[j]) csr.neighbors.push_back(j);
+      }
+      csr.offsets.push_back(csr.neighbors.size());
+    }
+    return SlicedMatrix::FromCsr(n, csr.offsets, csr.neighbors, slice_bits);
+  }
+};
+
+TEST(SlicedMatrixProbeTotals, ApplyArcEditsKeepsThemExact) {
+  for (const std::uint32_t bits : kProbeSliceBits) {
+    SCOPED_TRACE("slice_bits=" + std::to_string(bits));
+    util::Xoshiro256 rng(1000 + bits);
+    ArcModel model;
+    model.Grow(90);
+    for (auto& row : model.arcs) {
+      for (std::size_t j = 0; j < row.size(); ++j) row[j] = rng.Bernoulli(0.04);
+    }
+    SlicedMatrix m = model.Fresh(bits);
+    std::uint64_t inserts = 0;
+    std::uint64_t deletes = 0;
+    MatrixPatchStats structural;
+    for (int batch = 0; batch < 80; ++batch) {
+      std::uint32_t new_n = model.n;
+      if (batch % 11 == 10) new_n += 1 + static_cast<std::uint32_t>(rng() % 70);
+      model.Grow(new_n);
+      std::vector<ArcEdit> edits;
+      std::vector<std::vector<bool>> seen(new_n, std::vector<bool>(new_n));
+      const int count = 1 + static_cast<int>(rng() % 40);
+      for (int e = 0; e < count; ++e) {
+        auto from = static_cast<std::uint32_t>(rng() % new_n);
+        auto to = static_cast<std::uint32_t>(rng() % new_n);
+        // Half the edits land on a hub row or column, which piles
+        // several edits into one touched vector.
+        if (rng() % 4 == 0) from = 0;
+        if (rng() % 4 == 0) to = new_n - 1;
+        if (seen[from][to]) continue;
+        seen[from][to] = true;
+        const bool set = !model.arcs[from][to];
+        edits.push_back(ArcEdit{from, to, set});
+        model.arcs[from][to] = set;
+        (set ? inserts : deletes) += 1;
+      }
+      const MatrixPatchStats stats = m.ApplyArcEdits(edits, new_n);
+      structural.rows += stats.rows;
+      structural.cols += stats.cols;
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      ExpectExactProbeTotals(m);
+      const SlicedMatrix fresh = model.Fresh(bits);
+      EXPECT_EQ(m.row_pivot_probes(), fresh.row_pivot_probes());
+      EXPECT_EQ(m.column_pivot_probes(), fresh.column_pivot_probes());
+      if (::testing::Test::HasFailure()) return;
+    }
+    // The sequence covered every kind of edit the totals must follow.
+    EXPECT_GT(inserts, 0u);
+    EXPECT_GT(deletes, 0u);
+    EXPECT_GT(structural.rows.slices_inserted, 0u);
+    EXPECT_GT(structural.rows.slices_removed, 0u);
+    EXPECT_GT(structural.cols.slices_inserted, 0u);
+    EXPECT_GT(structural.cols.slices_removed, 0u);
+    if (bits > 1) EXPECT_GT(structural.rows.bits_patched, 0u);
+  }
+}
+
+TEST(SlicedMatrixProbeTotals, RejectedBatchLeavesThemUnchanged) {
+  util::Xoshiro256 rng(5);
+  const Csr csr = RandomCsr(100, 0.05, rng);
+  SlicedMatrix m = SlicedMatrix::FromCsr(100, csr.offsets, csr.neighbors, 64);
+  const std::uint32_t set_to = csr.neighbors.front();  // A[i][set_to] is set
+  std::uint32_t set_from = 0;
+  while (csr.offsets[set_from + 1] == 0) ++set_from;
+  std::uint32_t clear_to = 0;
+  while (m.TestArc(set_from, clear_to)) ++clear_to;
+  const std::uint64_t row_total = m.row_pivot_probes();
+  const std::uint64_t column_total = m.column_pivot_probes();
+  // Each batch starts with real flips that would move both totals,
+  // then fails validation.
+  const std::vector<std::vector<ArcEdit>> bad_batches = {
+      {{set_from, set_to, false}, {set_from, clear_to, true},
+       {set_from, clear_to, true}},                         // duplicate
+      {{set_from, set_to, false}, {set_from, clear_to, false}},  // no flip
+      {{set_from, clear_to, true}, {200, 1, true}},         // out of range
+  };
+  for (const std::vector<ArcEdit>& batch : bad_batches) {
+    EXPECT_THROW((void)m.ApplyArcEdits(batch, 100), std::invalid_argument);
+    EXPECT_EQ(m.row_pivot_probes(), row_total);
+    EXPECT_EQ(m.column_pivot_probes(), column_total);
+  }
+  EXPECT_THROW((void)m.ApplyArcEdits(std::vector<ArcEdit>{{0, 1, true}}, 99),
+               std::invalid_argument);  // shrinking
+  EXPECT_EQ(m.row_pivot_probes(), row_total);
+  EXPECT_EQ(m.column_pivot_probes(), column_total);
+  ExpectExactProbeTotals(m);
+}
+
 }  // namespace
 }  // namespace tcim::bit

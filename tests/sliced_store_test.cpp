@@ -5,12 +5,16 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baseline/cpu_tc.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "bitmatrix/sliced_store.h"
+#include "graph/graph.h"
+#include "graph/orientation.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -396,8 +400,8 @@ constexpr PopcountKind kAllKinds[] = {PopcountKind::kBuiltin,
                                       PopcountKind::kSwar, PopcountKind::kLut8,
                                       PopcountKind::kLut16};
 
-std::string KindName(const ::testing::TestParamInfo<PopcountKind>& info) {
-  switch (info.param) {
+std::string KindString(PopcountKind kind) {
+  switch (kind) {
     case PopcountKind::kBuiltin:
       return "builtin";
     case PopcountKind::kSwar:
@@ -408,6 +412,10 @@ std::string KindName(const ::testing::TestParamInfo<PopcountKind>& info) {
       return "lut16";
   }
   return "unknown";
+}
+
+std::string KindName(const ::testing::TestParamInfo<PopcountKind>& info) {
+  return KindString(info.param);
 }
 
 /// Pairs the gathered route reports for a pass of `valid_pairs` pairs
@@ -579,6 +587,7 @@ TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
   EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
   EXPECT_EQ(all.per_pair_pairs, valid_pairs);
   EXPECT_EQ(all.zero_copy_pairs, 0u);
+  EXPECT_EQ(all.column_pivot_pairs, 0u);  // the direct route pivots on rows
 
   PairPathCounters rows;
   EXPECT_EQ(m.AndPopcountRect(0, kN / 3, 0, kN, nullptr, true, nullptr,
@@ -612,15 +621,77 @@ TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
 // every way of tiling a pass (row shards, column ranges, a 2D grid,
 // hub/tail masks read through a replica store) sums to the per-pair
 // reference. These stores are cache-resident, so every kBuiltin pair
-// takes the gathered zero-copy route.
+// takes the gathered zero-copy route. Each case runs on three shapes:
+// the random upper matrix, and hub-skewed matrices whose hubs sit on
+// the column side (the gather pivots on columns) or on the row side
+// (it pivots on rows).
 
-class EnumeratorKindTest : public ::testing::TestWithParam<PopcountKind> {};
+enum class Shape { kRandom, kHubColumns, kHubRows };
 
-TEST_P(EnumeratorKindTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
-  const PopcountKind kind = GetParam();
+/// Graph of local band edges (each vertex links to ~avg_degree/2 of
+/// the next 24 ids, so a row or column spans few slices) plus n/16
+/// hubs linked to every vertex. Under kUpper, hubs at the top ids
+/// become dense columns and hubs at the bottom ids dense rows.
+graph::Graph HubGraph(std::uint32_t n, std::uint32_t avg_degree,
+                      std::uint64_t seed, bool hubs_on_columns) {
+  util::Xoshiro256 rng(seed);
+  graph::GraphBuilder b(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t d = 0; d < avg_degree / 2; ++d) {
+      const auto w = v + 1 + static_cast<std::uint32_t>(rng.UniformBelow(24));
+      if (w < n) b.AddEdge(v, w);
+    }
+  }
+  const std::uint32_t hubs = std::max(2u, n / 16);
+  for (std::uint32_t h = 0; h < hubs; ++h) {
+    const std::uint32_t hub = hubs_on_columns ? n - 1 - h : h;
+    for (std::uint32_t v = 0; v < n; ++v) b.AddEdge(hub, v);
+  }
+  return std::move(b).Build();
+}
+
+SlicedMatrix UpperMatrix(const graph::Graph& g, std::uint32_t slice_bits) {
+  const graph::OrientedCsr csr = graph::Orient(g, graph::Orientation::kUpper);
+  return SlicedMatrix::FromCsr(csr.num_vertices, csr.offsets, csr.neighbors,
+                               slice_bits);
+}
+
+SlicedMatrix ShapedMatrix(Shape shape, std::uint32_t n,
+                          std::uint32_t avg_degree, std::uint32_t slice_bits,
+                          std::uint64_t seed) {
+  if (shape == Shape::kRandom) {
+    return RandomUpperMatrix(n, avg_degree, slice_bits, seed);
+  }
+  return UpperMatrix(
+      HubGraph(n, avg_degree, seed, shape == Shape::kHubColumns), slice_bits);
+}
+
+/// A hub-skewed shape takes its own side's pivot wherever a vector
+/// spans more than one slice (with one slice per vector both totals
+/// count arcs, and the tie keeps the row pivot).
+void ExpectShapePivot(const SlicedMatrix& m, Shape shape) {
+  if (shape == Shape::kHubRows || m.rows().slices_per_vector() == 1) {
+    EXPECT_FALSE(m.PrefersColumnPivot());
+  } else if (shape == Shape::kHubColumns) {
+    EXPECT_TRUE(m.PrefersColumnPivot());
+  }
+}
+
+/// Column-pivot pairs a pass of `valid_pairs` pairs reports: all of
+/// them when the gathered route pivots on columns, else none.
+std::uint64_t ColumnPivotPairsFor(PopcountKind kind, const SlicedMatrix& m,
+                                  std::uint64_t valid_pairs) {
+  return m.PrefersColumnPivot() ? ZeroCopyPairsFor(kind, valid_pairs) : 0;
+}
+
+// The case bodies, shared by the random-matrix fixture and the
+// hub-shape fixture below.
+void ExpectRowShardsRectAndAllEdgesMatchPerPair(PopcountKind kind,
+                                                Shape shape) {
   for (const std::uint32_t slice_bits : {8u, 64u, 100u, 192u, 512u}) {
     SCOPED_TRACE("slice_bits=" + std::to_string(slice_bits));
-    const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 1234);
+    const SlicedMatrix m = ShapedMatrix(shape, 300, 6, slice_bits, 1234);
+    ExpectShapePivot(m, shape);
     const std::uint32_t n = m.num_vertices();
     const std::uint64_t expected = PerPairReference(m);
     const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
@@ -638,30 +709,37 @@ TEST_P(EnumeratorKindTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
               expected);
     for (const PairPathCounters& c : {all, rows, rect}) {
       EXPECT_EQ(c.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
+      EXPECT_EQ(c.column_pivot_pairs,
+                ColumnPivotPairsFor(kind, m, valid_pairs));
       EXPECT_EQ(c.per_pair_pairs, 0u);
     }
   }
 }
 
-TEST_P(EnumeratorKindTest, ColumnRangesAndGridTileTheMatrix) {
-  const PopcountKind kind = GetParam();
-  const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 99);
+void ExpectColumnRangesAndGridTileTheMatrix(PopcountKind kind, Shape shape) {
+  const SlicedMatrix m = ShapedMatrix(shape, 400, 7, 64, 99);
+  ExpectShapePivot(m, shape);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
+  const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
   for (const std::uint32_t parts : {1u, 2u, 5u}) {
     std::uint64_t by_cols = 0;
     std::uint64_t by_grid = 0;
+    PairPathCounters grid;
     for (std::uint32_t c = 0; c < parts; ++c) {
       const std::uint32_t c0 = n * c / parts;
       const std::uint32_t c1 = n * (c + 1) / parts;
       by_cols += m.AndPopcountRect(0, n, c0, c1, nullptr, true, nullptr, kind);
       for (std::uint32_t r = 0; r < parts; ++r) {
         by_grid += m.AndPopcountRect(n * r / parts, n * (r + 1) / parts, c0,
-                                     c1, nullptr, true, nullptr, kind);
+                                     c1, nullptr, true, nullptr, kind, &grid);
       }
     }
     EXPECT_EQ(by_cols, total) << "parts=" << parts;
     EXPECT_EQ(by_grid, total) << "parts=" << parts;
+    EXPECT_EQ(grid.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
+    EXPECT_EQ(grid.column_pivot_pairs,
+              ColumnPivotPairsFor(kind, m, valid_pairs));
   }
   EXPECT_EQ(m.AndPopcountRect(0, n, 7, 7), 0u);
   EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
@@ -669,9 +747,10 @@ TEST_P(EnumeratorKindTest, ColumnRangesAndGridTileTheMatrix) {
   EXPECT_THROW((void)m.AndPopcountRect(0, n, 0, n + 1), std::out_of_range);
 }
 
-TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
-  const PopcountKind kind = GetParam();
-  const SlicedMatrix m = RandomUpperMatrix(300, 8, 128, 555);
+void ExpectMaskedRectWithReplicaSplitsTheTotal(PopcountKind kind,
+                                               Shape shape) {
+  const SlicedMatrix m = ShapedMatrix(shape, 300, 8, 128, 555);
+  ExpectShapePivot(m, shape);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
   std::vector<std::uint8_t> hub_mask(n, 0);
@@ -692,8 +771,10 @@ TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
   EXPECT_GT(hub_lane, 0u);
   EXPECT_GT(tail, 0u);
   EXPECT_EQ(hub_lane + tail, total);
-  EXPECT_EQ(counters.zero_copy_pairs,
-            ZeroCopyPairsFor(kind, m.ComputeStats().valid_pairs));
+  const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+  EXPECT_EQ(counters.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
+  EXPECT_EQ(counters.column_pivot_pairs,
+            ColumnPivotPairsFor(kind, m, valid_pairs));
   EXPECT_EQ(counters.per_pair_pairs, 0u);
   // The replica holds bit-identical hub columns, so reading them from
   // the shared column store gives the same hub lane.
@@ -701,8 +782,95 @@ TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
             hub_lane);
 }
 
+class EnumeratorKindTest : public ::testing::TestWithParam<PopcountKind> {};
+
+TEST_P(EnumeratorKindTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
+  ExpectRowShardsRectAndAllEdgesMatchPerPair(GetParam(), Shape::kRandom);
+}
+
+TEST_P(EnumeratorKindTest, ColumnRangesAndGridTileTheMatrix) {
+  ExpectColumnRangesAndGridTileTheMatrix(GetParam(), Shape::kRandom);
+}
+
+TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
+  ExpectMaskedRectWithReplicaSplitsTheTotal(GetParam(), Shape::kRandom);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, EnumeratorKindTest,
                          ::testing::ValuesIn(kAllKinds), KindName);
+
+struct HubCase {
+  PopcountKind kind;
+  Shape shape;
+};
+
+// Prints the case for the test listing (gtest would dump its bytes,
+// padding included).
+void PrintTo(const HubCase& c, std::ostream* os) {
+  *os << KindString(c.kind)
+      << (c.shape == Shape::kHubColumns ? " on hub columns" : " on hub rows");
+}
+
+std::vector<HubCase> CasesOf(Shape shape) {
+  std::vector<HubCase> cases;
+  for (const PopcountKind kind : kAllKinds) cases.push_back({kind, shape});
+  return cases;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<HubCase>& info) {
+  return KindString(info.param.kind);
+}
+
+class EnumeratorHubTest : public ::testing::TestWithParam<HubCase> {};
+
+TEST_P(EnumeratorHubTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
+  ExpectRowShardsRectAndAllEdgesMatchPerPair(GetParam().kind,
+                                             GetParam().shape);
+}
+
+TEST_P(EnumeratorHubTest, ColumnRangesAndGridTileTheMatrix) {
+  ExpectColumnRangesAndGridTileTheMatrix(GetParam().kind, GetParam().shape);
+}
+
+TEST_P(EnumeratorHubTest, MaskedRectWithReplicaSplitsTheTotal) {
+  ExpectMaskedRectWithReplicaSplitsTheTotal(GetParam().kind,
+                                            GetParam().shape);
+}
+
+INSTANTIATE_TEST_SUITE_P(HubColumns, EnumeratorHubTest,
+                         ::testing::ValuesIn(CasesOf(Shape::kHubColumns)),
+                         CaseName);
+INSTANTIATE_TEST_SUITE_P(HubRows, EnumeratorHubTest,
+                         ::testing::ValuesIn(CasesOf(Shape::kHubRows)),
+                         CaseName);
+
+// The pivot each hub shape must take, read off column_pivot_pairs,
+// with the count pinned to the CPU baseline and the pair total to the
+// stats walk.
+TEST(SlicedMatrixPivot, HubColumnsTakeTheColumnPivotAndHubRowsTheRowPivot) {
+  for (const bool hubs_on_columns : {true, false}) {
+    const graph::Graph g = HubGraph(2000, 8, 31, hubs_on_columns);
+    const std::uint64_t triangles = baseline::CountTrianglesReference(g);
+    for (const std::uint32_t slice_bits : {8u, 64u, 100u, 512u}) {
+      SCOPED_TRACE(std::string(hubs_on_columns ? "hub columns" : "hub rows") +
+                   " slice_bits=" + std::to_string(slice_bits));
+      const SlicedMatrix m = UpperMatrix(g, slice_bits);
+      ASSERT_EQ(m.PrefersColumnPivot(), hubs_on_columns)
+          << "row pivot probes " << m.row_pivot_probes()
+          << ", column pivot probes " << m.column_pivot_probes();
+      const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+      PairPathCounters counters;
+      EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
+                triangles);
+      EXPECT_EQ(counters.zero_copy_pairs, valid_pairs);
+      EXPECT_EQ(counters.column_pivot_pairs,
+                hubs_on_columns ? valid_pairs : 0u);
+      EXPECT_EQ(counters.per_pair_pairs, 0u);
+      // The per-pair loop keeps the row pivot and agrees.
+      EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kSwar), triangles);
+    }
+  }
+}
 
 TEST(Enumerator, HardwareModelKindMatchesBuiltinOnMaskedRect) {
   // The hardware-model kinds take the per-word per-pair loop of the

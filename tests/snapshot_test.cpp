@@ -15,10 +15,13 @@
 
 #include "baseline/cpu_tc.h"
 #include "bitmatrix/sliced_store.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
+#include "graph/relabel.h"
 #include "runtime/bank_pool.h"
 #include "runtime/epoch_manager.h"
+#include "runtime/metrics.h"
 #include "runtime/stream_session.h"
 #include "stream/edge_delta.h"
 #include "util/rng.h"
@@ -337,6 +340,71 @@ INSTANTIATE_TEST_SUITE_P(Orientations, SnapshotOrientationTest,
                          [](const auto& info) {
                            return graph::ToString(info.param);
                          });
+
+// --- the column pivot on a served hub graph -------------------------------
+
+TEST(SnapshotPivot, HubGraphQueriesTakeTheColumnPivotOnPinnedEpochs) {
+  // The served com-youtube shape: in degree order, kUpper puts every
+  // hub on the column side, so each HostCountEpoch shard gathers under
+  // the column pivot, walking the column slabs of the pinned epoch.
+  // That must hold, and stay exact, across publishes — also on an old
+  // pinned epoch whose hub columns later batches rewrite copy-on-write.
+  graph::Graph g = graph::SynthesizePaperGraph(
+                       graph::PaperDataset::kComYoutube, 0.01, 5)
+                       .graph;
+  g = graph::ChooseRelabeling(g, graph::RelabelMode::kDegree).map.Apply(g);
+  StreamSession session(g);
+  runtime::BankPoolConfig pool_config;
+  pool_config.num_banks = 2;
+  pool_config.partition = runtime::PartitionStrategy::kDegreeBalanced;
+  const runtime::BankPool pool(pool_config);
+
+  runtime::BankPoolMetrics& metrics = runtime::BankPoolMetrics::Get();
+  const auto count_under_column_pivot = [&](const EpochSnapshot& epoch) {
+    EXPECT_TRUE(epoch.matrix->PrefersColumnPivot())
+        << "row pivot probes " << epoch.matrix->row_pivot_probes()
+        << ", column pivot probes " << epoch.matrix->column_pivot_probes();
+    const std::uint64_t zero_copy = metrics.pairs_zero_copy.Value();
+    const std::uint64_t column_pivot = metrics.pairs_column_pivot.Value();
+    const std::uint64_t count = pool.HostCountEpoch(epoch);
+    const std::uint64_t pairs = metrics.pairs_zero_copy.Value() - zero_copy;
+    EXPECT_GT(pairs, 0u);
+    EXPECT_EQ(metrics.pairs_column_pivot.Value() - column_pivot, pairs);
+    EXPECT_EQ(pairs, epoch.matrix->ComputeStats().valid_pairs);
+    return count;
+  };
+
+  const EpochManager::Pin pin0 = session.PinEpoch();
+  ASSERT_EQ(count_under_column_pivot(*pin0), pin0->triangles);
+  ASSERT_EQ(OracleCount(pin0), pin0->triangles);
+
+  const VertexId n = g.num_vertices();
+  util::Xoshiro256 rng(11);
+  EpochManager::Pin last = pin0;
+  for (int b = 0; b < 6; ++b) {
+    EdgeDelta delta;
+    for (int k = 0; k < 30; ++k) {
+      // Every other op lands on one of the top-degree ids (the hub
+      // columns); the rest are uniform.
+      const auto u = static_cast<VertexId>(
+          k % 2 == 0 ? n - 1 - rng() % 8 : rng() % n);
+      const auto v = static_cast<VertexId>(rng() % n);
+      if (rng() % 3 == 0) {
+        delta.Erase(u, v);
+      } else {
+        delta.Insert(u, v);
+      }
+    }
+    (void)session.Apply(delta);
+    last = session.PinEpoch();
+    ASSERT_EQ(count_under_column_pivot(*last), last->triangles)
+        << "batch " << b;
+    ASSERT_EQ(count_under_column_pivot(*pin0), pin0->triangles)
+        << "batch " << b;
+  }
+  EXPECT_EQ(OracleCount(last), last->triangles);
+  EXPECT_EQ(OracleCount(pin0), pin0->triangles);
+}
 
 // --- 2D serving-plan cache under streaming updates -------------------------
 

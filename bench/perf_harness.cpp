@@ -2,14 +2,14 @@
 //
 // Measures (a) the end-to-end Eq. (5) host pass (AndPopcountAllEdges)
 // on the Table II dataset stand-ins at |S| = 64 and 512, next to the
-// per-slice-pair formulation it replaced, so the zero-copy path and
-// its one direct exception stay measured, not assumed; and (b) the
+// per-slice-pair formulation it replaced, so the gathered zero-copy
+// pass stays measured against a different path, not assumed; and (b) the
 // load-time relabeling choice (graph::ChooseRelabeling): valid-slice
 // counts under the chosen order vs the native ids, and vs an
 // id-shuffled instance standing in for real SNAP labelings, plus the
 // wall time of choosing and applying it. Every count is cross-checked
 // against the CPU baseline and the results land in a machine-readable
-// BENCH_kernels.json (schema_version 8; see docs/KERNELS.md for the
+// BENCH_kernels.json (schema_version 9; see docs/KERNELS.md for the
 // schema and the regression workflow). Every dump is stamped with run
 // metadata — UTC date, compiler, TCIM_SCALE — so archived JSONs stay
 // attributable.
@@ -56,8 +56,8 @@ struct EndToEndResult {
   std::uint32_t slice_bits = 64;
   std::uint64_t triangles = 0;
   bool verified = false;
-  /// Where the host pass routed this row's pairs (ChooseDirectPairLoop
-  /// is a function of the matrix alone).
+  /// The host pass's pair count and pivot on this row (a function of
+  /// the matrix alone).
   bit::PairPathCounters paths;
   /// The matrix's two probe totals, which pick the gathered pivot.
   std::uint64_t row_pivot_probes = 0;
@@ -66,13 +66,8 @@ struct EndToEndResult {
   double per_edge_seconds = 0.0;  ///< legacy per-slice-pair loop
   double adaptive_speedup = 1.0;  ///< per_edge / host pass (paired)
 
-  /// Route of the row: "perpair" when the direct rule fired.
-  [[nodiscard]] std::string Route() const {
-    return paths.per_pair_pairs > paths.zero_copy_pairs ? "perpair"
-                                                        : "zerocopy";
-  }
-  /// Pivot of the row's pairs: "column" when the gathered route pivoted
-  /// on columns; the direct route always pivots on rows.
+  /// Pivot of the row's pairs: "column" when the gather pivoted on
+  /// columns.
   [[nodiscard]] std::string Pivot() const {
     return paths.column_pivot_pairs > 0 ? "column" : "row";
   }
@@ -230,10 +225,8 @@ EndToEndResult MeasureEndToEnd(const graph::DatasetInstance& inst,
   const bit::SlicedMatrix matrix = core::BuildSlicedMatrix(
       inst.graph, graph::Orientation::kUpper, slice_bits);
 
-  // One instrumented pass records where the host pass routes this
-  // row's pairs.
-  const std::uint64_t raw = matrix.AndPopcountAllEdges(
-      bit::PopcountKind::kBuiltin, &result.paths);
+  // One instrumented pass records this row's pair count and pivot.
+  const std::uint64_t raw = matrix.AndPopcountAllEdges(&result.paths);
   result.row_pivot_probes = matrix.row_pivot_probes();
   result.column_pivot_probes = matrix.column_pivot_probes();
 
@@ -285,14 +278,15 @@ void WriteJson(const std::string& path,
   }
   os << "{\n";
   os << "  \"bench\": \"kernels\",\n";
-  os << "  \"schema_version\": 8,\n";
+  os << "  \"schema_version\": 9,\n";
   os << "  \"scale\": " << util::WorkloadScale(0.25) << ",\n";
   os << "  \"seed\": " << util::BaseSeed() << ",\n";
   // v3: run-attribution stamp (obs::CollectRunMetadata).
   os << "  \"run\": {" << obs::RunMetadataJsonFields() << "},\n";
 
   // v7: one host-pass time per row (the kernel has one implementation);
-  // v8: + the gathered pivot and the two probe totals behind it.
+  // v8: + the gathered pivot and the two probe totals behind it;
+  // v9: - the route and per-pair pair count (the pass has one route).
   os << "  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < end_to_end.size(); ++i) {
     const auto& e = end_to_end[i];
@@ -300,9 +294,7 @@ void WriteJson(const std::string& path,
        << "\", \"slice_bits\": " << e.slice_bits
        << ", \"triangles\": " << e.triangles
        << ", \"verified\": " << (e.verified ? "true" : "false")
-       << ", \"route\": \"" << e.Route() << "\""
-       << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs
-       << ", \"perpair\": " << e.paths.per_pair_pairs << "}"
+       << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs << "}"
        << ", \"pivot\": \"" << e.Pivot() << "\""
        << ", \"probes\": {\"row_pivot\": " << e.row_pivot_probes
        << ", \"column_pivot\": " << e.column_pivot_probes << "}"
@@ -381,23 +373,22 @@ int main(int argc, char** argv) {
   {
     util::TablePrinter table(
         {"Dataset", "|S|", "Triangles", "Verified", "pass [ms]",
-         "per-pair [ms]", "route", "pivot", "vs per-edge"},
+         "per-pair [ms]", "pivot", "vs per-edge"},
         {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
          util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-         util::Align::kLeft, util::Align::kLeft, util::Align::kRight});
+         util::Align::kLeft, util::Align::kRight});
     for (const auto& e : end_to_end) {
       table.AddRow({e.dataset, std::to_string(e.slice_bits),
                     util::TablePrinter::WithThousands(e.triangles),
                     e.verified ? "yes" : "NO",
                     util::TablePrinter::Fixed(e.seconds * 1e3, 2),
                     util::TablePrinter::Fixed(e.per_edge_seconds * 1e3, 2),
-                    e.Route(), e.Pivot(),
+                    e.Pivot(),
                     util::TablePrinter::Ratio(e.adaptive_speedup, 2)});
     }
     std::cout << "\nEnd-to-end AndPopcountAllEdges (fastest of a timed "
                  "window, upper orientation; last columns: the row's "
-                 "route, its pivot and the host pass vs the per-pair "
-                 "loop):\n";
+                 "pivot and the host pass vs the per-pair loop):\n";
     table.Print(std::cout);
   }
 
@@ -433,10 +424,11 @@ int main(int argc, char** argv) {
                  "relabeling\n";
     for (const auto& e : end_to_end) {
       // Floor 2, the gather-bound regression class: sparse road rows
-      // at |S|=512 must not lose to the per-pair loop. The direct
-      // route runs these rows near parity, so the floor sits 3% under
-      // it — far above the 19% loss a batched memcpy gather once
-      // showed here, but not flaky when a round lands at 0.99x.
+      // at |S|=512 — cold 8-word slices with next to no reuse — must
+      // not lose to the per-pair loop, a different path (one
+      // AndPopcount call per pair). The floor sits 3% under parity,
+      // far above the 19% loss a batched memcpy gather once showed
+      // here.
       constexpr double kRoadFloor = 0.97;
       if (e.dataset.rfind("roadNet", 0) == 0 && e.slice_bits == 512 &&
           e.adaptive_speedup < kRoadFloor) {

@@ -7,6 +7,7 @@
 // Layer: §5 bitmatrix — see docs/ARCHITECTURE.md.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>

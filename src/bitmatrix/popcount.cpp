@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 namespace tcim::bit {
 namespace {
@@ -34,6 +35,18 @@ std::array<std::uint8_t, 65536> MakeLut16() {
 const std::array<std::uint8_t, 65536>& Lut16() {
   static const std::array<std::uint8_t, 65536> lut = MakeLut16();
   return lut;
+}
+
+// Σ popcount(a[k] & b[k]) over n words — the kBuiltin kernel body; a/b
+// may be null only when n == 0.
+std::uint64_t AndPopcountBuiltin(const std::uint64_t* a,
+                                 const std::uint64_t* b,
+                                 std::size_t n) noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    total += static_cast<std::uint64_t>(std::popcount(a[k] & b[k]));
+  }
+  return total;
 }
 
 }  // namespace

@@ -5,23 +5,19 @@
 // provides that LUT variant (used by pim::BitCounter to model the
 // hardware bit counter), the classic SWAR reduction, and the compiler
 // builtin — all behaviourally identical, which the tests assert and the
-// micro-kernel bench compares for throughput.
+// micro-kernel bench compares for throughput. The span calls
+// (AndPopcount, PopcountWords) take any of them.
 //
-// PopcountKind::kBuiltin is the host stand-in for the in-MRAM
-// AND+BitCount unit: one std::popcount loop, which the x86-64 build
-// (-mpopcnt, see CMakeLists.txt) turns into one POPCNT per word. A
-// valid slice is 1–8 words, so the Eq. (5) hot paths gather their
-// pairs as in-place descriptors and sum a whole list per call
+// The host Eq. (5) pass has one kernel: the zero-copy pair list
 // (bit::PairRef + bit::AndPopcountPairsZeroCopy; see docs/KERNELS.md,
-// "The Eq. (5) pair path"). The hardware-model strategies (kSwar,
-// kLut8, kLut16) run the same per-word loop with their modeled count
-// so pim::BitCounter and the ablations stay faithful to the modeled
-// structure.
+// "The Eq. (5) pair path"), one std::popcount loop per pair, which the
+// x86-64 build (-mpopcnt, see CMakeLists.txt) turns into one POPCNT per
+// word. A valid slice is 1–8 words, so the hot paths gather their
+// pairs as in-place descriptors and sum a whole list per call.
 //
 // Layer: §5 bitmatrix — see docs/ARCHITECTURE.md and docs/KERNELS.md.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -61,18 +57,6 @@ enum class PopcountKind : std::uint8_t {
 /// Popcount of one word with the selected strategy.
 [[nodiscard]] int Popcount(std::uint64_t x, PopcountKind kind) noexcept;
 
-/// Σ popcount(a[k] & b[k]) over n words — the kBuiltin kernel body.
-/// Inline so the per-pair direct route of the Eq. (5) pass runs it
-/// without a call; a/b may be null only when n == 0.
-[[nodiscard]] inline std::uint64_t AndPopcountBuiltin(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    total += static_cast<std::uint64_t>(std::popcount(a[k] & b[k]));
-  }
-  return total;
-}
-
 /// Popcount of a word span (Σ per-word counts) with the selected
 /// strategy. Used to count a multi-word slice in one call.
 [[nodiscard]] std::uint64_t PopcountWords(std::span<const std::uint64_t> words,
@@ -95,7 +79,7 @@ struct PairRef {
 };
 
 /// Σ popcount(a & b) over every descriptor — the zero-copy pair kernel
-/// behind every kBuiltin Eq. (5) pass. Consumes the descriptors in
+/// behind every host Eq. (5) pass. Consumes the descriptors in
 /// place and software-prefetches the next pairs' words while the
 /// current one is summed. Descriptor pointers may be null only when
 /// that descriptor's `words` is 0.

@@ -238,13 +238,6 @@ MatrixPatchStats SlicedMatrix::ApplyArcEdits(std::span<const ArcEdit> edits,
   return stats;
 }
 
-bool ChooseDirectPairLoop(std::size_t width_words, std::uint64_t store_bytes,
-                          double avg_valid_slices) noexcept {
-  return width_words >= kDirectMinWidthWords &&
-         store_bytes > kDirectMinStoreBytes &&
-         avg_valid_slices <= kDirectMaxAvgValidSlices;
-}
-
 namespace {
 
 // Flush window of the Eq. (5) gather: 2 Ki words = 16 KiB of slice
@@ -329,9 +322,8 @@ struct PassRect {
 // mirrors the row store bit for bit. Either way round, a matched pair
 // lands as the same (row words, column words) descriptor. Returns the
 // pass total and sets `pairs` to the pairs it summed. Kept out of line:
-// inlined beside the other pivot and the per-pair loops, the hot loop
-// spilled its registers and the row pivot ran ~10% slower on
-// com-youtube.
+// inlined beside the other pivot, the hot loop spilled its registers
+// and the row pivot ran ~10% slower on com-youtube.
 template <bool kPivotOnColumns>
 [[gnu::noinline]] std::uint64_t GatherPass(const SlicedMatrix& m,
                                            const SlicedStore& cols,
@@ -403,59 +395,11 @@ template <bool kPivotOnColumns>
 }
 
 // The one Eq. (5) pass: the arcs of `rect` of `m`, ANDing rows of m
-// against `cols` (m.cols() or a replica of it).
+// against `cols` (m.cols() or a replica of it), gathered under whichever
+// pivot probes fewer slices over the whole matrix (so every shard of a
+// partition takes the same one).
 std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
-                           const PassRect& rect, PopcountKind kind,
-                           PairPathCounters* counters) {
-  const SlicedStore& rows = m.rows();
-  const std::size_t width = rows.words_per_slice();
-  // The one measured exception, decided once per pass from the whole
-  // matrix (so every shard of a partition takes the same route): a
-  // wide-slice store that spills the cache AND has no slice reuse is a
-  // pure cold stream, where dispatching each pair immediately during
-  // enumeration lets the OoO window overlap the DRAM misses with
-  // enumeration work.
-  const bool direct =
-      kind == PopcountKind::kBuiltin && rows.num_vectors() > 0 &&
-      ChooseDirectPairLoop(width, m.HeapBytes(),
-                           static_cast<double>(rows.valid_slice_count()) /
-                               static_cast<double>(rows.num_vectors()));
-  // Per-pair merge loop, instantiated for the direct route (the
-  // kBuiltin kernel inlined into the enumeration) and for the
-  // hardware-model strategies (kSwar/kLut8/kLut16 model structure, not
-  // throughput). Both pivot on rows.
-  const auto per_pair_pass = [&](const auto& and_popcount) {
-    std::uint64_t total = 0;
-    std::uint64_t pairs = 0;
-    for (std::uint32_t i = rect.row_begin; i < rect.row_end; ++i) {
-      const std::span<const std::uint32_t> ri = rows.SliceIndices(i);
-      m.ForEachArcInRect(
-          i, rect.col_begin, rect.col_end, rect.col_mask, rect.mask_value,
-          [&](std::uint32_t j) {
-            ForEachCommonSlice(ri, cols.SliceIndices(j),
-                               [&](std::size_t a, std::size_t b) {
-                                 total += and_popcount(rows.SliceWords(i, a),
-                                                       cols.SliceWords(j, b));
-                                 ++pairs;
-                               });
-          });
-    }
-    if (direct && counters != nullptr) counters->per_pair_pairs += pairs;
-    return total;
-  };
-  using Words = std::span<const std::uint64_t>;
-  if (direct) {
-    return per_pair_pass([](Words a, Words b) {
-      return AndPopcountBuiltin(a.data(), b.data(), a.size());
-    });
-  }
-  if (kind != PopcountKind::kBuiltin) {
-    return per_pair_pass(
-        [kind](Words a, Words b) { return AndPopcount(a, b, kind); });
-  }
-
-  // Gathered zero-copy path, pivoting on whichever side probes fewer
-  // slices over the whole matrix.
+                           const PassRect& rect, PairPathCounters* counters) {
   const bool column_pivot = m.PrefersColumnPivot();
   std::uint64_t pairs = 0;
   const std::uint64_t total = column_pivot
@@ -471,16 +415,24 @@ std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
 }  // namespace
 
 std::uint64_t SlicedMatrix::AndPopcountAllEdges(
-    PopcountKind kind, PairPathCounters* counters) const {
+    PairPathCounters* counters) const {
   return AndPopcountRect(0, num_vertices(), 0, num_vertices(), nullptr, true,
-                         nullptr, kind, counters);
+                         nullptr, counters);
+}
+
+std::uint64_t SlicedMatrix::AndPopcountAllEdges(
+    PopcountKind kind, PairPathCounters* counters) const {
+  if (kind != PopcountKind::kBuiltin) {
+    throw std::invalid_argument(
+        "SlicedMatrix::AndPopcountAllEdges: the host pass runs kBuiltin only");
+  }
+  return AndPopcountAllEdges(counters);
 }
 
 std::uint64_t SlicedMatrix::AndPopcountRect(
     std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
     std::uint32_t col_end, const std::uint8_t* col_mask, bool mask_value,
-    const SlicedStore* cols_override, PopcountKind kind,
-    PairPathCounters* counters) const {
+    const SlicedStore* cols_override, PairPathCounters* counters) const {
   if (row_begin > row_end || row_end > num_vertices() ||
       col_begin > col_end || col_end > num_vertices()) {
     throw std::out_of_range("SlicedMatrix::AndPopcountRect: invalid range");
@@ -495,7 +447,7 @@ std::uint64_t SlicedMatrix::AndPopcountRect(
   return EvaluatePass(
       *this, cols,
       PassRect{row_begin, row_end, col_begin, col_end, col_mask, mask_value},
-      kind, counters);
+      counters);
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

@@ -78,14 +78,14 @@ struct SliceStats {
   }
 };
 
-/// Per-route pair accounting of one host Eq. (5) pass: how many valid
-/// slice pairs the gathered zero-copy path consumed and how many the
-/// direct per-pair route (ChooseDirectPairLoop) did, plus which pivot
-/// the gathered path took. The route is otherwise invisible from
-/// outside — these counters are how tests pin it and how the
-/// runtime.bank.pairs_*_total metrics report it.
+/// Pair accounting of one host Eq. (5) pass: how many valid slice
+/// pairs the gather consumed, and which pivot it took. The pivot is
+/// otherwise invisible from outside — these counters are how tests pin
+/// it and how the runtime.bank.pairs_*_total metrics report it.
 struct PairPathCounters {
   std::uint64_t zero_copy_pairs = 0;
+  /// Always 0 (the host pass has no per-pair route). Kept until the
+  /// next benchmark change, because perfbench still reads it.
   std::uint64_t per_pair_pairs = 0;
   /// The subset of zero_copy_pairs gathered under the column pivot
   /// (SlicedMatrix::PrefersColumnPivot); the rest took the row pivot.
@@ -93,46 +93,10 @@ struct PairPathCounters {
 
   PairPathCounters& operator+=(const PairPathCounters& o) noexcept {
     zero_copy_pairs += o.zero_copy_pairs;
-    per_pair_pairs += o.per_pair_pairs;
     column_pivot_pairs += o.column_pivot_pairs;
     return *this;
   }
-
-  [[nodiscard]] std::uint64_t TotalPairs() const noexcept {
-    return zero_copy_pairs + per_pair_pairs;
-  }
 };
-
-// The direct route: one measured regime defeats the gathered zero-copy
-// path — wide slices whose stores both spill the cache hierarchy AND
-// have no slice reuse (sparse near-uniform graphs, the roadNet |S|=512
-// rows). There every pair is a cold DRAM touch, and dispatching it
-// immediately during enumeration lets out-of-order execution overlap
-// the misses with enumeration work; a deferred descriptor flush, even
-// prefetched, trails by ~5%. Hub-skewed stores of the same byte size
-// (com-youtube, com-lj) stay zero-copy: their reused slices are
-// cache-hot. Calibrated on the BENCH_kernels.json matrix; see
-// docs/KERNELS.md, "The Eq. (5) pair path".
-
-/// Direct route needs at least this slice width (words).
-inline constexpr std::size_t kDirectMinWidthWords = 8;
-/// Direct route needs the matrix's two stores to exceed this many heap
-/// bytes (32 MiB ≈ one LLC; sysconf reports socket-aggregate LLC on
-/// chiplet parts, so a fixed constant beats detection).
-inline constexpr std::uint64_t kDirectMinStoreBytes = 32ull << 20;
-/// Direct route needs average valid slices per row vector at or below
-/// this (low ⇒ no reuse ⇒ cold stream).
-inline constexpr double kDirectMaxAvgValidSlices = 1.6;
-
-/// The pass-level route decision, made once per Eq. (5) pass before
-/// any gathering: true routes the whole pass through the direct merge
-/// loop — immediate per-pair dispatch during enumeration, counted in
-/// PairPathCounters::per_pair_pairs. `store_bytes` is the heap
-/// footprint of the matrix's two stores; `avg_valid_slices` is
-/// valid_slice_count()/num_vectors() of its row store.
-[[nodiscard]] bool ChooseDirectPairLoop(std::size_t width_words,
-                                        std::uint64_t store_bytes,
-                                        double avg_valid_slices) noexcept;
 
 /// One arc mutation of the oriented adjacency matrix: set (insert) or
 /// clear (remove) A[from][to]. Mirrored automatically into both the
@@ -235,23 +199,24 @@ class SlicedMatrix {
   /// Software evaluation of Eq. (5) over the compressed stores: for
   /// every non-zero A[i][j], Σ BitCount(AND(RiSk, CjSk)) over valid
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
-  /// the triangle count; the caller owns that interpretation. At the
-  /// default kind (kBuiltin) the valid slice pairs are gathered as
-  /// zero-copy descriptors and evaluated in flush batches
-  /// (AndPopcountPairsZeroCopy). The gather indexes one pivot vector's
-  /// valid slices once and probes the other side's slices against it,
-  /// one lookup per probed slice: pivoting on row i costs |Cj| lookups
-  /// per arc, pivoting on column j costs |Ri|, and the pass takes the
-  /// side whose whole-matrix total is smaller (PrefersColumnPivot).
-  /// ChooseDirectPairLoop may instead route the whole pass through the
-  /// immediate per-pair kernel call; the hardware-model kinds run the
-  /// exact per-word per-pair loop. Both of those pivot on the row.
-  /// When `counters` is non-null the per-route pair accounting of this
-  /// pass is accumulated into it. Equivalent to AndPopcountRect over
-  /// every row and column with no mask.
+  /// the triangle count; the caller owns that interpretation. The valid
+  /// slice pairs are gathered as zero-copy descriptors and evaluated in
+  /// flush batches (AndPopcountPairsZeroCopy). The gather indexes one
+  /// pivot vector's valid slices once and probes the other side's
+  /// slices against it, one lookup per probed slice: pivoting on row i
+  /// costs |Cj| lookups per arc, pivoting on column j costs |Ri|, and
+  /// the pass takes the side whose whole-matrix total is smaller
+  /// (PrefersColumnPivot). When `counters` is non-null the pair
+  /// accounting of this pass is accumulated into it. Equivalent to
+  /// AndPopcountRect over every row and column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
-      PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
+
+  /// The same pass under its old signature, kept until the next
+  /// benchmark change because perfbench still calls it. Throws
+  /// std::invalid_argument for any kind but kBuiltin.
+  [[nodiscard]] std::uint64_t AndPopcountAllEdges(
+      PopcountKind kind, PairPathCounters* counters = nullptr) const;
 
   /// Eq. (5) over the sub-rectangle rows [row_begin, row_end) x
   /// columns [col_begin, col_end) — the tile unit of the multi-bank
@@ -270,14 +235,12 @@ class SlicedMatrix {
   /// bit-identical data for every enumerated column.
   /// Throws std::out_of_range on an invalid rectangle. This is the one
   /// Eq. (5) enumerator: AndPopcountAllEdges forwards here, and the
-  /// route (zero-copy or direct) and the pivot are chosen as for
-  /// AndPopcountAllEdges, from the whole matrix, so every shard of a
-  /// partition takes the same ones.
+  /// pivot is chosen as for AndPopcountAllEdges, from the whole matrix,
+  /// so every shard of a partition takes the same one.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
       std::uint32_t col_end, const std::uint8_t* col_mask = nullptr,
       bool mask_value = true, const SlicedStore* cols_override = nullptr,
-      PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
   /// The gather's probe totals, kept exact by FromCsr and

@@ -458,31 +458,6 @@ std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
   return refs.size() - before;
 }
 
-std::uint64_t AndPopcountVectors(const SlicedStore& a, std::uint32_t va,
-                                 const SlicedStore& b, std::uint32_t vb,
-                                 PopcountKind kind, std::uint64_t* pairs) {
-  if (kind == PopcountKind::kBuiltin) {
-    thread_local std::vector<PairRef> refs;
-    refs.clear();
-    const std::size_t matched = GatherValidPairRefs(a, va, b, vb, refs);
-    if (pairs != nullptr) *pairs += matched;
-    return AndPopcountPairsZeroCopy(refs);
-  }
-  if (a.slice_bits() != b.slice_bits()) {
-    throw std::invalid_argument(
-        "AndPopcountVectors: stores disagree on slice_bits");
-  }
-  // Hardware-model strategies keep the exact per-word per-pair loop.
-  std::uint64_t total = 0;
-  ForEachCommonSlice(a.SliceIndices(va), b.SliceIndices(vb),
-                     [&](std::size_t x, std::size_t y) {
-                       total += AndPopcount(a.SliceWords(va, x),
-                                            b.SliceWords(vb, y), kind);
-                       if (pairs != nullptr) ++*pairs;
-                     });
-  return total;
-}
-
 BitVector SlicedStore::ToBitVector(std::uint32_t v) const {
   BitVector out(universe_);
   ForEachSetBit(v, [&](std::uint64_t pos) { out.Set(pos); });

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -399,30 +400,16 @@ void ForEachCommonSlice(std::span<const std::uint32_t> a,
   }
 }
 
-/// Merges the valid-slice index lists of (a, va) and (b, vb) and
-/// appends an in-place (a, b, width) descriptor per matched pair to
-/// `refs` — the gather half of the zero-copy Eq. (5) kernel
-/// (AndPopcountPairsZeroCopy consumes the list). Callers batching
-/// several vector pairs (e.g. the stream layer's 4-way wedge kernel)
-/// gather them all before ONE kernel call. Returns the number of
-/// descriptors appended. The stores must share slice_bits.
+/// Merges the valid-slice index lists of (a, va) and (b, vb) — any
+/// store combination (row x row, row x col, ...) — and appends an
+/// in-place (a, b, width) descriptor per matched pair to `refs`: the
+/// gather half of the zero-copy Eq. (5) kernel (AndPopcountPairsZeroCopy
+/// consumes the list). Callers batching several vector pairs (e.g. the
+/// stream layer's 4-way wedge kernel) gather them all before ONE kernel
+/// call. Returns the number of descriptors appended. The stores must
+/// share slice_bits (throws std::invalid_argument).
 std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
                                 const SlicedStore& b, std::uint32_t vb,
                                 std::vector<PairRef>& refs);
-
-/// AND-popcount of two stored vectors from any store combination
-/// (row x row, row x col, ...): merges the two sorted valid-slice
-/// index lists and sums BitCount(AND) over the matching slices — the
-/// Eq. (5) kernel generalized beyond the row x col pairing of
-/// SlicedMatrix. The stores must share slice_bits. If `pairs` is
-/// non-null it is incremented by the number of slice ANDs issued (the
-/// streaming layer's AND-op accounting). Like AndPopcountAllEdges,
-/// the default kind gathers the matched slices as zero-copy
-/// descriptors and sums them with one kernel call; the
-/// hardware-model kinds keep the exact per-word per-pair loop.
-[[nodiscard]] std::uint64_t AndPopcountVectors(
-    const SlicedStore& a, std::uint32_t va, const SlicedStore& b,
-    std::uint32_t vb, PopcountKind kind = PopcountKind::kBuiltin,
-    std::uint64_t* pairs = nullptr);
 
 }  // namespace tcim::bit

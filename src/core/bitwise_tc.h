@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "bitmatrix/popcount.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "graph/graph.h"
 #include "graph/orientation.h"
@@ -35,21 +34,19 @@ namespace tcim::core {
     graph::Orientation orientation = graph::Orientation::kUpper);
 
 /// Sliced evaluation of Eq. (5) — the "w/o PIM" software path.
-/// Returns the triangle count (orientation multiplier applied). At
-/// the default popcount the valid slice pairs are gathered per pivot
-/// row or column (whichever side probes fewer slices) and evaluated in
-/// blocks by the zero-copy pair kernel — one call per block, not per
-/// slice pair (bit::AndPopcountPairsZeroCopy).
+/// Returns the triangle count (orientation multiplier applied). The
+/// valid slice pairs are gathered per pivot row or column (whichever
+/// side probes fewer slices) and evaluated in blocks by the zero-copy
+/// pair kernel — one call per block, not per slice pair
+/// (bit::AndPopcountPairsZeroCopy).
 [[nodiscard]] std::uint64_t CountTrianglesSliced(
     const graph::Graph& g,
     graph::Orientation orientation = graph::Orientation::kUpper,
-    std::uint32_t slice_bits = 64,
-    bit::PopcountKind popcount = bit::PopcountKind::kBuiltin);
+    std::uint32_t slice_bits = 64);
 
 /// Same, over a pre-built matrix (lets benches time compute separately
 /// from slicing).
 [[nodiscard]] std::uint64_t CountTrianglesSliced(
-    const bit::SlicedMatrix& matrix, graph::Orientation orientation,
-    bit::PopcountKind popcount = bit::PopcountKind::kBuiltin);
+    const bit::SlicedMatrix& matrix, graph::Orientation orientation);
 
 }  // namespace tcim::core

@@ -107,16 +107,15 @@ void RecordPlanMetrics(const GraphPartition& partition) {
   metrics.tile_imbalance.Set(partition.plan2d->TileImbalance());
 }
 
-/// Sums the per-shard route counters (each shard writes its own slot —
+/// Sums the per-shard pair counters (each shard writes its own slot —
 /// RunShards runs them concurrently) into the registry once per
 /// host-count fan-out.
 void RecordPairPathMetrics(std::span<const bit::PairPathCounters> per_bank) {
   bit::PairPathCounters total;
   for (const bit::PairPathCounters& c : per_bank) total += c;
-  if (total.TotalPairs() == 0) return;
+  if (total.zero_copy_pairs == 0) return;
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
   metrics.pairs_zero_copy.Add(total.zero_copy_pairs);
-  metrics.pairs_per_pair.Add(total.per_pair_pairs);
   metrics.pairs_column_pivot.Add(total.column_pivot_pairs);
 }
 
@@ -308,8 +307,7 @@ std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
   RunShards(plan->partition, [&](std::uint32_t b) {
     const bit::SlicedStore* replica =
         plan->replicas.empty() ? nullptr : &plan->replicas[b];
-    per_bank[b] = CountBankShard2d(matrix, tiles, b, replica,
-                                   bit::PopcountKind::kBuiltin, &paths[b]);
+    per_bank[b] = CountBankShard2d(matrix, tiles, b, replica, &paths[b]);
   });
   RecordPairPathMetrics(paths);
   std::uint64_t raw = 0;

@@ -74,7 +74,6 @@ BankPoolMetrics& BankPoolMetrics::Get() {
         reg.GetGauge("runtime.bank.replica_bytes"),
         reg.GetGauge("runtime.bank.tile_imbalance"),
         reg.GetCounter("runtime.bank.pairs_zerocopy_total"),
-        reg.GetCounter("runtime.bank.pairs_perpair_total"),
         reg.GetCounter("runtime.bank.pairs_colpivot_total"),
     };
   }();

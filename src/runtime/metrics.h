@@ -59,10 +59,9 @@ struct BankPoolMetrics {
   obs::Counter& bank_busy_micros;    // summed shard wall time, all banks
   obs::Gauge& replica_bytes;         // hub-replica bytes, last plan
   obs::Gauge& tile_imbalance;        // max/mean bank load, last plan
-  // Host Eq. (5) route accounting on the host-kernel count path: valid
-  // pairs consumed per route (bit::PairPathCounters).
+  // Host Eq. (5) pair accounting on the host-kernel count path: valid
+  // pairs consumed, and which pivot gathered them (bit::PairPathCounters).
   obs::Counter& pairs_zero_copy;     // pairs via zero-copy descriptors
-  obs::Counter& pairs_per_pair;      // pairs via the direct per-pair route
   obs::Counter& pairs_column_pivot;  // zero-copy pairs under the column pivot
 
   static BankPoolMetrics& Get();

@@ -514,7 +514,6 @@ GraphPartition PartitionMatrix(const bit::SlicedMatrix& matrix,
 std::uint64_t CountBankShard2d(const bit::SlicedMatrix& matrix,
                                const TilePlan2d& plan, std::uint32_t bank,
                                const bit::SlicedStore* replica,
-                               bit::PopcountKind kind,
                                bit::PairPathCounters* counters) {
   if (matrix.num_vertices() != plan.num_vertices) {
     throw std::invalid_argument(
@@ -530,14 +529,13 @@ std::uint64_t CountBankShard2d(const bit::SlicedMatrix& matrix,
     raw += matrix.AndPopcountRect(plan.hub_row_bounds[bank],
                                   plan.hub_row_bounds[bank + 1], 0,
                                   plan.num_vertices, mask,
-                                  /*mask_value=*/true, replica, kind,
-                                  counters);
+                                  /*mask_value=*/true, replica, counters);
   }
   for (const std::uint32_t t : plan.bank_tiles[bank]) {
     const TileInfo& tile = plan.tiles[t];
     raw += matrix.AndPopcountRect(tile.row_begin, tile.row_end, tile.col_begin,
                                   tile.col_end, mask, /*mask_value=*/false,
-                                  /*cols_override=*/nullptr, kind, counters);
+                                  /*cols_override=*/nullptr, counters);
   }
   return raw;
 }

@@ -254,7 +254,6 @@ struct GraphPartition {
 [[nodiscard]] std::uint64_t CountBankShard2d(
     const bit::SlicedMatrix& matrix, const TilePlan2d& plan,
     std::uint32_t bank, const bit::SlicedStore* replica = nullptr,
-    bit::PopcountKind kind = bit::PopcountKind::kBuiltin,
     bit::PairPathCounters* counters = nullptr);
 
 /// Renders the per-shard table and the summary lines (edge-cut %,

@@ -23,7 +23,7 @@ IncrementalCounter::IncrementalCounter(const graph::Graph& g,
     throw std::invalid_argument(
         "IncrementalCounter: recount_fraction must be >= 0");
   }
-  triangles_ = graph_.matrix().AndPopcountAllEdges(config_.popcount) /
+  triangles_ = graph_.matrix().AndPopcountAllEdges() /
                graph::CountMultiplier(config_.orientation);
 }
 
@@ -33,26 +33,7 @@ std::uint64_t IncrementalCounter::MatrixCommonNeighbors(
   if (u >= m.num_vertices() || v >= m.num_vertices()) return 0;
   const bit::SlicedStore& rows = m.rows();
   const bit::SlicedStore& cols = m.cols();
-  std::uint64_t* const and_ops = stats != nullptr ? &stats->and_ops : nullptr;
-  const bool symmetric =
-      config_.orientation == graph::Orientation::kFullSymmetric;
-  if (config_.popcount != bit::PopcountKind::kBuiltin) {
-    // Hardware-model strategies keep the exact per-pair evaluation.
-    if (symmetric) {
-      // row_u is the whole neighbourhood: one AND covers it.
-      return bit::AndPopcountVectors(rows, u, rows, v, config_.popcount,
-                                     and_ops);
-    }
-    return bit::AndPopcountVectors(rows, u, rows, v, config_.popcount,
-                                   and_ops) +
-           bit::AndPopcountVectors(rows, u, cols, v, config_.popcount,
-                                   and_ops) +
-           bit::AndPopcountVectors(cols, u, rows, v, config_.popcount,
-                                   and_ops) +
-           bit::AndPopcountVectors(cols, u, cols, v, config_.popcount,
-                                   and_ops);
-  }
-  // Zero-copy host path. N(u) = row_u (out) ⊎ col_u (in): the common
+  // N(u) = row_u (out) ⊎ col_u (in): the common
   // neighbourhood is the disjoint sum of the four store combinations
   // (just row/row when full-symmetric), so all four gather as
   // zero-copy descriptors and the whole wedge is summed with one
@@ -60,12 +41,12 @@ std::uint64_t IncrementalCounter::MatrixCommonNeighbors(
   wedge_refs_.clear();
   std::size_t matched = bit::GatherValidPairRefs(rows, u, rows, v,
                                                  wedge_refs_);
-  if (!symmetric) {
+  if (config_.orientation != graph::Orientation::kFullSymmetric) {
     matched += bit::GatherValidPairRefs(rows, u, cols, v, wedge_refs_);
     matched += bit::GatherValidPairRefs(cols, u, rows, v, wedge_refs_);
     matched += bit::GatherValidPairRefs(cols, u, cols, v, wedge_refs_);
   }
-  if (and_ops != nullptr) *and_ops += matched;
+  if (stats != nullptr) stats->and_ops += matched;
   return bit::AndPopcountPairsZeroCopy(wedge_refs_);
 }
 
@@ -89,7 +70,7 @@ BatchResult IncrementalCounter::ApplyBatch(const EdgeDelta& delta) {
         graph_.ApplyNormalized(ops, /*patch_matrix=*/false);
     graph_.RebuildMatrix();
     const std::uint64_t total =
-        graph_.matrix().AndPopcountAllEdges(config_.popcount) /
+        graph_.matrix().AndPopcountAllEdges() /
         graph::CountMultiplier(config_.orientation);
     result.delta = static_cast<std::int64_t>(total) -
                    static_cast<std::int64_t>(triangles_);

@@ -53,10 +53,6 @@ struct StreamConfig {
   /// bench/scaling_stream sweep puts the measured crossover near
   /// 0.5–1% of edges on the Table II stand-ins, hence the 1% default.
   double recount_fraction = 0.01;
-  /// Strategy for the 4-way AND-popcount kernel and recount passes; at
-  /// the default (kBuiltin) every slice AND runs on the host kernel
-  /// (bit::AndPopcountPairsZeroCopy).
-  bit::PopcountKind popcount = bit::PopcountKind::kBuiltin;
 };
 
 /// Per-batch accounting (the streaming analogue of arch::ExecStats;
@@ -96,11 +92,10 @@ class IncrementalCounter {
 
  private:
   /// |N(u) ∩ N(v)| against the pre-batch matrix (zero for vertices
-  /// beyond its universe). At the default kBuiltin the four store
-  /// combinations are gathered as zero-copy descriptors and the whole
-  /// wedge is summed by one AndPopcountPairsZeroCopy call instead of
-  /// four per-pair sweeps. `stats` (when
-  /// non-null) accumulates and_ops.
+  /// beyond its universe). The four store combinations are gathered as
+  /// zero-copy descriptors and the whole wedge is summed by one
+  /// AndPopcountPairsZeroCopy call. `stats` (when non-null) accumulates
+  /// and_ops.
   [[nodiscard]] std::uint64_t MatrixCommonNeighbors(
       graph::VertexId u, graph::VertexId v, BatchStats* stats) const;
 

@@ -393,59 +393,20 @@ std::uint64_t PerPairReference(const SlicedMatrix& m) {
   return total;
 }
 
-/// Every PopcountKind: kBuiltin takes the gathered zero-copy route
-/// (or the direct route), the hardware-model kinds the per-word
-/// per-pair loop of the same enumerator.
-constexpr PopcountKind kAllKinds[] = {PopcountKind::kBuiltin,
-                                      PopcountKind::kSwar, PopcountKind::kLut8,
-                                      PopcountKind::kLut16};
-
-std::string KindString(PopcountKind kind) {
-  switch (kind) {
-    case PopcountKind::kBuiltin:
-      return "builtin";
-    case PopcountKind::kSwar:
-      return "swar";
-    case PopcountKind::kLut8:
-      return "lut8";
-    case PopcountKind::kLut16:
-      return "lut16";
-  }
-  return "unknown";
-}
-
-std::string KindName(const ::testing::TestParamInfo<PopcountKind>& info) {
-  return KindString(info.param);
-}
-
-/// Pairs the gathered route reports for a pass of `valid_pairs` pairs
-/// under `kind`; the hardware-model loop reports none.
-std::uint64_t ZeroCopyPairsFor(PopcountKind kind, std::uint64_t valid_pairs) {
-  return kind == PopcountKind::kBuiltin ? valid_pairs : 0;
-}
-
-class SlicedMatrixBatchedKindTest
-    : public ::testing::TestWithParam<PopcountKind> {};
-
-TEST_P(SlicedMatrixBatchedKindTest, MatchesPerPairLoopAcrossWidths) {
+TEST(SlicedMatrixBatched, MatchesPerPairLoopAcrossWidths) {
   // words_per_slice covers 1..8 (|S| = 64w), plus non-multiples of 64
   // to exercise zero-padded tail words inside each pair.
-  const PopcountKind kind = GetParam();
   for (const std::uint32_t slice_bits :
        {8u, 64u, 100u, 128u, 192u, 256u, 320u, 384u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 4242);
     const std::uint32_t n = m.num_vertices();
     const std::uint64_t expected = PerPairReference(m);
-    EXPECT_EQ(m.AndPopcountAllEdges(kind), expected)
+    EXPECT_EQ(m.AndPopcountAllEdges(), expected)
         << "slice_bits=" << slice_bits;
-    EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr, kind),
-              expected)
+    EXPECT_EQ(m.AndPopcountRect(0, n, 0, n), expected)
         << "slice_bits=" << slice_bits;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, SlicedMatrixBatchedKindTest,
-                         ::testing::ValuesIn(kAllKinds), KindName);
 
 TEST(SlicedMatrixBatched, DisjointRowShardsPartitionTheTotal) {
   const SlicedMatrix m = RandomUpperMatrix(500, 5, 64, 77);
@@ -481,47 +442,38 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
   const std::uint64_t before = Lut8Invocations();
   (void)m.AndPopcountAllEdges();
   (void)m.AndPopcountRect(0, m.num_vertices(), 0, m.num_vertices());
-  (void)AndPopcountVectors(m.rows(), 0, m.cols(), 1);
+  std::vector<PairRef> refs;
+  (void)GatherValidPairRefs(m.rows(), 0, m.cols(), 1, refs);
+  (void)AndPopcountPairsZeroCopy(refs);
   EXPECT_EQ(Lut8Invocations(), before)
-      << "kBuiltin host path fed words to the LUT8 hardware model";
-  // The hardware-model strategy still routes through it, per word.
-  const std::uint64_t lut_total = m.AndPopcountAllEdges(PopcountKind::kLut8);
-  EXPECT_EQ(lut_total, m.AndPopcountAllEdges());
-  EXPECT_GT(Lut8Invocations(), before);
+      << "host path fed words to the LUT8 hardware model";
+}
+
+TEST(SlicedMatrixBatched, KindOverloadRunsTheHostPassAtBuiltinOnly) {
+  // The PopcountKind overload of AndPopcountAllEdges is the same pass
+  // at kBuiltin and refuses the hardware-model kinds.
+  const SlicedMatrix m = RandomUpperMatrix(200, 8, 64, 5);
+  PairPathCounters counters;
+  EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
+            m.AndPopcountAllEdges());
+  EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
+  EXPECT_EQ(counters.per_pair_pairs, 0u);
+  for (const PopcountKind kind :
+       {PopcountKind::kSwar, PopcountKind::kLut8, PopcountKind::kLut16}) {
+    EXPECT_THROW((void)m.AndPopcountAllEdges(kind), std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Route accounting: every pair of a pass lands in exactly one
-// PairPathCounters bucket — zero_copy_pairs on the gathered path,
-// per_pair_pairs when the direct rule (ChooseDirectPairLoop) fires.
-
-TEST(SlicedMatrixRoute, DirectPairLoopRequiresAllThreeSignals) {
-  // The cold-no-reuse regime needs every signal at once: wide slices,
-  // stores that spill the cache, and no slice reuse to amortize the
-  // deferred flush against.
-  const std::uint64_t spill = kDirectMinStoreBytes + 1;
-  EXPECT_TRUE(ChooseDirectPairLoop(8, spill, 1.3));
-  EXPECT_TRUE(ChooseDirectPairLoop(16, spill * 4, 1.0));
-  // Any one signal missing keeps the gathered executor.
-  EXPECT_FALSE(ChooseDirectPairLoop(7, spill, 1.3));     // narrow
-  EXPECT_FALSE(ChooseDirectPairLoop(8, spill - 2, 1.3))  // cache-resident
-      << "store at the threshold must stay gathered";
-  EXPECT_FALSE(ChooseDirectPairLoop(8, spill, 1.7));  // hub reuse
-  // Threshold edges: width and avg-valid-slices are inclusive, bytes
-  // is strictly greater-than.
-  EXPECT_TRUE(ChooseDirectPairLoop(kDirectMinWidthWords, spill,
-                                   kDirectMaxAvgValidSlices));
-  EXPECT_FALSE(ChooseDirectPairLoop(8, kDirectMinStoreBytes, 1.3));
-}
+// Pair accounting: every pair of a pass lands in zero_copy_pairs, and
+// column_pivot_pairs holds the ones gathered under the column pivot.
 
 TEST(SlicedMatrixRoute, SmallStoresRouteEveryPairZeroCopy) {
   for (const std::uint32_t slice_bits : {64u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 2024);
     PairPathCounters counters;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
-              PerPairReference(m))
+    EXPECT_EQ(m.AndPopcountAllEdges(&counters), PerPairReference(m))
         << "slice_bits=" << slice_bits;
-    EXPECT_EQ(counters.per_pair_pairs, 0u);
     EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
   }
 }
@@ -529,8 +481,7 @@ TEST(SlicedMatrixRoute, SmallStoresRouteEveryPairZeroCopy) {
 TEST(SlicedMatrixRoute, RowShardCountersSumToWholeMatrix) {
   const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 4096);
   PairPathCounters whole;
-  const std::uint64_t total =
-      m.AndPopcountAllEdges(PopcountKind::kBuiltin, &whole);
+  const std::uint64_t total = m.AndPopcountAllEdges(&whole);
   PairPathCounters sharded;
   std::uint64_t sum = 0;
   for (const auto [begin, end] :
@@ -538,17 +489,17 @@ TEST(SlicedMatrixRoute, RowShardCountersSumToWholeMatrix) {
         {100, 101},
         {101, 400}}) {
     sum += m.AndPopcountRect(begin, end, 0, m.num_vertices(), nullptr, true,
-                             nullptr, PopcountKind::kBuiltin, &sharded);
+                             nullptr, &sharded);
   }
   EXPECT_EQ(sum, total);
-  EXPECT_EQ(sharded.TotalPairs(), whole.TotalPairs());
   EXPECT_EQ(sharded.zero_copy_pairs, whole.zero_copy_pairs);
+  EXPECT_EQ(sharded.column_pivot_pairs, whole.column_pivot_pairs);
 }
 
 /// Upper-triangular band matrix with arcs i -> i+1 and i -> i+2: n - 2
 /// triangles, ~1 valid slice per vector — the sparse, no-reuse shape
-/// of a road graph. At |S|=512 and n = 2^18 its two stores exceed
-/// kDirectMinStoreBytes, so the direct rule fires.
+/// of a road graph. At |S|=512 and n = 2^18 its two stores spill a
+/// last-level cache: every pair is a cold 8-word touch.
 SlicedMatrix BandMatrix(std::uint32_t n, std::uint32_t slice_bits) {
   std::vector<std::uint64_t> offsets = {0};
   std::vector<std::uint32_t> neighbors;
@@ -561,17 +512,18 @@ SlicedMatrix BandMatrix(std::uint32_t n, std::uint32_t slice_bits) {
   return SlicedMatrix::FromCsr(n, offsets, neighbors, slice_bits);
 }
 
-TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
+TEST(SlicedMatrixRoute, GatheredRouteIsExactOnEveryEntryPoint) {
   constexpr std::uint32_t kN = 1u << 18;
   const SlicedMatrix m = BandMatrix(kN, 512);
   const double avg_valid = static_cast<double>(m.rows().valid_slice_count()) /
                            static_cast<double>(m.num_vertices());
-  ASSERT_TRUE(ChooseDirectPairLoop(m.rows().words_per_slice(), m.HeapBytes(),
-                                   avg_valid))
-      << "heap=" << m.HeapBytes() << " avg_valid=" << avg_valid;
+  ASSERT_GT(m.HeapBytes(), std::uint64_t{32} << 20);
+  ASSERT_LT(avg_valid, 1.1);
   const std::uint64_t expected = PerPairReference(m);
   ASSERT_EQ(expected, kN - 2u);
   const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+  const std::uint64_t column_pivot_pairs =
+      m.PrefersColumnPivot() ? valid_pairs : 0;
 
   // Hub/tail split over a column mask; the hub lane reads a replica
   // that holds only the hub columns (the 2D runtime's layout).
@@ -584,47 +536,45 @@ TEST(SlicedMatrixRoute, DirectRouteIsExactOnEveryEntryPoint) {
   const SlicedStore replica = m.cols().ExtractVectors(hubs);
 
   PairPathCounters all;
-  EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &all), expected);
-  EXPECT_EQ(all.per_pair_pairs, valid_pairs);
-  EXPECT_EQ(all.zero_copy_pairs, 0u);
-  EXPECT_EQ(all.column_pivot_pairs, 0u);  // the direct route pivots on rows
-
+  EXPECT_EQ(m.AndPopcountAllEdges(&all), expected);
   PairPathCounters rows;
   EXPECT_EQ(m.AndPopcountRect(0, kN / 3, 0, kN, nullptr, true, nullptr,
-                              PopcountKind::kBuiltin, &rows) +
+                              &rows) +
                 m.AndPopcountRect(kN / 3, kN, 0, kN, nullptr, true, nullptr,
-                                  PopcountKind::kBuiltin, &rows),
+                                  &rows),
             expected);
-  EXPECT_EQ(rows.per_pair_pairs, valid_pairs);
 
   // Upper-triangular, so the lower-left quadrant is empty and these
   // three rectangles cover every arc.
-  EXPECT_EQ(m.AndPopcountRect(0, kN / 2, 0, kN) +
-                m.AndPopcountRect(kN / 2, kN, kN / 2, kN),
+  PairPathCounters quadrants;
+  EXPECT_EQ(m.AndPopcountRect(0, kN / 2, 0, kN, nullptr, true, nullptr,
+                              &quadrants) +
+                m.AndPopcountRect(kN / 2, kN, kN / 2, kN, nullptr, true,
+                                  nullptr, &quadrants),
             expected);
 
   PairPathCounters masked;
-  const std::uint64_t hub_lane =
-      m.AndPopcountRect(0, kN, 0, kN, hub_mask.data(), true, &replica,
-                        PopcountKind::kBuiltin, &masked);
-  const std::uint64_t tail = m.AndPopcountRect(
-      0, kN, 0, kN, hub_mask.data(), false, nullptr,
-      PopcountKind::kBuiltin, &masked);
+  const std::uint64_t hub_lane = m.AndPopcountRect(
+      0, kN, 0, kN, hub_mask.data(), true, &replica, &masked);
+  const std::uint64_t tail = m.AndPopcountRect(0, kN, 0, kN, hub_mask.data(),
+                                               false, nullptr, &masked);
   EXPECT_GT(hub_lane, 0u);
   EXPECT_EQ(hub_lane + tail, expected);
-  EXPECT_EQ(masked.per_pair_pairs, valid_pairs);
-  EXPECT_EQ(masked.zero_copy_pairs, 0u);
+
+  for (const PairPathCounters& c : {all, rows, quadrants, masked}) {
+    EXPECT_EQ(c.zero_copy_pairs, valid_pairs);
+    EXPECT_EQ(c.column_pivot_pairs, column_pivot_pairs);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// The one enumerator under each PopcountKind: every entry point and
-// every way of tiling a pass (row shards, column ranges, a 2D grid,
-// hub/tail masks read through a replica store) sums to the per-pair
-// reference. These stores are cache-resident, so every kBuiltin pair
-// takes the gathered zero-copy route. Each case runs on three shapes:
-// the random upper matrix, and hub-skewed matrices whose hubs sit on
-// the column side (the gather pivots on columns) or on the row side
-// (it pivots on rows).
+// The one enumerator at every slice width: every entry point and every
+// way of tiling a pass (row shards, column ranges, a 2D grid, hub/tail
+// masks read through a replica store) sums to the per-pair reference,
+// with every pair gathered zero-copy. Each case runs at |S| in
+// {8, 64, 100, 192, 512} on three shapes: the random upper matrix, and
+// hub-skewed matrices whose hubs sit on the column side (the gather
+// pivots on columns) or on the row side (it pivots on rows).
 
 enum class Shape { kRandom, kHubColumns, kHubRows };
 
@@ -678,46 +628,43 @@ void ExpectShapePivot(const SlicedMatrix& m, Shape shape) {
 }
 
 /// Column-pivot pairs a pass of `valid_pairs` pairs reports: all of
-/// them when the gathered route pivots on columns, else none.
-std::uint64_t ColumnPivotPairsFor(PopcountKind kind, const SlicedMatrix& m,
+/// them when the gather pivots on columns, else none.
+std::uint64_t ColumnPivotPairsFor(const SlicedMatrix& m,
                                   std::uint64_t valid_pairs) {
-  return m.PrefersColumnPivot() ? ZeroCopyPairsFor(kind, valid_pairs) : 0;
+  return m.PrefersColumnPivot() ? valid_pairs : 0;
 }
 
 // The case bodies, shared by the random-matrix fixture and the
 // hub-shape fixture below.
-void ExpectRowShardsRectAndAllEdgesMatchPerPair(PopcountKind kind,
+void ExpectRowShardsRectAndAllEdgesMatchPerPair(std::uint32_t slice_bits,
                                                 Shape shape) {
-  for (const std::uint32_t slice_bits : {8u, 64u, 100u, 192u, 512u}) {
-    SCOPED_TRACE("slice_bits=" + std::to_string(slice_bits));
-    const SlicedMatrix m = ShapedMatrix(shape, 300, 6, slice_bits, 1234);
-    ExpectShapePivot(m, shape);
-    const std::uint32_t n = m.num_vertices();
-    const std::uint64_t expected = PerPairReference(m);
-    const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
-    PairPathCounters all;
-    EXPECT_EQ(m.AndPopcountAllEdges(kind, &all), expected);
-    PairPathCounters rows;
-    EXPECT_EQ(m.AndPopcountRect(0, n / 2, 0, n, nullptr, true, nullptr,
-                                kind, &rows) +
-                  m.AndPopcountRect(n / 2, n, 0, n, nullptr, true, nullptr,
-                                    kind, &rows),
-              expected);
-    PairPathCounters rect;
-    EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr,
-                                kind, &rect),
-              expected);
-    for (const PairPathCounters& c : {all, rows, rect}) {
-      EXPECT_EQ(c.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
-      EXPECT_EQ(c.column_pivot_pairs,
-                ColumnPivotPairsFor(kind, m, valid_pairs));
-      EXPECT_EQ(c.per_pair_pairs, 0u);
-    }
+  const SlicedMatrix m = ShapedMatrix(shape, 300, 6, slice_bits, 1234);
+  ExpectShapePivot(m, shape);
+  const std::uint32_t n = m.num_vertices();
+  const std::uint64_t expected = PerPairReference(m);
+  const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+  PairPathCounters all;
+  EXPECT_EQ(m.AndPopcountAllEdges(&all), expected);
+  PairPathCounters rows;
+  EXPECT_EQ(m.AndPopcountRect(0, n / 2, 0, n, nullptr, true, nullptr, &rows) +
+                m.AndPopcountRect(n / 2, n, 0, n, nullptr, true, nullptr,
+                                  &rows),
+            expected);
+  PairPathCounters rect;
+  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr, &rect),
+            expected);
+  for (const PairPathCounters& c : {all, rows, rect}) {
+    EXPECT_EQ(c.zero_copy_pairs, valid_pairs);
+    EXPECT_EQ(c.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
   }
 }
 
-void ExpectColumnRangesAndGridTileTheMatrix(PopcountKind kind, Shape shape) {
-  const SlicedMatrix m = ShapedMatrix(shape, 400, 7, 64, 99);
+void ExpectColumnRangesAndGridTileTheMatrix(std::uint32_t slice_bits,
+                                            Shape shape) {
+  // n = 384 = 2 x 192 keeps the n/16 top-id hubs inside one slice at
+  // |S|=192 (at n = 400 they straddle a slice boundary, and the two
+  // probe totals of the hub-column shape tie within 1%).
+  const SlicedMatrix m = ShapedMatrix(shape, 384, 7, slice_bits, 99);
   ExpectShapePivot(m, shape);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
@@ -729,17 +676,16 @@ void ExpectColumnRangesAndGridTileTheMatrix(PopcountKind kind, Shape shape) {
     for (std::uint32_t c = 0; c < parts; ++c) {
       const std::uint32_t c0 = n * c / parts;
       const std::uint32_t c1 = n * (c + 1) / parts;
-      by_cols += m.AndPopcountRect(0, n, c0, c1, nullptr, true, nullptr, kind);
+      by_cols += m.AndPopcountRect(0, n, c0, c1);
       for (std::uint32_t r = 0; r < parts; ++r) {
         by_grid += m.AndPopcountRect(n * r / parts, n * (r + 1) / parts, c0,
-                                     c1, nullptr, true, nullptr, kind, &grid);
+                                     c1, nullptr, true, nullptr, &grid);
       }
     }
     EXPECT_EQ(by_cols, total) << "parts=" << parts;
     EXPECT_EQ(by_grid, total) << "parts=" << parts;
-    EXPECT_EQ(grid.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
-    EXPECT_EQ(grid.column_pivot_pairs,
-              ColumnPivotPairsFor(kind, m, valid_pairs));
+    EXPECT_EQ(grid.zero_copy_pairs, valid_pairs);
+    EXPECT_EQ(grid.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
   }
   EXPECT_EQ(m.AndPopcountRect(0, n, 7, 7), 0u);
   EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
@@ -747,9 +693,9 @@ void ExpectColumnRangesAndGridTileTheMatrix(PopcountKind kind, Shape shape) {
   EXPECT_THROW((void)m.AndPopcountRect(0, n, 0, n + 1), std::out_of_range);
 }
 
-void ExpectMaskedRectWithReplicaSplitsTheTotal(PopcountKind kind,
+void ExpectMaskedRectWithReplicaSplitsTheTotal(std::uint32_t slice_bits,
                                                Shape shape) {
-  const SlicedMatrix m = ShapedMatrix(shape, 300, 8, 128, 555);
+  const SlicedMatrix m = ShapedMatrix(shape, 300, 8, slice_bits, 555);
   ExpectShapePivot(m, shape);
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
@@ -762,78 +708,87 @@ void ExpectMaskedRectWithReplicaSplitsTheTotal(PopcountKind kind,
   const SlicedStore replica = m.cols().ExtractVectors(hubs);
 
   PairPathCounters counters;
-  const std::uint64_t hub_lane =
-      m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true, &replica,
-                        kind, &counters);
-  const std::uint64_t tail =
-      m.AndPopcountRect(0, n, 0, n, hub_mask.data(), false, nullptr,
-                        kind, &counters);
+  const std::uint64_t hub_lane = m.AndPopcountRect(
+      0, n, 0, n, hub_mask.data(), true, &replica, &counters);
+  const std::uint64_t tail = m.AndPopcountRect(0, n, 0, n, hub_mask.data(),
+                                               false, nullptr, &counters);
   EXPECT_GT(hub_lane, 0u);
   EXPECT_GT(tail, 0u);
   EXPECT_EQ(hub_lane + tail, total);
   const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
-  EXPECT_EQ(counters.zero_copy_pairs, ZeroCopyPairsFor(kind, valid_pairs));
-  EXPECT_EQ(counters.column_pivot_pairs,
-            ColumnPivotPairsFor(kind, m, valid_pairs));
-  EXPECT_EQ(counters.per_pair_pairs, 0u);
+  EXPECT_EQ(counters.zero_copy_pairs, valid_pairs);
+  EXPECT_EQ(counters.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
   // The replica holds bit-identical hub columns, so reading them from
   // the shared column store gives the same hub lane.
-  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true, nullptr, kind),
-            hub_lane);
+  EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true), hub_lane);
 }
 
-class EnumeratorKindTest : public ::testing::TestWithParam<PopcountKind> {};
+/// The slice widths every enumerator case runs at: 1 to 8 words per
+/// slice, with zero-padded tail words at 8, 100 and 192.
+constexpr std::uint32_t kCaseWidths[] = {8, 64, 100, 192, 512};
 
-TEST_P(EnumeratorKindTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
+std::string WidthName(std::uint32_t slice_bits) {
+  return "bits" + std::to_string(slice_bits);
+}
+
+class EnumeratorWidthTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(EnumeratorWidthTest, RowShardsRectAndAllEdgesMatchPerPair) {
   ExpectRowShardsRectAndAllEdgesMatchPerPair(GetParam(), Shape::kRandom);
 }
 
-TEST_P(EnumeratorKindTest, ColumnRangesAndGridTileTheMatrix) {
+TEST_P(EnumeratorWidthTest, ColumnRangesAndGridTileTheMatrix) {
   ExpectColumnRangesAndGridTileTheMatrix(GetParam(), Shape::kRandom);
 }
 
-TEST_P(EnumeratorKindTest, MaskedRectWithReplicaSplitsTheTotal) {
+TEST_P(EnumeratorWidthTest, MaskedRectWithReplicaSplitsTheTotal) {
   ExpectMaskedRectWithReplicaSplitsTheTotal(GetParam(), Shape::kRandom);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, EnumeratorKindTest,
-                         ::testing::ValuesIn(kAllKinds), KindName);
+INSTANTIATE_TEST_SUITE_P(
+    AllWidths, EnumeratorWidthTest, ::testing::ValuesIn(kCaseWidths),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return WidthName(info.param);
+    });
 
 struct HubCase {
-  PopcountKind kind;
+  std::uint32_t slice_bits;
   Shape shape;
 };
 
 // Prints the case for the test listing (gtest would dump its bytes,
 // padding included).
 void PrintTo(const HubCase& c, std::ostream* os) {
-  *os << KindString(c.kind)
+  *os << "|S|=" << c.slice_bits
       << (c.shape == Shape::kHubColumns ? " on hub columns" : " on hub rows");
 }
 
 std::vector<HubCase> CasesOf(Shape shape) {
   std::vector<HubCase> cases;
-  for (const PopcountKind kind : kAllKinds) cases.push_back({kind, shape});
+  for (const std::uint32_t slice_bits : kCaseWidths) {
+    cases.push_back({slice_bits, shape});
+  }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<HubCase>& info) {
-  return KindString(info.param.kind);
+  return WidthName(info.param.slice_bits);
 }
 
 class EnumeratorHubTest : public ::testing::TestWithParam<HubCase> {};
 
-TEST_P(EnumeratorHubTest, RowShardsRectAndAllEdgesMatchPerPairAcrossWidths) {
-  ExpectRowShardsRectAndAllEdgesMatchPerPair(GetParam().kind,
+TEST_P(EnumeratorHubTest, RowShardsRectAndAllEdgesMatchPerPair) {
+  ExpectRowShardsRectAndAllEdgesMatchPerPair(GetParam().slice_bits,
                                              GetParam().shape);
 }
 
 TEST_P(EnumeratorHubTest, ColumnRangesAndGridTileTheMatrix) {
-  ExpectColumnRangesAndGridTileTheMatrix(GetParam().kind, GetParam().shape);
+  ExpectColumnRangesAndGridTileTheMatrix(GetParam().slice_bits,
+                                         GetParam().shape);
 }
 
 TEST_P(EnumeratorHubTest, MaskedRectWithReplicaSplitsTheTotal) {
-  ExpectMaskedRectWithReplicaSplitsTheTotal(GetParam().kind,
+  ExpectMaskedRectWithReplicaSplitsTheTotal(GetParam().slice_bits,
                                             GetParam().shape);
 }
 
@@ -860,43 +815,11 @@ TEST(SlicedMatrixPivot, HubColumnsTakeTheColumnPivotAndHubRowsTheRowPivot) {
           << ", column pivot probes " << m.column_pivot_probes();
       const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
       PairPathCounters counters;
-      EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
-                triangles);
+      EXPECT_EQ(m.AndPopcountAllEdges(&counters), triangles);
       EXPECT_EQ(counters.zero_copy_pairs, valid_pairs);
       EXPECT_EQ(counters.column_pivot_pairs,
                 hubs_on_columns ? valid_pairs : 0u);
-      EXPECT_EQ(counters.per_pair_pairs, 0u);
-      // The per-pair loop keeps the row pivot and agrees.
-      EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kSwar), triangles);
     }
-  }
-}
-
-TEST(Enumerator, HardwareModelKindMatchesBuiltinOnMaskedRect) {
-  // The hardware-model kinds take the per-word per-pair loop of the
-  // same enumerator; with a mask and a replica they must still agree
-  // with the gathered kBuiltin route.
-  const SlicedMatrix m = RandomUpperMatrix(200, 6, 192, 808);
-  const std::uint32_t n = m.num_vertices();
-  std::vector<std::uint8_t> hub_mask(n, 0);
-  std::vector<std::uint32_t> hubs;
-  for (std::uint32_t j = 1; j < n; j += 3) {
-    hub_mask[j] = 1;
-    hubs.push_back(j);
-  }
-  const SlicedStore replica = m.cols().ExtractVectors(hubs);
-  for (const bool lane : {true, false}) {
-    const SlicedStore* cols = lane ? &replica : nullptr;
-    const std::uint64_t builtin = m.AndPopcountRect(
-        0, n, n / 4, n, hub_mask.data(), lane, cols, PopcountKind::kBuiltin);
-    EXPECT_EQ(m.AndPopcountRect(0, n, n / 4, n, hub_mask.data(), lane, cols,
-                                PopcountKind::kSwar),
-              builtin)
-        << "hub lane=" << lane;
-    EXPECT_EQ(m.AndPopcountRect(0, n, n / 4, n, hub_mask.data(), lane, cols,
-                                PopcountKind::kLut8),
-              builtin)
-        << "hub lane=" << lane;
   }
 }
 
@@ -912,16 +835,17 @@ TEST(SlicedStoreGather, GatherValidPairRefsMatchesMergeAndCountsPairs) {
   const SlicedMatrix m = RandomUpperMatrix(120, 10, 64, 321);
   for (std::uint32_t u = 0; u < 40; ++u) {
     for (std::uint32_t v = u; v < 40; v += 7) {
-      // Reference: exact per-pair strategy path (no kBuiltin kernel).
+      // Reference: the merge with the exact per-word SWAR strategy (no
+      // kBuiltin kernel).
+      std::uint64_t ref = 0;
       std::uint64_t ref_pairs = 0;
-      const std::uint64_t ref = AndPopcountVectors(
-          m.rows(), u, m.cols(), v, PopcountKind::kSwar, &ref_pairs);
-      std::uint64_t pairs = 0;
-      EXPECT_EQ(AndPopcountVectors(m.rows(), u, m.cols(), v,
-                                   PopcountKind::kBuiltin, &pairs),
-                ref)
-          << "u=" << u << " v=" << v;
-      EXPECT_EQ(pairs, ref_pairs);
+      ForEachCommonSlice(m.rows().SliceIndices(u), m.cols().SliceIndices(v),
+                         [&](std::size_t x, std::size_t y) {
+                           ref += AndPopcount(m.rows().SliceWords(u, x),
+                                              m.cols().SliceWords(v, y),
+                                              PopcountKind::kSwar);
+                           ++ref_pairs;
+                         });
       std::vector<PairRef> refs;
       EXPECT_EQ(GatherValidPairRefs(m.rows(), u, m.cols(), v, refs),
                 ref_pairs);
@@ -936,8 +860,6 @@ TEST(SlicedStoreGather, MismatchedSliceBitsThrow) {
   const SlicedStore b = MakeStore(1, 128, {{0, 64}}, 32);
   std::vector<PairRef> refs;
   EXPECT_THROW((void)GatherValidPairRefs(a, 0, b, 0, refs),
-               std::invalid_argument);
-  EXPECT_THROW((void)AndPopcountVectors(a, 0, b, 0, PopcountKind::kSwar),
                std::invalid_argument);
 }
 

@@ -212,15 +212,16 @@ TEST(SlicedStoreEdits, RandomizedEditsMatchFreshBuild) {
   }
 }
 
-TEST(SlicedStoreKernel, AndPopcountVectorsMatchesDenseIntersection) {
+TEST(SlicedStoreKernel, GatheredPairsMatchDenseIntersection) {
   bit::SlicedStore store =
       StoreFromRows({{1, 5, 64, 100}, {5, 64, 101}, {}}, 128, 64);
-  std::uint64_t pairs = 0;
-  EXPECT_EQ(bit::AndPopcountVectors(store, 0, store, 1,
-                                    bit::PopcountKind::kBuiltin, &pairs),
-            2u);  // {5, 64}
-  EXPECT_EQ(pairs, 2u);  // both slices of each row are valid and shared
-  EXPECT_EQ(bit::AndPopcountVectors(store, 0, store, 2), 0u);
+  std::vector<bit::PairRef> refs;
+  // Both slices of each row are valid and shared.
+  EXPECT_EQ(bit::GatherValidPairRefs(store, 0, store, 1, refs), 2u);
+  EXPECT_EQ(bit::AndPopcountPairsZeroCopy(refs), 2u);  // {5, 64}
+  refs.clear();
+  EXPECT_EQ(bit::GatherValidPairRefs(store, 0, store, 2, refs), 0u);
+  EXPECT_EQ(bit::AndPopcountPairsZeroCopy(refs), 0u);
 }
 
 // --- DynamicGraph ----------------------------------------------------------
@@ -366,28 +367,20 @@ TEST(IncrementalCounter, SingleInsertClosesWedges) {
 
 TEST(IncrementalCounter, BatchedWedgeKernelSkipsHardwareModel) {
   // The 4-way wedge kernel gathers all four store combinations into
-  // one zero-copy dispatch at the default kBuiltin — never feeding the
-  // LUT8 hardware-model counter — while a kLut8-configured counter
-  // still routes through the exact per-word model and stays exact.
+  // one zero-copy dispatch — never feeding the LUT8 hardware-model
+  // counter — and stays exact.
   stream::StreamConfig config;
   config.recount_fraction = 1.0;
   stream::IncrementalCounter fast(SeedGraph(), config);
   const std::uint64_t before = bit::Lut8Invocations();
   EdgeDelta delta;
   delta.Insert(0, 3);
-  EXPECT_EQ(fast.ApplyBatch(delta).delta, 2);
-  EXPECT_EQ(bit::Lut8Invocations(), before)
-      << "kBuiltin wedge kernel touched the LUT8 hardware model";
-
-  config.popcount = bit::PopcountKind::kLut8;
-  stream::IncrementalCounter modeled(SeedGraph(), config);
-  EXPECT_GT(bit::Lut8Invocations(), before);  // init recount fed it
-  const std::uint64_t mid = bit::Lut8Invocations();
-  const stream::BatchResult r = modeled.ApplyBatch(delta);
+  const stream::BatchResult r = fast.ApplyBatch(delta);
   EXPECT_EQ(r.delta, 2);
   EXPECT_EQ(r.triangles, 4u);
-  EXPECT_GT(bit::Lut8Invocations(), mid);
-  EXPECT_EQ(r.triangles, RecountTruth(modeled));
+  EXPECT_EQ(r.triangles, RecountTruth(fast));
+  EXPECT_EQ(bit::Lut8Invocations(), before)
+      << "wedge kernel touched the LUT8 hardware model";
 }
 
 TEST(IncrementalCounter, WedgeKernelExactOnZeroCopyPath) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: freezes the conventions the tree maintains by hand.
 
-Four rules, each of which was previously enforced only by review:
+Five rules, each of which was previously enforced only by review:
 
   layer-dag      The ARCHITECTURE.md include DAG. Every `#include "dir/..."`
                  edge between two directories under src/ must point strictly
@@ -25,6 +25,12 @@ Four rules, each of which was previously enforced only by review:
                  silently blinds `clang++ -Werror=thread-safety` and must
                  instead fix the lock discipline or take a reviewed
                  exemption here.
+  metric-sync    The metric names the code registers by literal
+                 (`Get{Counter,Gauge,Histogram}("name")` under src/) must
+                 equal the first-column names of the `### Catalog` table
+                 in docs/OBSERVABILITY.md. Rows whose name holds a `<…>`
+                 placeholder (per-kind and per-bank families, registered
+                 from built strings) are skipped.
 
 Usage:
   lint_tcim.py [REPO_ROOT]      lint the repo (default: parent of tools/)
@@ -73,6 +79,12 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_0-9]+)/', re.MULTILINE)
 ENV_LITERAL_RE = re.compile(r'"(TCIM_[A-Z0-9_]+)"')
 ENV_NAME_RE = re.compile(r"\b(TCIM_[A-Z0-9_]+)\b")
 BANNER_RE = re.compile(r"Layer: §\d+")
+METRIC_LITERAL_RE = re.compile(
+    r'Get(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"\s*\)')
+CATALOG_HEADING = "### Catalog"
+CATALOG_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.MULTILINE)
+HEADING_RE = re.compile(r"^#{1,6} ", re.MULTILINE)
+METRICS_DOC = "docs/OBSERVABILITY.md"
 ESCAPE_MACRO = "TCIM_NO_THREAD_SAFETY_ANALYSIS"
 
 # Files allowed to say TCIM_NO_THREAD_SAFETY_ANALYSIS (repo-relative).
@@ -214,11 +226,47 @@ def check_tsa_escape(root: Path) -> list[str]:
     return errors
 
 
+def _catalog_names(root: Path) -> set[str]:
+    """First-column metric names of the METRICS_DOC catalog table,
+    without the `<…>` placeholder families."""
+    path = root / METRICS_DOC
+    if not path.is_file():
+        return set()
+    _, found, rest = _read(path).partition(CATALOG_HEADING)
+    if not found:
+        return set()
+    section = HEADING_RE.split(rest, maxsplit=1)[0]
+    return {name for name in CATALOG_ROW_RE.findall(section) if "<" not in name}
+
+
+def check_metric_sync(root: Path) -> list[str]:
+    errors = []
+    registered: dict[str, Path] = {}
+    for path in _sources(root, "src", (".h", ".cpp")):
+        for name in METRIC_LITERAL_RE.findall(_read(path)):
+            registered.setdefault(name, path.relative_to(root))
+    documented = _catalog_names(root)
+    for name, where in sorted(registered.items()):
+        if name not in documented:
+            errors.append(
+                f"metric-sync: {where}: registers {name} but the "
+                f"{METRICS_DOC} catalog does not list it"
+            )
+    for name in sorted(documented - registered.keys()):
+        errors.append(
+            f"metric-sync: {METRICS_DOC}: the catalog lists {name} but no "
+            f"Get{{Counter,Gauge,Histogram}}(\"{name}\") under src/ "
+            f"registers it"
+        )
+    return errors
+
+
 CHECKS = {
     "layer-dag": check_layer_dag,
     "env-sync": check_env_sync,
     "header-banner": check_header_banner,
     "tsa-escape": check_tsa_escape,
+    "metric-sync": check_metric_sync,
 }
 
 
@@ -241,6 +289,17 @@ _CLEAN_HEADER = (
 )
 
 
+_CLEAN_CATALOG = (
+    "### Catalog\n\n"
+    "| Metric | Type | Unit | Meaning |\n"
+    "|---|---|---|---|\n"
+    "| `svc.calls_total` | counter | calls | calls served |\n"
+    "| `svc.<b>.calls_total` | counter | calls | per-bank share |\n\n"
+    "### Scraping\n\n"
+    "| `svc.not_a_catalog_row` | table after the catalog |\n"
+)
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -256,9 +315,11 @@ def _make_clean_fixture(root: Path) -> None:
     _write(
         root / "src/runtime/svc.cpp",
         '#include "runtime/svc.h"\n'
-        'static const char* k = "TCIM_SCALE";\n',
+        'static const char* k = "TCIM_SCALE";\n'
+        'auto& calls = reg.GetCounter("svc.calls_total");\n',
     )
     _write(root / "README.md", "Set TCIM_SCALE to shrink workloads.\n")
+    _write(root / METRICS_DOC, _CLEAN_CATALOG)
     _write(root / "CMakeLists.txt", "project(fixture)\n")
 
 
@@ -321,6 +382,31 @@ def self_test() -> int:
             "void F() TCIM_NO_THREAD_SAFETY_ANALYSIS {}\n",
         )
         expect("tsa escape", lint(root), "tsa-escape", "src/runtime/svc.cpp")
+
+        # stale catalog row: documented, registered nowhere.
+        _make_clean_fixture(root)
+        _write(
+            root / METRICS_DOC,
+            _CLEAN_CATALOG.replace(
+                "\n\n### Scraping",
+                "\n| `svc.pairs_perpair_total` | counter | pairs | gone |"
+                "\n\n### Scraping",
+            ),
+        )
+        expect("stale catalog row", lint(root), "metric-sync",
+               "svc.pairs_perpair_total")
+
+        # registered metric missing from the catalog.
+        _make_clean_fixture(root)
+        _write(
+            root / "src/runtime/svc.cpp",
+            '#include "runtime/svc.h"\n'
+            'static const char* k = "TCIM_SCALE";\n'
+            'auto& calls = reg.GetCounter("svc.calls_total");\n'
+            'auto& depth = reg.GetGauge(\n    "svc.queue_depth");\n',
+        )
+        expect("undocumented metric", lint(root), "metric-sync",
+               "svc.queue_depth")
 
     if failures:
         print("\n".join(failures))

@@ -2,23 +2,25 @@
 // "This Work w/o PIM" (sliced software), simulated TCIM, and the
 // paper's reported CPU/GPU/FPGA/TCIM columns.
 //
-// Substitution notes (DESIGN.md section 3):
-//  * our CPU column is a native single-thread edge-iterator — far
-//    faster than the paper's Spark GraphX baseline on the same silicon,
-//    so the absolute CPU gap compresses; the machine-independent shape
-//    is the TCIM-vs-w/o-PIM ratio (paper: ~25.5x average);
-//  * GPU [3] / FPGA [3] are published numbers, full-size graphs;
-//  * TCIM(serial) issues every array command back-to-back — the view
+// Every row is one core::CountGraph call (no relabeling, host and
+// simulated passes over one matrix, CPU verification), read off its
+// stage record:
+//  * CPU = the verify stage, a native single-thread edge-iterator —
+//    far faster than the paper's Spark GraphX baseline on the same
+//    silicon, so the absolute CPU gap compresses;
+//  * w/o PIM = orient + slice + host Eq. (5) pass, measured;
+//  * TCIM(serial) = modeled latency of the simulated pass on the same
+//    matrix, every array command issued back-to-back — the view
 //    closest to the paper's simulator; TCIM(parallel) is the subarray
-//    critical path.
+//    critical path;
+//  * GPU [3] / FPGA [3] are published numbers, full-size graphs.
+// The closing TCIM-vs-w/o-PIM ratio divides host-measured seconds by
+// modeled seconds, so it depends on the machine (paper: ~25.6x).
 #include <iostream>
 
-#include "baseline/cpu_tc.h"
 #include "bench_common.h"
-#include "core/accelerator.h"
-#include "core/bitwise_tc.h"
+#include "core/pipeline.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace tcim;
@@ -30,6 +32,10 @@ int main() {
       "are the\npublished full-size numbers (CPU there = Spark GraphX on "
       "an E5430).");
 
+  core::CountRequest request;  // paper defaults: |S|=64, kUpper, no relabel
+  request.passes = core::Passes::kBoth;
+  request.verify = true;
+
   TablePrinter t({"Dataset", "CPU", "w/o PIM", "TCIM", "TCIM par",
                   "CPU [paper]", "GPU [paper]", "FPGA [paper]",
                   "w/o PIM [paper]", "TCIM [paper]"});
@@ -38,49 +44,32 @@ int main() {
   int rows = 0;
   for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
     const graph::DatasetInstance inst = bench::LoadDataset(ref.id);
-
-    // CPU baseline: native edge-iterator (intersection class, like the
-    // paper's baseline algorithm).
-    util::Timer timer;
-    const std::uint64_t t_cpu =
-        baseline::CountTrianglesReference(inst.graph);
-    const double cpu_s = timer.ElapsedSeconds();
-
-    // w/o PIM: slicing + Eq. (5) on the host CPU. Includes the slicing
-    // (compression) step, as the paper's column does.
-    timer.Restart();
-    const bit::SlicedMatrix matrix = core::BuildSlicedMatrix(
-        inst.graph, graph::Orientation::kUpper, 64);
-    const std::uint64_t t_wo = core::CountTrianglesSliced(
-        matrix, graph::Orientation::kUpper);
-    const double wo_pim_s = timer.ElapsedSeconds();
-
-    // TCIM: full architectural simulation; runtime = modeled latency.
-    core::TcimConfig config;
-    const core::TcimAccelerator accel{config};
-    const core::TcimResult r =
-        accel.RunOnMatrix(matrix, graph::Orientation::kUpper);
-    if (r.triangles != t_cpu || t_wo != t_cpu) {
-      std::cerr << "COUNT MISMATCH on " << ref.name << ": cpu=" << t_cpu
-                << " wo=" << t_wo << " tcim=" << r.triangles << "\n";
+    const core::CountOutcome out = core::CountGraph(inst.graph, request);
+    if (*out.reference_triangles != out.triangles) {
+      std::cerr << "COUNT MISMATCH on " << ref.name
+                << ": cpu=" << *out.reference_triangles
+                << " tcim=" << out.triangles << "\n";
       return 1;
     }
 
-    ratio_sum += wo_pim_s / r.perf.serial_seconds;
+    const core::StageSeconds& s = out.stages;
+    const double wo_pim_s = s.orient + s.slice + s.host_pass;
+    const core::PerfResult& perf = out.sim->perf;
+    ratio_sum += wo_pim_s / perf.serial_seconds;
     paper_ratio_sum += ref.wo_pim_s / ref.tcim_s;
     ++rows;
 
-    t.AddRow({ref.name, TablePrinter::Fixed(cpu_s, 3),
+    t.AddRow({ref.name, TablePrinter::Fixed(s.verify, 3),
               TablePrinter::Fixed(wo_pim_s, 3),
-              TablePrinter::Fixed(r.perf.serial_seconds, 3),
-              TablePrinter::Fixed(r.perf.parallel_seconds, 4),
+              TablePrinter::Fixed(perf.serial_seconds, 3),
+              TablePrinter::Fixed(perf.parallel_seconds, 4),
               bench::PaperCell(ref.cpu_s), bench::PaperCell(ref.gpu_s),
               bench::PaperCell(ref.fpga_s), bench::PaperCell(ref.wo_pim_s),
               bench::PaperCell(ref.tcim_s)});
   }
   t.Print(std::cout);
-  std::cout << "\nShape check (machine-independent): TCIM speedup over "
-               "w/o PIM\n  ours:  "
+  std::cout << "\nMachine-dependent ratio (host-measured w/o PIM seconds / "
+               "modeled TCIM seconds):\n  ours:  "
             << TablePrinter::Ratio(ratio_sum / rows, 1)
             << " average (serial command issue)\n  paper: "
             << TablePrinter::Ratio(paper_ratio_sum / rows, 1)

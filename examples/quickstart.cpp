@@ -9,9 +9,7 @@
 // (4 vertices, 5 edges, 2 triangles).
 #include <iostream>
 
-#include "baseline/cpu_tc.h"
-#include "core/accelerator.h"
-#include "core/bitwise_tc.h"
+#include "core/pipeline.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "util/table.h"
@@ -38,29 +36,29 @@ int main(int argc, char** argv) {
     std::cout << "Using the paper's Fig. 2 graph: 4 vertices, 5 edges\n";
   }
 
-  // 2. CPU baseline (set-intersection class, paper §II-A).
-  const std::uint64_t by_cpu = baseline::CountTrianglesReference(g);
-  std::cout << "CPU edge-iterator baseline:   " << by_cpu
-            << " triangles\n";
-
-  // 3. The paper's bitwise method (Eq. 5) in software: slice the
-  //    oriented adjacency matrix, AND valid slice pairs, count bits.
-  const std::uint64_t by_bitwise = core::CountTrianglesSliced(g);
-  std::cout << "Bitwise AND+BitCount (sw):    " << by_bitwise
-            << " triangles\n";
-
-  // 4. Full TCIM simulation: device -> array -> architecture.
-  core::TcimConfig config;  // paper defaults: |S|=64, 16 MB array, LRU
+  // 2. One pipeline call counts it three ways over one sliced matrix:
+  //    the paper's bitwise method (Eq. 5) in software — slice the
+  //    oriented adjacency matrix, AND valid slice pairs, count bits —
+  //    the full TCIM simulation (device -> array -> architecture), and
+  //    the CPU baseline (set-intersection class, paper §II-A) as the
+  //    verify stage.
+  core::CountRequest request;  // paper defaults: |S|=64, 16 MB array, LRU
   // Fig. 2 walkthrough mapping: one set per slice index, rows staged
   // once per processed row (auto-spread would replicate staging to
   // fill the big array — unnecessary for a 4-vertex graph).
-  config.controller.spread_override = 1;
-  const core::TcimAccelerator accelerator{config};
-  const core::TcimResult result = accelerator.Run(g);
-  std::cout << "TCIM in-MRAM simulation:      " << result.triangles
+  request.config.controller.spread_override = 1;
+  request.passes = core::Passes::kBoth;
+  request.verify = true;
+  const core::CountOutcome out = core::CountGraph(g, request);
+  const core::TcimResult& result = *out.sim;
+  std::cout << "CPU edge-iterator baseline:   " << *out.reference_triangles
+            << " triangles\n"
+            << "Bitwise AND+BitCount (sw):    " << out.triangles
+            << " triangles\n"
+            << "TCIM in-MRAM simulation:      " << result.triangles
             << " triangles\n\n";
 
-  // 5. What the accelerator actually did.
+  // 3. What the accelerator actually did.
   std::cout << "TCIM execution profile:\n"
             << "  AND operations (valid slice pairs): "
             << result.exec.valid_pairs << "\n"
@@ -75,6 +73,5 @@ int main(int argc, char** argv) {
             << util::FormatSeconds(result.perf.serial_seconds) << "\n"
             << "  modeled chip energy:                "
             << util::FormatJoules(result.perf.energy_joules) << "\n";
-  return by_cpu == result.triangles && by_bitwise == result.triangles ? 0
-                                                                      : 1;
+  return *out.reference_triangles == out.triangles ? 0 : 1;
 }

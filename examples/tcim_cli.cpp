@@ -19,19 +19,27 @@
 // src/stream/edge_delta.h); each batch is counted incrementally and
 // the report shows the per-batch deltas and the stream aggregate.
 //
+// Without --banks or --stream the count is one core::CountGraph call
+// (relabel, orient, slice, simulate, verify); the report gains its
+// per-stage host seconds, and host_seconds is their sum.
+//
+// Every option is checked before the graph is loaded: a bad value
+// exits with status 2 before any stage has run.
+//
 // Prints a human-readable report by default, or a single JSON object
 // with --json (for scripting sweeps).
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "baseline/cpu_tc.h"
-#include "graph/relabel.h"
-#include "core/accelerator.h"
+#include "core/pipeline.h"
 #include "graph/datasets.h"
 #include "graph/io.h"
+#include "graph/relabel.h"
 #include "obs/metrics.h"
 #include "runtime/bank_pool.h"
 #include "runtime/metrics.h"
@@ -78,7 +86,8 @@ void Usage() {
       "  --scale X           synthesis scale in (0,1] (default 0.25)\n"
       "  --slice-bits N      |S| in [8,512], divides 512 (default 64)\n"
       "  --policy P          lru | fifo | random (default lru)\n"
-      "  --capacity-mb X     computational array size (default 16)\n"
+      "  --capacity-mb X     computational array size, at most 1024 "
+      "(default 16)\n"
       "  --orientation O     upper | degree | full (default upper)\n"
       "  --seed N            synthesis seed (default 42)\n"
       "  --banks N           parallel TCIM banks; >1 uses the multi-bank "
@@ -112,7 +121,7 @@ void Usage() {
       "  --no-verify         skip the CPU cross-check\n";
 }
 
-bool Parse(int argc, char** argv, Options& opt) {
+bool ParseArgs(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -197,6 +206,116 @@ bool Parse(int argc, char** argv, Options& opt) {
     }
   }
   return true;
+}
+
+/// ParseArgs, with a malformed number (std::stod/stoul/stoull throw)
+/// reported as a bad argument rather than an internal error.
+bool Parse(int argc, char** argv, Options& opt) {
+  try {
+    return ParseArgs(argc, argv, opt);
+  } catch (const std::logic_error& e) {
+    std::cerr << "bad numeric value (" << e.what() << ")\n";
+    return false;
+  }
+}
+
+/// Every option resolved and range-checked, before any stage runs.
+struct Settings {
+  core::TcimConfig config;
+  graph::RelabelMode relabel = graph::RelabelMode::kAuto;
+  runtime::PartitionStrategy partition =
+      runtime::PartitionStrategy::kDegreeBalanced;
+};
+
+/// Prints the first invalid option and returns false.
+bool Resolve(const Options& opt, Settings& s) {
+  const auto reject = [](const std::string& what) {
+    std::cerr << what << "\n";
+    return false;
+  };
+  if (!(opt.scale > 0.0 && opt.scale <= 1.0)) {
+    return reject("--scale must be in (0,1]");
+  }
+  const std::optional<graph::RelabelMode> relabel =
+      graph::ParseRelabelMode(opt.relabel);
+  if (!relabel.has_value()) {
+    return reject("unknown relabel mode " + opt.relabel +
+                  " (auto|degree|bfs|none)");
+  }
+  s.relabel = *relabel;
+
+  core::TcimConfig& config = s.config;
+  config.slice_bits = opt.slice_bits;
+  // Checked in double before the cast: converting a negative, NaN or
+  // out-of-range double to an integer is undefined behaviour.
+  const double capacity_bytes = opt.capacity_mb * 1024.0 * 1024.0;
+  if (!(capacity_bytes >= 1.0 &&
+        capacity_bytes <=
+            static_cast<double>(nvsim::ArrayConfig::kMaxCapacityBytes))) {
+    return reject("--capacity-mb must be in (0, " +
+                  std::to_string(nvsim::ArrayConfig::kMaxCapacityBytes >>
+                                 20) +
+                  "]");
+  }
+  config.array.capacity_bytes = static_cast<std::uint64_t>(capacity_bytes);
+  if (opt.policy == "lru") {
+    config.controller.policy = arch::ReplacementPolicy::kLru;
+  } else if (opt.policy == "fifo") {
+    config.controller.policy = arch::ReplacementPolicy::kFifo;
+  } else if (opt.policy == "random") {
+    config.controller.policy = arch::ReplacementPolicy::kRandom;
+  } else {
+    return reject("unknown policy " + opt.policy);
+  }
+  if (opt.orientation == "upper") {
+    config.orientation = graph::Orientation::kUpper;
+  } else if (opt.orientation == "degree") {
+    config.orientation = graph::Orientation::kDegree;
+  } else if (opt.orientation == "full") {
+    config.orientation = graph::Orientation::kFullSymmetric;
+  } else {
+    return reject("unknown orientation " + opt.orientation);
+  }
+  try {
+    // Checked even when --banks is 1, so a typo'd strategy errors on
+    // every row of a bank sweep, not only the multi-bank ones.
+    s.partition = runtime::ParsePartitionStrategy(opt.partition);
+    core::TcimConfig normalized = config;  // slice width, array geometry
+    normalized.Normalize();
+  } catch (const std::invalid_argument& e) {
+    return reject(e.what());
+  }
+  if (opt.banks == 0 || opt.banks > runtime::kMaxBanks ||
+      opt.threads > runtime::kMaxBanks) {
+    return reject("--banks must be in [1, " +
+                  std::to_string(runtime::kMaxBanks) +
+                  "] and --threads at most as large");
+  }
+  if (!(std::isfinite(opt.recount_fraction) && opt.recount_fraction >= 0.0)) {
+    return reject("--recount-frac must be a finite value >= 0");
+  }
+  return true;
+}
+
+/// "degree (auto)" style label of a relabel decision.
+std::string RelabelLabel(const graph::RelabelChoice& choice,
+                         graph::RelabelMode requested) {
+  return std::string(graph::ToString(choice.applied)) +
+         (requested == graph::RelabelMode::kAuto ? " (auto)" : "");
+}
+
+/// Load-time relabeling for the --banks and --stream paths (their
+/// passes are BankPool::Count and StreamSession, not core::CountGraph):
+/// rename vertices so dense rows/columns share contiguous id blocks
+/// before slicing — fewer valid slices, smaller |Ri ∩ Cj| merges.
+/// Pure bijection; every id printed goes back through the inverse
+/// map, so the rename is invisible in the output.
+graph::RelabelChoice RelabelInPlace(graph::Graph& g,
+                                    graph::RelabelMode mode,
+                                    std::uint32_t slice_bits) {
+  graph::RelabelChoice choice = graph::ChooseRelabeling(g, mode, slice_bits);
+  if (choice.applied != graph::RelabelMode::kNone) g = choice.map.Apply(g);
+  return choice;
 }
 
 /// One row of the --top per-vertex surface: a vertex named by its
@@ -326,9 +445,13 @@ int Run(int argc, char** argv) {
     Usage();
     return 2;
   }
+  Settings settings;
+  if (!Resolve(opt, settings)) return 2;
+  const core::TcimConfig& config = settings.config;
 
   graph::Graph g;
   std::string source;
+  std::vector<stream::EdgeDelta> batches;
   try {
     if (!opt.input.empty()) {
       g = graph::ReadSnapEdgeListFile(opt.input);
@@ -343,75 +466,16 @@ int Run(int argc, char** argv) {
       Usage();
       return 2;
     }
+    if (!opt.stream.empty()) batches = stream::ReadDeltaFile(opt.stream);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
 
-  // Load-time relabeling: rename vertices so dense rows/columns share
-  // contiguous id blocks before slicing — fewer valid slices, smaller
-  // |Ri ∩ Cj| merges. Pure bijection; every id printed below goes back
-  // through the inverse map, so the rename is invisible in the output.
-  const std::optional<graph::RelabelMode> relabel_mode =
-      graph::ParseRelabelMode(opt.relabel);
-  if (!relabel_mode.has_value()) {
-    std::cerr << "unknown relabel mode " << opt.relabel
-              << " (auto|degree|bfs|none)\n";
-    return 2;
-  }
-  graph::RelabelChoice relabel =
-      graph::ChooseRelabeling(g, *relabel_mode, opt.slice_bits);
-  const bool relabeled = relabel.applied != graph::RelabelMode::kNone;
-  if (relabeled) g = relabel.map.Apply(g);
-  graph::VertexRelabeling& id_map = relabel.map;
-  const graph::VertexRelabeling* inverse = relabeled ? &id_map : nullptr;
-  const std::string relabel_desc =
-      std::string(graph::ToString(relabel.applied)) +
-      (*relabel_mode == graph::RelabelMode::kAuto ? " (auto)" : "");
-
-  core::TcimConfig config;
-  config.slice_bits = opt.slice_bits;
-  config.array.capacity_bytes =
-      static_cast<std::uint64_t>(opt.capacity_mb * 1024.0 * 1024.0);
-  if (opt.policy == "lru") {
-    config.controller.policy = arch::ReplacementPolicy::kLru;
-  } else if (opt.policy == "fifo") {
-    config.controller.policy = arch::ReplacementPolicy::kFifo;
-  } else if (opt.policy == "random") {
-    config.controller.policy = arch::ReplacementPolicy::kRandom;
-  } else {
-    std::cerr << "unknown policy " << opt.policy << "\n";
-    return 2;
-  }
-  if (opt.orientation == "upper") {
-    config.orientation = graph::Orientation::kUpper;
-  } else if (opt.orientation == "degree") {
-    config.orientation = graph::Orientation::kDegree;
-  } else if (opt.orientation == "full") {
-    config.orientation = graph::Orientation::kFullSymmetric;
-  } else {
-    std::cerr << "unknown orientation " << opt.orientation << "\n";
-    return 2;
-  }
-
-  // Validated even when --banks is 1, so a typo'd strategy errors on
-  // every row of a bank sweep, not only the multi-bank ones.
-  runtime::PartitionStrategy partition_strategy;
-  try {
-    partition_strategy = runtime::ParsePartitionStrategy(opt.partition);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-
   if (!opt.stream.empty()) {
-    std::vector<stream::EdgeDelta> batches;
-    try {
-      batches = stream::ReadDeltaFile(opt.stream);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
+    graph::RelabelChoice relabel =
+        RelabelInPlace(g, settings.relabel, opt.slice_bits);
+    const bool relabeled = relabel.applied != graph::RelabelMode::kNone;
     stream::StreamConfig stream_config;
     stream_config.orientation = config.orientation;
     stream_config.slice_bits = opt.slice_bits;
@@ -424,11 +488,11 @@ int Run(int argc, char** argv) {
                                     "Latency"});
     for (std::size_t b = 0; b < batches.size(); ++b) {
       // Replay files speak original ids; the relabeled session speaks
-      // internal ids. MapToInternal grows id_map for vertices the
+      // internal ids. MapToInternal grows relabel.map for vertices the
       // loaded graph never saw (same growth semantics as the
       // un-relabeled path).
       const runtime::StreamSession::AppliedBatch applied = session.Apply(
-          relabeled ? stream::MapToInternal(batches[b], id_map)
+          relabeled ? stream::MapToInternal(batches[b], relabel.map)
                     : batches[b]);
       const stream::BatchResult& r = applied.batch;
       if (!opt.json) {
@@ -452,11 +516,13 @@ int Run(int argc, char** argv) {
         !opt.verify || baseline::CountTrianglesReference(final_snapshot) ==
                            final_triangles;
     const std::vector<TopEntry> top =
-        opt.top > 0 ? TopDegrees(final_snapshot, inverse, opt.top)
+        opt.top > 0 ? TopDegrees(final_snapshot,
+                                 relabeled ? &relabel.map : nullptr, opt.top)
                     : std::vector<TopEntry>{};
     if (opt.json) {
       std::cout << "{\"source\":\"" << source << "\",\"stream\":\""
-                << opt.stream << "\",\"relabel\":\"" << relabel_desc
+                << opt.stream << "\",\"relabel\":\""
+                << RelabelLabel(relabel, settings.relabel)
                 << "\",\"relabel_nvs_ratio\":" << relabel.ValidSliceRatio();
       if (!top.empty()) EmitTopJson(std::cout, top);
       std::cout << ",\"batches\":" << stats.batches
@@ -492,10 +558,12 @@ int Run(int argc, char** argv) {
   }
 
   if (opt.banks > 1) {
+    const graph::RelabelChoice relabel =
+        RelabelInPlace(g, settings.relabel, opt.slice_bits);
     runtime::BankPoolConfig pool_config;
     pool_config.num_banks = opt.banks;
     pool_config.num_threads = opt.threads;
-    pool_config.partition = partition_strategy;
+    pool_config.partition = settings.partition;
     // Controller rng seed stays at its default on both paths, so under
     // --policy random bank 0 reproduces the single-accelerator numbers
     // (DeriveBankSeed keeps the base seed for bank 0).
@@ -519,9 +587,14 @@ int Run(int argc, char** argv) {
                         !opt.verify ||
                             baseline::CountTrianglesReference(g) ==
                                 r.triangles};
-    common.relabel = relabel_desc;
+    common.relabel = RelabelLabel(relabel, settings.relabel);
     common.relabel_nvs_ratio = relabel.ValidSliceRatio();
-    if (opt.top > 0) common.top = TopDegrees(g, inverse, opt.top);
+    if (opt.top > 0) {
+      common.top = TopDegrees(
+          g, relabel.applied != graph::RelabelMode::kNone ? &relabel.map
+                                                          : nullptr,
+          opt.top);
+    }
     if (!opt.json) {
       runtime::PrintPartitionTable(std::cout, r.partition);
       std::cout << "\n";
@@ -571,21 +644,26 @@ int Run(int argc, char** argv) {
         }));
   }
 
-  const core::TcimAccelerator accel{config};
-  const core::TcimResult r = accel.Run(g);
+  core::CountRequest request;
+  request.config = config;
+  request.relabel = settings.relabel;
+  request.verify = opt.verify;
+  const core::CountOutcome out = core::CountGraph(g, request);
+  const core::TcimResult& r = *out.sim;
 
   ReportCommon common{&g,
                       source,
-                      r.triangles,
+                      out.triangles,
                       r.perf.energy_joules,
                       r.perf.platform_joules,
-                      r.host_seconds,
+                      out.stages.Total(),
                       opt.verify,
-                      !opt.verify || baseline::CountTrianglesReference(g) ==
-                                         r.triangles};
-  common.relabel = relabel_desc;
-  common.relabel_nvs_ratio = relabel.ValidSliceRatio();
-  if (opt.top > 0) common.top = TopDegrees(g, inverse, opt.top);
+                      !out.reference_triangles ||
+                          *out.reference_triangles == out.triangles};
+  common.relabel = RelabelLabel(out.relabel, settings.relabel);
+  common.relabel_nvs_ratio = out.relabel.ValidSliceRatio();
+  // `g` is the input, already in original ids.
+  if (opt.top > 0) common.top = TopDegrees(g, nullptr, opt.top);
   return Finish(opt, EmitReport(
       opt.json, common,
       [&](std::ostream& os) {
@@ -595,7 +673,14 @@ int Run(int argc, char** argv) {
            << ",\"hit_rate\":" << r.exec.cache.HitRate()
            << ",\"exchange_rate\":" << r.exec.cache.ExchangeRate()
            << ",\"serial_seconds\":" << r.perf.serial_seconds
-           << ",\"parallel_seconds\":" << r.perf.parallel_seconds;
+           << ",\"parallel_seconds\":" << r.perf.parallel_seconds
+           << ",\"stages\":{";
+        const char* sep = "";
+        out.stages.ForEach([&](const char* name, double seconds) {
+          os << sep << "\"" << name << "\":" << seconds;
+          sep = ",";
+        });
+        os << "}";
       },
       [&](util::TablePrinter& t) {
         using util::TablePrinter;
@@ -608,6 +693,10 @@ int Run(int argc, char** argv) {
                   util::FormatSeconds(r.perf.serial_seconds)});
         t.AddRow({"TCIM latency (parallel)",
                   util::FormatSeconds(r.perf.parallel_seconds)});
+        out.stages.ForEach([&](const char* name, double seconds) {
+          t.AddRow({std::string("stage ") + name,
+                    util::FormatSeconds(seconds)});
+        });
       }));
 }
 

@@ -4,7 +4,6 @@
 
 #include "core/bitwise_tc.h"
 #include "pim/computational_array.h"
-#include "util/timer.h"
 
 namespace tcim::core {
 
@@ -32,12 +31,9 @@ TcimAccelerator::TcimAccelerator(TcimConfig config)
 }
 
 TcimResult TcimAccelerator::Run(const graph::Graph& g) const {
-  util::Timer timer;
   const bit::SlicedMatrix matrix =
       BuildSlicedMatrix(g, config_.orientation, config_.slice_bits);
-  TcimResult result = RunOnMatrix(matrix, config_.orientation);
-  result.host_seconds = timer.ElapsedSeconds();
-  return result;
+  return RunOnMatrix(matrix, config_.orientation);
 }
 
 TcimResult TcimAccelerator::RunOnMatrix(const bit::SlicedMatrix& matrix,
@@ -66,7 +62,6 @@ TcimResult TcimAccelerator::Execute(const bit::SlicedMatrix& matrix,
                                     graph::Orientation orientation,
                                     const arch::BankExecPlan& plan,
                                     bool with_slice_stats) const {
-  util::Timer timer;
   if (matrix.slice_bits() != config_.slice_bits) {
     throw std::invalid_argument(
         "TcimAccelerator: matrix slice width != configured slice_bits");
@@ -82,7 +77,6 @@ TcimResult TcimAccelerator::Execute(const bit::SlicedMatrix& matrix,
                      graph::CountMultiplier(orientation);
   result.perf = EvaluatePerf(result.exec, array_model_->perf(),
                              config_.bit_counter, config_.perf);
-  result.host_seconds = timer.ElapsedSeconds();
   return result;
 }
 

@@ -1,13 +1,17 @@
 // TcimAccelerator — the public end-to-end API of this library.
 //
-// One call runs the paper's complete pipeline (Fig. 4 / Algorithm 1):
+// The accelerator simulates the paper's in-MRAM pass (Fig. 4 /
+// Algorithm 1) over a sliced matrix:
 //
-//   graph  -> orientation -> slicing/compression -> mapping onto the
-//   computational STT-MRAM array (staging + LRU column cache) ->
-//   dual-row-activation ANDs + bit counting  -> triangle count,
-//   plus the device-to-architecture latency/energy evaluation.
+//   mapping onto the computational STT-MRAM array (staging + LRU
+//   column cache) -> dual-row-activation ANDs + bit counting ->
+//   triangle count, plus the device-to-architecture latency/energy
+//   evaluation.
 //
-// Typical use:
+// The graph entry point is core::CountGraph (core/pipeline.h), which
+// owns relabeling, orientation, slicing, the passes, verification and
+// their stage timing. Run(graph) is the untimed no-relabel,
+// simulated-only convenience the paper benches use:
 //   tcim::core::TcimConfig config;                 // paper defaults
 //   tcim::core::TcimAccelerator accel(config);
 //   tcim::core::TcimResult r = accel.Run(graph);
@@ -59,14 +63,14 @@ struct TcimResult {
   arch::ExecStats exec;             ///< op counts, cache stats (Fig. 5)
   bit::SliceStats slices;           ///< Tables III/IV inputs
   PerfResult perf;                  ///< Table V "TCIM" / Fig. 6 inputs
-  double host_seconds = 0.0;        ///< wall-clock of the simulation itself
 };
 
 class TcimAccelerator {
  public:
   explicit TcimAccelerator(TcimConfig config);
 
-  /// Full pipeline on an undirected graph.
+  /// BuildSlicedMatrix + RunOnMatrix on an undirected graph, untimed
+  /// and without relabeling (core::CountGraph is the timed pipeline).
   [[nodiscard]] TcimResult Run(const graph::Graph& g) const;
 
   /// Pipeline over a pre-built sliced matrix (skips orientation +

@@ -46,17 +46,4 @@ std::uint64_t CountTrianglesDense(const graph::Graph& g,
   return total / graph::CountMultiplier(orientation);
 }
 
-std::uint64_t CountTrianglesSliced(const bit::SlicedMatrix& matrix,
-                                   graph::Orientation orientation) {
-  return matrix.AndPopcountAllEdges() / graph::CountMultiplier(orientation);
-}
-
-std::uint64_t CountTrianglesSliced(const graph::Graph& g,
-                                   graph::Orientation orientation,
-                                   std::uint32_t slice_bits) {
-  const bit::SlicedMatrix matrix =
-      BuildSlicedMatrix(g, orientation, slice_bits);
-  return CountTrianglesSliced(matrix, orientation);
-}
-
 }  // namespace tcim::core

@@ -8,7 +8,9 @@
 //    exact for any orientation) — reference for small graphs;
 //  * the sliced path over the compressed valid-slice stores — this is
 //    the paper's Table V "This Work w/o PIM" configuration (slicing +
-//    reuse running on a plain CPU, no in-memory hardware).
+//    reuse running on a plain CPU, no in-memory hardware). It is
+//    BuildSlicedMatrix followed by SlicedMatrix::AndPopcountAllEdges;
+//    core::CountGraph (core/pipeline.h) runs it as its host pass.
 //
 // Layer: §8 core — see docs/ARCHITECTURE.md.
 #pragma once
@@ -32,21 +34,5 @@ namespace tcim::core {
 [[nodiscard]] std::uint64_t CountTrianglesDense(
     const graph::Graph& g,
     graph::Orientation orientation = graph::Orientation::kUpper);
-
-/// Sliced evaluation of Eq. (5) — the "w/o PIM" software path.
-/// Returns the triangle count (orientation multiplier applied). The
-/// valid slice pairs are gathered per pivot row or column (whichever
-/// side probes fewer slices) and evaluated in blocks by the zero-copy
-/// pair kernel — one call per block, not per slice pair
-/// (bit::AndPopcountPairsZeroCopy).
-[[nodiscard]] std::uint64_t CountTrianglesSliced(
-    const graph::Graph& g,
-    graph::Orientation orientation = graph::Orientation::kUpper,
-    std::uint32_t slice_bits = 64);
-
-/// Same, over a pre-built matrix (lets benches time compute separately
-/// from slicing).
-[[nodiscard]] std::uint64_t CountTrianglesSliced(
-    const bit::SlicedMatrix& matrix, graph::Orientation orientation);
 
 }  // namespace tcim::core

@@ -93,7 +93,7 @@ const PaperRef& GetPaperRefByName(const std::string& name) {
 
 DatasetInstance SynthesizePaperGraph(PaperDataset id, double scale,
                                      std::uint64_t seed) {
-  if (scale <= 0.0 || scale > 1.0) {
+  if (!(scale > 0.0 && scale <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("SynthesizePaperGraph: scale must be (0,1]");
   }
   const PaperRef& ref = GetPaperRef(id);

@@ -12,7 +12,8 @@ void ArrayConfig::Validate() const {
       throw std::invalid_argument(std::string("ArrayConfig: ") + what);
     }
   };
-  check(capacity_bytes > 0, "capacity must be positive");
+  check(capacity_bytes > 0 && capacity_bytes <= kMaxCapacityBytes,
+        "capacity must be in (0, 1 GiB]");
   check(subarray_rows >= 8 && subarray_cols >= 8, "subarray too small");
   check((subarray_rows & (subarray_rows - 1)) == 0,
         "subarray rows must be a power of two");

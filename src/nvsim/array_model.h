@@ -33,6 +33,12 @@ struct OpCost {
 
 /// Physical organization of the computational array.
 struct ArrayConfig {
+  /// Largest accepted capacity: 1 GiB, 16x the largest array the cache
+  /// ablation sweeps (64 MiB). The functional array allocates the whole
+  /// capacity per simulated pass, and the cap keeps bits() from
+  /// wrapping.
+  static constexpr std::uint64_t kMaxCapacityBytes = 1ULL << 30;
+
   std::uint64_t capacity_bytes = 16ULL << 20;  ///< paper: 16 MB
   std::uint32_t subarray_rows = 512;
   std::uint32_t subarray_cols = 512;

@@ -19,7 +19,7 @@ using graph::VertexId;
 IncrementalCounter::IncrementalCounter(const graph::Graph& g,
                                        StreamConfig config)
     : config_(config), graph_(g, config.orientation, config.slice_bits) {
-  if (config_.recount_fraction < 0.0) {
+  if (!(config_.recount_fraction >= 0.0)) {  // NaN fails too
     throw std::invalid_argument(
         "IncrementalCounter: recount_fraction must be >= 0");
   }

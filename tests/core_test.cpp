@@ -1,21 +1,36 @@
 // Tests for the core layer: bitwise TC paths, config normalization,
-// the perf model, and the TcimAccelerator facade.
+// the perf model, the TcimAccelerator facade and the CountGraph
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "baseline/cpu_tc.h"
 #include "core/accelerator.h"
 #include "core/bitwise_tc.h"
 #include "core/edge_support.h"
 #include "core/perf_model.h"
+#include "core/pipeline.h"
 #include "graph/generators.h"
+#include "util/timer.h"
 
 namespace tcim::core {
 namespace {
 
 using graph::Graph;
 using graph::Orientation;
+
+/// The pipeline's host pass alone: no relabel, no simulator.
+std::uint64_t CountOnHost(const Graph& g,
+                          Orientation o = Orientation::kUpper,
+                          std::uint32_t slice_bits = 64) {
+  CountRequest request;
+  request.config.orientation = o;
+  request.config.slice_bits = slice_bits;
+  request.passes = Passes::kHost;
+  return CountGraph(g, request).triangles;
+}
 
 Graph Fig2Graph() {
   graph::GraphBuilder b(4);
@@ -38,7 +53,7 @@ TEST(BitwiseTc, Fig2SlicedAllOrientations) {
   const Graph g = Fig2Graph();
   for (const auto o : {Orientation::kUpper, Orientation::kDegree,
                        Orientation::kFullSymmetric}) {
-    EXPECT_EQ(CountTrianglesSliced(g, o), 2u) << graph::ToString(o);
+    EXPECT_EQ(CountOnHost(g, o), 2u) << graph::ToString(o);
   }
 }
 
@@ -47,7 +62,7 @@ TEST(BitwiseTc, MatchesBaselineOnRandomGraphs) {
     const Graph g = graph::HolmeKim(600, 3600, 0.6, seed);
     const std::uint64_t expected = baseline::CountTrianglesReference(g);
     EXPECT_EQ(CountTrianglesDense(g), expected) << seed;
-    EXPECT_EQ(CountTrianglesSliced(g), expected) << seed;
+    EXPECT_EQ(CountOnHost(g), expected) << seed;
   }
 }
 
@@ -55,7 +70,7 @@ TEST(BitwiseTc, SliceWidthDoesNotChangeTheCount) {
   const Graph g = graph::Rmat(512, 4000, graph::RmatParams{}, 3);
   const std::uint64_t expected = baseline::CountTrianglesReference(g);
   for (const std::uint32_t s : {8u, 16u, 32u, 48u, 64u, 128u, 256u}) {
-    EXPECT_EQ(CountTrianglesSliced(g, Orientation::kUpper, s), expected)
+    EXPECT_EQ(CountOnHost(g, Orientation::kUpper, s), expected)
         << "slice_bits=" << s;
   }
 }
@@ -183,7 +198,6 @@ TEST(Accelerator, Fig2EndToEnd) {
   EXPECT_EQ(r.exec.valid_pairs, 5u);
   EXPECT_GT(r.perf.serial_seconds, 0.0);
   EXPECT_GT(r.perf.energy_joules, 0.0);
-  EXPECT_GT(r.host_seconds, 0.0);
 }
 
 TEST(Accelerator, MatchesBaselinesAcrossOrientations) {
@@ -319,6 +333,151 @@ TEST(EdgeSupports, SliceStatsFromTheWalkEqualComputeStats) {
                               .ComputeStats());
     }
   }
+}
+
+
+// --- CountGraph: the one-shot pipeline -------------------------------
+
+struct PipelineFamily {
+  const char* name;
+  Graph graph;
+};
+
+std::vector<PipelineFamily> PipelineFamilies() {
+  std::vector<PipelineFamily> families;
+  families.push_back({"holmekim", graph::HolmeKim(350, 2800, 0.9, 1)});
+  families.push_back({"rmat", graph::Rmat(512, 4000, graph::RmatParams{}, 2)});
+  families.push_back({"erdos_dense", graph::ErdosRenyi(150, 5000, 3)});
+  families.push_back(
+      {"road", graph::GeometricRoad(1200, graph::RoadParams{}, 4)});
+  return families;
+}
+
+TEST(Pipeline, ExactForEveryOrientationRelabelAndPassSet) {
+  for (const PipelineFamily& f : PipelineFamilies()) {
+    const std::uint64_t expected =
+        baseline::CountTrianglesReference(f.graph);
+    for (const auto o : {Orientation::kUpper, Orientation::kDegree,
+                         Orientation::kFullSymmetric}) {
+      for (const auto mode :
+           {graph::RelabelMode::kNone, graph::RelabelMode::kDegree,
+            graph::RelabelMode::kBfs, graph::RelabelMode::kAuto}) {
+        for (const auto passes :
+             {Passes::kHost, Passes::kSimulated, Passes::kBoth}) {
+          CountRequest request;
+          request.config.orientation = o;
+          request.config.array.capacity_bytes = 1ULL << 20;
+          request.relabel = mode;
+          request.passes = passes;
+          request.verify = true;
+          const CountOutcome out = CountGraph(f.graph, request);
+          const std::string where =
+              std::string(f.name) + " " + std::string(graph::ToString(o)) +
+              " relabel=" + std::string(graph::ToString(mode)) +
+              " passes=" + std::to_string(static_cast<int>(passes));
+          EXPECT_EQ(out.triangles, expected) << where;
+          EXPECT_EQ(out.reference_triangles, expected) << where;
+          EXPECT_EQ(out.sim.has_value(), passes != Passes::kHost) << where;
+          if (out.sim) EXPECT_EQ(out.sim->triangles, expected) << where;
+          EXPECT_NE(out.relabel.applied, graph::RelabelMode::kAuto) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Pipeline, HostAndSimulatedPassesAgreeOnOneMatrix) {
+  for (const PipelineFamily& f : PipelineFamilies()) {
+    CountRequest request;
+    request.relabel = graph::RelabelMode::kAuto;
+    request.passes = Passes::kBoth;
+    const CountOutcome out = CountGraph(f.graph, request);
+    ASSERT_TRUE(out.sim.has_value()) << f.name;
+    EXPECT_EQ(out.sim->triangles, out.triangles) << f.name;
+    // Both passes AND exactly the valid slice pairs of every arc.
+    EXPECT_EQ(out.host_paths.zero_copy_pairs, out.sim->exec.valid_pairs)
+        << f.name;
+  }
+}
+
+TEST(Pipeline, StagesThatDidNotRunReadZero) {
+  const Graph g = graph::Rmat(4096, 40000, graph::RmatParams{}, 7);
+
+  CountRequest host_only;
+  host_only.passes = Passes::kHost;
+  const StageSeconds h = CountGraph(g, host_only).stages;
+  EXPECT_EQ(h.relabel_apply, 0.0);
+  EXPECT_EQ(h.accel_init, 0.0);
+  EXPECT_EQ(h.sim_pass, 0.0);
+  EXPECT_EQ(h.verify, 0.0);
+  EXPECT_GT(h.relabel_choose, 0.0);
+  EXPECT_GT(h.orient, 0.0);
+  EXPECT_GT(h.slice, 0.0);
+  EXPECT_GT(h.host_pass, 0.0);
+
+  CountRequest simulated;
+  simulated.relabel = graph::RelabelMode::kDegree;
+  simulated.verify = true;
+  util::Timer wall;
+  const StageSeconds s = CountGraph(g, simulated).stages;
+  const double wall_seconds = wall.ElapsedSeconds();
+  EXPECT_GT(s.relabel_apply, 0.0);
+  EXPECT_GT(s.accel_init, 0.0);
+  EXPECT_GT(s.sim_pass, 0.0);
+  EXPECT_GT(s.verify, 0.0);
+  EXPECT_EQ(s.host_pass, 0.0);
+
+  double sum = 0.0;
+  int stages = 0;
+  s.ForEach([&](const char*, double seconds) {
+    sum += seconds;
+    ++stages;
+  });
+  EXPECT_EQ(stages, 8);
+  EXPECT_EQ(s.Total(), sum);
+  // The stages split one interval inside the call, so they never sum
+  // past the wall time around it.
+  EXPECT_LE(s.Total(), wall_seconds);
+}
+
+TEST(Pipeline, SimulatedPassEqualsAcceleratorRun) {
+  // Without relabeling, the pipeline's simulated pass is Run(graph)'s
+  // run, stat for stat.
+  const Graph g = graph::HolmeKim(800, 4800, 0.7, 5);
+  for (const auto o : {Orientation::kUpper, Orientation::kDegree,
+                       Orientation::kFullSymmetric}) {
+    CountRequest request;
+    request.config.orientation = o;
+    request.config.array.capacity_bytes = 2ULL << 20;
+    const CountOutcome out = CountGraph(g, request);
+    const TcimResult run = TcimAccelerator{request.config}.Run(g);
+    ASSERT_TRUE(out.sim.has_value());
+    EXPECT_EQ(out.sim->triangles, run.triangles);
+    EXPECT_EQ(out.sim->exec.valid_pairs, run.exec.valid_pairs);
+    EXPECT_EQ(out.sim->exec.row_slice_writes, run.exec.row_slice_writes);
+    EXPECT_EQ(out.sim->exec.col_slice_writes, run.exec.col_slice_writes);
+    EXPECT_EQ(out.sim->exec.cache.exchanges, run.exec.cache.exchanges);
+    EXPECT_EQ(out.sim->slices.valid_pairs, run.slices.valid_pairs);
+    EXPECT_EQ(out.sim->perf.serial_seconds, run.perf.serial_seconds);
+    EXPECT_EQ(out.sim->perf.energy_joules, run.perf.energy_joules);
+  }
+}
+
+TEST(Pipeline, ChecksTheSimulatedConfigBeforeAnyStage) {
+  const Graph g = graph::ErdosRenyi(200, 1000, 9);
+  CountRequest request;
+  request.config.slice_bits = 96;  // does not divide 512 columns
+  EXPECT_THROW((void)CountGraph(g, request), std::invalid_argument);
+  request.config.slice_bits = 64;
+  request.config.array.capacity_bytes =
+      nvsim::ArrayConfig::kMaxCapacityBytes + 1;
+  EXPECT_THROW((void)CountGraph(g, request), std::invalid_argument);
+  // The host pass has no array: any slice width in [1, 512] counts.
+  request = CountRequest{};
+  request.config.slice_bits = 96;
+  request.passes = Passes::kHost;
+  EXPECT_EQ(CountGraph(g, request).triangles,
+            baseline::CountTrianglesReference(g));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // generation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -138,6 +139,9 @@ TEST(Synthesize, RejectsBadScale) {
   EXPECT_THROW((void)SynthesizePaperGraph(PaperDataset::kComDblp, 0.0, 1),
                std::invalid_argument);
   EXPECT_THROW((void)SynthesizePaperGraph(PaperDataset::kComDblp, 1.5, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)SynthesizePaperGraph(PaperDataset::kComDblp,
+                                          std::nan(""), 1),
                std::invalid_argument);
 }
 

@@ -10,6 +10,7 @@
 #include "core/accelerator.h"
 #include "core/bitwise_tc.h"
 #include "core/edge_support.h"
+#include "core/pipeline.h"
 #include "core/truss.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -215,9 +216,14 @@ TEST(Integration, CrlfEdgeListParses) {
 
 TEST(Integration, HostRuntimeIsRecorded) {
   const Graph g = graph::ErdosRenyi(500, 3000, 16);
-  const core::TcimResult r = RunTcim(g, 1ULL << 20);
-  EXPECT_GT(r.host_seconds, 0.0);
-  EXPECT_LT(r.host_seconds, 60.0);
+  core::CountRequest request;
+  request.config.array.capacity_bytes = 1ULL << 20;
+  request.verify = true;
+  const core::CountOutcome out = core::CountGraph(g, request);
+  EXPECT_EQ(out.reference_triangles, out.triangles);
+  EXPECT_GT(out.stages.sim_pass, 0.0);
+  EXPECT_GT(out.stages.Total(), 0.0);
+  EXPECT_LT(out.stages.Total(), 60.0);
 }
 
 }  // namespace

@@ -39,6 +39,22 @@ TEST(ArrayConfig, DefaultIsPaper16MB) {
   EXPECT_NO_THROW(c.Validate());
 }
 
+TEST(ArrayConfig, CapacityIsCapped) {
+  ArrayConfig c;
+  c.capacity_bytes = 64ULL << 20;  // the largest cache-ablation array
+  EXPECT_NO_THROW(c.Validate());
+  c.capacity_bytes = ArrayConfig::kMaxCapacityBytes;
+  EXPECT_NO_THROW(c.Validate());
+  EXPECT_EQ(c.bits(), ArrayConfig::kMaxCapacityBytes * 8);
+  c.capacity_bytes = ArrayConfig::kMaxCapacityBytes + 1;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // What a negative double cast to uint64 becomes on x86-64.
+  c.capacity_bytes = 18446744073708503040ULL;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c.capacity_bytes = 0;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+}
+
 TEST(ArrayConfig, DerivedGeometry) {
   const ArrayConfig c;
   EXPECT_EQ(c.subarray_bits(), 512ULL * 512);
@@ -76,7 +92,7 @@ TEST(ArrayModel, AllCostsPositive) {
 }
 
 TEST(ArrayModel, NvmCostHierarchy) {
-  const ArrayPerf& p = MakeModel().perf();
+  const ArrayPerf p = MakeModel().perf();  // a copy: the model is a temporary
   // STT-MRAM: write is slower and far more energetic than read; AND
   // (two wordlines + bigger sensed current) costs more than READ.
   EXPECT_GT(p.write_slice.latency, p.read_slice.latency);
@@ -85,7 +101,7 @@ TEST(ArrayModel, NvmCostHierarchy) {
 }
 
 TEST(ArrayModel, PaperScaleSanity) {
-  const ArrayPerf& p = MakeModel().perf();
+  const ArrayPerf p = MakeModel().perf();  // a copy: the model is a temporary
   // ns-class accesses, pJ-class energies, tens of mm^2 for 16 MB at
   // 45nm, sub-watt leakage — the regime NVSim reports for MRAM.
   EXPECT_GT(p.read_slice.latency, 0.1e-9);
@@ -176,7 +192,7 @@ TEST(TechnologyPresets, NewerNodeIsFasterAndDenser) {
 }
 
 TEST(ArrayModel, ParallelLanesEqualSubarrays) {
-  const ArrayPerf& p = MakeModel().perf();
+  const ArrayPerf p = MakeModel().perf();  // a copy: the model is a temporary
   EXPECT_EQ(p.parallel_lanes, p.subarrays);
 }
 

@@ -326,8 +326,7 @@ TEST_P(AndPopcountPipelineTest, TableTwoStandInCountsExactly) {
   const std::uint64_t expected = baseline::CountTrianglesReference(inst.graph);
   const SlicedMatrix matrix = core::BuildSlicedMatrix(
       inst.graph, graph::Orientation::kUpper, GetParam().slice_bits);
-  EXPECT_EQ(core::CountTrianglesSliced(matrix, graph::Orientation::kUpper),
-            expected)
+  EXPECT_EQ(matrix.AndPopcountAllEdges(), expected)
       << inst.source;
 }
 

@@ -19,6 +19,7 @@
 #include "baseline/cpu_tc.h"
 #include "core/accelerator.h"
 #include "core/bitwise_tc.h"
+#include "core/pipeline.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
 #include "graph/stats.h"
@@ -79,7 +80,9 @@ TEST_P(FamilySeedTest, AllCountingPathsAgree) {
   EXPECT_EQ(CountTriangles(g, baseline::TcAlgorithm::kDenseTrace),
             expected);
   EXPECT_EQ(core::CountTrianglesDense(g), expected);
-  EXPECT_EQ(core::CountTrianglesSliced(g), expected);
+  core::CountRequest host;
+  host.passes = core::Passes::kHost;
+  EXPECT_EQ(core::CountGraph(g, host).triangles, expected);
 
   core::TcimConfig c;
   c.array.capacity_bytes = 1ULL << 20;
@@ -88,7 +91,7 @@ TEST_P(FamilySeedTest, AllCountingPathsAgree) {
 
 TEST_P(FamilySeedTest, Equation5IdentityAcrossOrientations) {
   const Graph g = MakeGraph();
-  const std::uint64_t t = core::CountTrianglesSliced(g);
+  const std::uint64_t t = baseline::CountTrianglesReference(g);
   // Upper and degree orientations count each triangle once; the full
   // symmetric matrix counts it six times (paper Eq. (1) vs Fig. 2).
   const bit::SlicedMatrix upper =
@@ -278,8 +281,7 @@ TEST_P(FamilySeedTest, HostKernelAgreesOnTriangleCount) {
   const std::uint64_t expected = baseline::CountTrianglesReference(g);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  EXPECT_EQ(core::CountTrianglesSliced(matrix, Orientation::kUpper),
-            expected);
+  EXPECT_EQ(matrix.AndPopcountAllEdges(), expected);
 }
 
 std::string CaseName(

@@ -133,8 +133,7 @@ TEST(VertexRelabeling, SlicedCountInvariantUnderRelabeling) {
       const Graph renamed = choice.map.Apply(inst.graph);
       const bit::SlicedMatrix matrix =
           core::BuildSlicedMatrix(renamed, Orientation::kUpper, 64);
-      EXPECT_EQ(core::CountTrianglesSliced(matrix, Orientation::kUpper),
-                expected)
+      EXPECT_EQ(matrix.AndPopcountAllEdges(), expected)
           << ref.name << " mode=" << ToString(mode);
     }
   }

@@ -475,6 +475,17 @@ TEST(IncrementalCounter, RecountFallbackOnLargeBatch) {
   EXPECT_EQ(r.triangles, RecountTruth(counter));
 }
 
+TEST(IncrementalCounter, RejectsNegativeOrNanRecountFraction) {
+  for (const double bad :
+       {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    stream::StreamConfig config;
+    config.recount_fraction = bad;
+    EXPECT_THROW(stream::IncrementalCounter(SeedGraph(), config),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(IncrementalCounter, BulkLoadIntoEmptyGraph) {
   stream::IncrementalCounter counter(Graph{});
   EXPECT_EQ(counter.triangles(), 0u);

@@ -33,6 +33,7 @@ StoreMetrics& StoreMetrics::Get() {
         reg.GetCounter("store.apply.slices_removed_total"),
         reg.GetCounter("store.apply.slabs_cow_cloned_total"),
         reg.GetCounter("store.apply.recompactions_total"),
+        reg.GetCounter("store.apply.bytes_copied_total"),
     };
   }();
   return *metrics;
@@ -45,7 +46,8 @@ std::shared_ptr<SlicedStore::Slab> SlicedStore::MakeEmptySlab() {
 }
 
 SlicedStore::Slab& SlicedStore::WritableSlab(std::size_t s,
-                                             PatchStats& stats) {
+                                             PatchStats& stats,
+                                             std::uint64_t& bytes_copied) {
   std::shared_ptr<Slab>& slot = slabs_[s];
   // use_count() is racy in general but exact here: the thread-safety
   // contract serializes ApplyEdits against copy construction of this
@@ -53,6 +55,7 @@ SlicedStore::Slab& SlicedStore::WritableSlab(std::size_t s,
   if (slot.use_count() != 1) {
     slot = std::make_shared<Slab>(*slot);
     ++stats.slabs_cow_cloned;
+    bytes_copied += slot->ArrayBytes();
   }
   return *slot;
 }
@@ -313,16 +316,26 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
 
   // Mutation phase. Growth first: new vectors start empty, and thanks
   // to the trailing-repeat offsets invariant the existing final slab
-  // absorbs them without a rebuild; fresh slabs are appended empty.
+  // absorbs them without a rebuild; fresh slabs are appended empty, at
+  // the running total of slab_base_ (reserve allocates exactly what is
+  // needed, as a fresh prefix-sum array would).
   if (grows) {
     num_vectors_ = new_num_vectors;
     universe_ = new_universe;
     slices_per_vector_ =
         new_universe == 0 ? 0 : (new_universe + slice_bits_ - 1) / slice_bits_;
     while (slabs_.size() < new_slab_count) slabs_.push_back(MakeEmptySlab());
+    const std::uint64_t total = slab_base_.back();
+    slab_base_.reserve(slabs_.size() + 1);
+    slab_base_.resize(slabs_.size() + 1, total);
   }
 
   // Walk the (vector-sorted) edits one slab group at a time.
+  const std::uint32_t w = words_per_slice_;
+  std::uint64_t bytes_copied = 0;
+  // (slab, new size - old size) of each rebuilt slab whose valid-slice
+  // count changed, in slab order; the deltas wrap modulo 2^64.
+  std::vector<std::pair<std::size_t, std::uint64_t>> size_deltas;
   e = 0;
   bool any_structural = false;
   while (e < sorted.size()) {
@@ -336,7 +349,7 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
     if (!structural_slab[s]) {
       // In-place path: every edit in this slab flips a bit inside a
       // slice that stays valid — patch words directly, no realloc.
-      Slab& slab = WritableSlab(s, stats);
+      Slab& slab = WritableSlab(s, stats, bytes_copied);
       for (; e < group_end; ++e) {
         const SliceEdit& edit = sorted[e];
         const std::uint32_t lv = LocalOf(edit.vector);
@@ -350,44 +363,70 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
         const std::uint64_t global = static_cast<std::uint64_t>(
             it - slab.indices.begin());
         const std::uint64_t in_slice = edit.position % slice_bits_;
-        slab.words[global * words_per_slice_ + in_slice / 64] ^=
-            1ULL << (in_slice % 64);
+        slab.words[global * w + in_slice / 64] ^= 1ULL << (in_slice % 64);
         ++stats.bits_patched;
       }
       continue;
     }
 
-    // Structural path: rebuild just this slab by merging its old
-    // slices with the edit groups, in slice order per vector. A shared
-    // slab is not cloned first — the rebuilt arrays replace the
-    // pointer wholesale and the old slab stays alive for its other
-    // owners (that replacement IS the copy-on-write cost).
+    // Structural path: rebuild just this slab into fresh arrays. Runs
+    // of untouched vectors, and the old slices between edited ones,
+    // are appended with one bulk copy each; only the edited slices go
+    // through the merge step, so the cost is the slab's bytes at copy
+    // speed plus the edits. A shared slab is not cloned first — the
+    // rebuilt arrays replace the pointer wholesale and the old slab
+    // stays alive for its other owners (that replacement IS the
+    // copy-on-write cost).
     any_structural = true;
-    const std::shared_ptr<Slab> old = slabs_[s];
-    if (old.use_count() > 2) ++stats.slabs_cow_cloned;  // `old` + slabs_[s]
+    const std::shared_ptr<Slab> old_slab = slabs_[s];
+    if (old_slab.use_count() > 2) ++stats.slabs_cow_cloned;  // + slabs_[s]
+    const Slab& old = *old_slab;
     Slab fresh;
     fresh.offsets.assign(kSlabVectors + 1, 0);
-    fresh.indices.reserve(old->indices.size() + (group_end - e));
-    fresh.words.reserve(old->words.size() +
-                        (group_end - e) * words_per_slice_);
-    const std::uint32_t base_v =
-        static_cast<std::uint32_t>(s << kSlabVectorShift);
-    for (std::uint32_t lv = 0; lv < kSlabVectors; ++lv) {
-      const std::uint32_t v = base_v + lv;
-      std::uint64_t o = old->offsets[lv];
-      const std::uint64_t old_end = old->offsets[lv + 1];
-      while (o < old_end || (e < group_end && sorted[e].vector == v)) {
-        const std::uint32_t old_slice =
-            o < old_end ? old->indices[o] : ~std::uint32_t{0};
-        const std::uint32_t edit_slice =
-            (e < group_end && sorted[e].vector == v)
-                ? static_cast<std::uint32_t>(sorted[e].position / slice_bits_)
-                : ~std::uint32_t{0};
-        const std::uint32_t slice = std::min(old_slice, edit_slice);
-        if (old_slice == slice) {
-          std::copy_n(old->words.begin() +
-                          static_cast<std::ptrdiff_t>(o * words_per_slice_),
-                      words_per_slice_, scratch.begin());
+    fresh.indices.reserve(old.indices.size() + (group_end - e));
+    fresh.words.reserve(old.words.size() + (group_end - e) * w);
+    // Appends the old slab's slices [from, to).
+    const auto append_slices = [&](std::uint64_t from, std::uint64_t to) {
+      const auto ib = static_cast<std::ptrdiff_t>(from);
+      const auto ie = static_cast<std::ptrdiff_t>(to);
+      const auto ww = static_cast<std::ptrdiff_t>(w);
+      fresh.indices.insert(fresh.indices.end(), old.indices.begin() + ib,
+                           old.indices.begin() + ie);
+      fresh.words.insert(fresh.words.end(), old.words.begin() + ib * ww,
+                         old.words.begin() + ie * ww);
+    };
+    // Appends the untouched local vectors [from, to) and their offsets,
+    // shifted to where the run lands in the fresh arrays.
+    const auto append_run = [&](std::uint32_t from, std::uint32_t to) {
+      const std::uint64_t base = fresh.indices.size();
+      append_slices(old.offsets[from], old.offsets[to]);
+      for (std::uint32_t lv = from; lv < to; ++lv) {
+        fresh.offsets[lv + 1] =
+            base + (old.offsets[lv + 1] - old.offsets[from]);
+      }
+    };
+    std::uint32_t next_lv = 0;
+    while (e < group_end) {
+      const std::uint32_t v = sorted[e].vector;
+      const std::uint32_t lv = LocalOf(v);
+      append_run(next_lv, lv);
+      const auto old_begin = old.indices.begin();
+      std::uint64_t o = old.offsets[lv];
+      const std::uint64_t old_end = old.offsets[lv + 1];
+      while (e < group_end && sorted[e].vector == v) {
+        const std::uint32_t slice =
+            static_cast<std::uint32_t>(sorted[e].position / slice_bits_);
+        const std::uint64_t at = static_cast<std::uint64_t>(
+            std::lower_bound(old_begin + static_cast<std::ptrdiff_t>(o),
+                             old_begin + static_cast<std::ptrdiff_t>(old_end),
+                             slice) -
+            old_begin);
+        append_slices(o, at);
+        o = at;
+        const bool was_valid = o < old_end && old.indices[o] == slice;
+        if (was_valid) {
+          std::copy_n(old.words.begin() + static_cast<std::ptrdiff_t>(o * w),
+                      w, scratch.begin());
           ++o;
         } else {
           std::fill(scratch.begin(), scratch.end(), 0);
@@ -402,31 +441,45 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
         }
         const bool now_empty =
             std::all_of(scratch.begin(), scratch.end(),
-                        [](std::uint64_t w) { return w == 0; });
+                        [](std::uint64_t word) { return word == 0; });
         if (now_empty) {
           ++stats.slices_removed;  // old slice emptied (fresh ones can't)
           continue;
         }
-        if (old_slice != slice) {
-          ++stats.slices_inserted;
-        } else {
+        if (was_valid) {
           stats.bits_patched += slice_edits;
+        } else {
+          ++stats.slices_inserted;
         }
         fresh.indices.push_back(slice);
         fresh.words.insert(fresh.words.end(), scratch.begin(), scratch.end());
       }
+      append_slices(o, old_end);
       fresh.offsets[lv + 1] = fresh.indices.size();
+      next_lv = lv + 1;
     }
+    append_run(next_lv, kSlabVectors);
+    if (fresh.indices.size() != old.indices.size()) {
+      size_deltas.emplace_back(s, fresh.indices.size() - old.indices.size());
+    }
+    bytes_copied += fresh.ArrayBytes();
     slabs_[s] = std::make_shared<Slab>(std::move(fresh));
   }
 
   stats.rebuilt = any_structural || grows;
 
-  // Refresh the global-ordinal prefix sums (touched slabs may have
-  // changed their valid-slice counts; growth may have added slabs).
-  slab_base_.assign(slabs_.size() + 1, 0);
-  for (std::size_t s = 0; s < slabs_.size(); ++s) {
-    slab_base_[s + 1] = slab_base_[s] + slabs_[s]->indices.size();
+  // Refresh the global-ordinal prefix sums from the size changes
+  // alone: a rebuilt slab s shifts every slab_base_ entry after it by
+  // its delta, and untouched slabs are never dereferenced.
+  std::uint64_t shift = 0;
+  for (std::size_t k = 0; k < size_deltas.size(); ++k) {
+    shift += size_deltas[k].second;
+    const std::size_t stop = k + 1 < size_deltas.size()
+                                 ? size_deltas[k + 1].first + 1
+                                 : slab_base_.size();
+    for (std::size_t t = size_deltas[k].first + 1; t < stop; ++t) {
+      slab_base_[t] += shift;
+    }
   }
 
   // Registry accounting: once per batch, never per edit.
@@ -437,6 +490,7 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
   metrics.slices_removed.Add(stats.slices_removed);
   metrics.slabs_cow_cloned.Add(stats.slabs_cow_cloned);
   if (stats.rebuilt) metrics.recompactions.Increment();
+  metrics.bytes_copied.Add(bytes_copied);
   return stats;
 }
 

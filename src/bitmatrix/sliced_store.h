@@ -58,6 +58,7 @@ struct StoreMetrics {
   obs::Counter& slices_removed;     // structural removals
   obs::Counter& slabs_cow_cloned;   // shared slabs copied before write
   obs::Counter& recompactions;      // batches that rebuilt >= 1 slab
+  obs::Counter& bytes_copied;       // slab-array bytes cloned or rebuilt
 
   static StoreMetrics& Get();
 };
@@ -210,10 +211,11 @@ class SlicedStore {
   /// Applies a batch of single-bit edits, the row-rewrite entry point
   /// of the streaming layer. `new_num_vectors` / `new_universe` allow
   /// the store to grow (never shrink) in the same pass — new vectors
-  /// start empty. Edits are processed as one batch: when every edit
-  /// lands inside a slice that stays valid, words are patched in place
-  /// (no allocation); otherwise the flat arrays are recompacted in one
-  /// linear pass (O(store size + edits)).
+  /// start empty. Edits are processed as one batch, slab by slab: when
+  /// every edit of a slab lands inside a slice that stays valid, its
+  /// words are patched in place (no allocation); otherwise the slab is
+  /// rebuilt into fresh arrays from bulk copies of its untouched runs
+  /// plus the edited slices (O(bytes of the touched slabs + edits)).
   /// Throws std::invalid_argument on: duplicate (vector, position)
   /// edits, out-of-range vector/position, shrinking dimensions, or an
   /// edit that is not a real flip (set of a set bit / clear of a clear
@@ -325,10 +327,19 @@ class SlicedStore {
     std::vector<std::uint64_t> offsets;   // kSlabVectors+1, into indices
     std::vector<std::uint32_t> indices;   // valid slice index within vector
     std::vector<std::uint64_t> words;     // words_per_slice_ per valid slice
+
+    /// Bytes held in the three arrays (sizes, not capacities): what a
+    /// clone or a rebuild of this slab writes.
+    [[nodiscard]] std::uint64_t ArrayBytes() const noexcept {
+      return (offsets.size() + words.size()) * sizeof(std::uint64_t) +
+             indices.size() * sizeof(std::uint32_t);
+    }
   };
 
-  /// Returns a uniquely-owned, writable slab s, cloning a shared one.
-  Slab& WritableSlab(std::size_t s, PatchStats& stats);
+  /// Returns a uniquely-owned, writable slab s, cloning a shared one
+  /// (the clone's ArrayBytes() are added to `bytes_copied`).
+  Slab& WritableSlab(std::size_t s, PatchStats& stats,
+                     std::uint64_t& bytes_copied);
   static std::shared_ptr<Slab> MakeEmptySlab();
 
   /// The CSR checks every builder makes before walking positions:
@@ -361,7 +372,8 @@ class SlicedStore {
   std::vector<std::shared_ptr<Slab>> slabs_;
   /// Prefix sums of per-slab valid-slice counts (size slabs_.size()+1,
   /// slab_base_[0] == 0) — keeps GlobalOrdinal O(1) and
-  /// valid_slice_count() a single load. Recomputed per ApplyEdits.
+  /// valid_slice_count() a single load. ApplyEdits shifts it by the
+  /// size changes of the slabs it rebuilds.
   std::vector<std::uint64_t> slab_base_{0};
 };
 

@@ -223,6 +223,7 @@ RelabelChoice ChooseRelabeling(const Graph& g, RelabelMode requested,
                                std::uint32_t slice_bits) {
   RelabelChoice choice;
   choice.map = VertexRelabeling::Identity(g.num_vertices());
+  if (requested == RelabelMode::kNone) return choice;  // nothing to score
   choice.identity_valid_slices = CountValidSlices(g, choice.map, slice_bits);
   choice.chosen_valid_slices = choice.identity_valid_slices;
   const auto consider = [&](RelabelMode mode, VertexRelabeling candidate,
@@ -235,7 +236,7 @@ RelabelChoice ChooseRelabeling(const Graph& g, RelabelMode requested,
     }
   };
   switch (requested) {
-    case RelabelMode::kNone:
+    case RelabelMode::kNone:  // returned above
       break;
     case RelabelMode::kDegree:
       consider(RelabelMode::kDegree, VertexRelabeling::DegreeAscending(g),

@@ -140,6 +140,7 @@ enum class RelabelMode : std::uint8_t { kNone, kDegree, kBfs, kAuto };
 
 /// Outcome of ChooseRelabeling: which order was applied, its map, and
 /// the measured valid-slice counts driving (and auditing) the choice.
+/// A kNone request scores nothing: both counts read 0.
 struct RelabelChoice {
   RelabelMode applied = RelabelMode::kNone;  ///< never kAuto
   VertexRelabeling map;
@@ -147,7 +148,7 @@ struct RelabelChoice {
   std::uint64_t chosen_valid_slices = 0;
 
   /// chosen / identity valid slices; <= 1.0 under kAuto by
-  /// construction, 1.0 when nothing was applied.
+  /// construction, 1.0 when nothing was applied or nothing was scored.
   [[nodiscard]] double ValidSliceRatio() const noexcept {
     return identity_valid_slices == 0
                ? 1.0
@@ -157,9 +158,11 @@ struct RelabelChoice {
 };
 
 /// Resolves `requested` against `g`: kAuto scores identity, degree and
-/// BFS orders with CountValidSlices and keeps the minimum; explicit
-/// modes are honored unconditionally. The returned map is always
-/// usable for inverse lookups (identity map under kNone).
+/// BFS orders with CountValidSlices and keeps the minimum; kDegree and
+/// kBfs are honored unconditionally (identity is still scored, for the
+/// ratio). kNone skips every CountValidSlices walk and returns the
+/// identity map with both counts 0 (ValidSliceRatio() reads 1.0). The
+/// returned map is always usable for inverse lookups.
 [[nodiscard]] RelabelChoice ChooseRelabeling(const Graph& g,
                                              RelabelMode requested,
                                              std::uint32_t slice_bits = 64);

@@ -425,8 +425,27 @@ TEST(ChooseRelabeling, ExplicitModesAreHonoredUnconditionally) {
   // Auto picks the minimum of the three scored orders.
   const RelabelChoice chosen = ChooseRelabeling(g, RelabelMode::kAuto, 64);
   EXPECT_EQ(chosen.chosen_valid_slices,
-            std::min({none.identity_valid_slices, degree.chosen_valid_slices,
+            std::min({chosen.identity_valid_slices, degree.chosen_valid_slices,
                       bfs.chosen_valid_slices}));
+}
+
+TEST(ChooseRelabeling, NoneScoresNothingAndReturnsTheIdentityMap) {
+  const Graph g = RandomGraph(200, 1200, 5);
+  const RelabelChoice none = ChooseRelabeling(g, RelabelMode::kNone, 64);
+  EXPECT_EQ(none.applied, RelabelMode::kNone);
+  EXPECT_EQ(none.identity_valid_slices, 0u);
+  EXPECT_EQ(none.chosen_valid_slices, 0u);
+  EXPECT_EQ(none.ValidSliceRatio(), 1.0);
+  ASSERT_EQ(none.map.size(), g.num_vertices());
+  EXPECT_TRUE(none.map.IsIdentity());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(*none.map.FindInternal(v), v);
+  }
+  // The explicit orders still score identity for their ratio.
+  const RelabelChoice degree = ChooseRelabeling(g, RelabelMode::kDegree, 64);
+  EXPECT_EQ(degree.identity_valid_slices,
+            CountValidSlices(g, VertexRelabeling::Identity(g.num_vertices()),
+                             64));
 }
 
 TEST(RelabelMode, NamesRoundTrip) {

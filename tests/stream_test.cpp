@@ -3,14 +3,21 @@
 // scheduler's update-job kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_tc.h"
 #include "bitmatrix/sliced_store.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "runtime/scheduler.h"
 #include "runtime/stream_session.h"
 #include "stream/dynamic_graph.h"
@@ -166,47 +173,237 @@ TEST(SlicedStoreEdits, RejectsNonFlipsDuplicatesAndShrink) {
   EXPECT_EQ(store.valid_slice_count(), 1u);
 }
 
+// Dense reference rows: bit p of vector v is rows[v][p].
+using DenseRows = std::vector<std::vector<bool>>;
+
+bit::SlicedStore StoreFromDense(const DenseRows& dense, std::uint64_t universe,
+                                std::uint32_t slice_bits) {
+  std::vector<std::vector<std::uint32_t>> rows(dense.size());
+  for (std::size_t v = 0; v < dense.size(); ++v) {
+    for (std::uint32_t p = 0; p < dense[v].size(); ++p) {
+      if (dense[v][p]) rows[v].push_back(p);
+    }
+  }
+  return StoreFromRows(rows, universe, slice_bits);
+}
+
+bool SliceHasBits(const DenseRows& dense, std::uint32_t v, std::uint64_t slice,
+                  std::uint32_t slice_bits) {
+  if (v >= dense.size()) return false;
+  const std::uint64_t end =
+      std::min<std::uint64_t>((slice + 1) * slice_bits, dense[v].size());
+  for (std::uint64_t p = slice * slice_bits; p < end; ++p) {
+    if (dense[v][p]) return true;
+  }
+  return false;
+}
+
+// Every vector's indices, words and global ordinals, plus the totals.
+void ExpectSameStore(const bit::SlicedStore& got, const bit::SlicedStore& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.num_vectors(), want.num_vectors()) << where;
+  ASSERT_EQ(got.universe(), want.universe()) << where;
+  ASSERT_EQ(got.valid_slice_count(), want.valid_slice_count()) << where;
+  ASSERT_EQ(got.set_bit_count(), want.set_bit_count()) << where;
+  for (std::uint32_t v = 0; v < got.num_vectors(); ++v) {
+    const std::span<const std::uint32_t> gi = got.SliceIndices(v);
+    const std::span<const std::uint32_t> wi = want.SliceIndices(v);
+    ASSERT_TRUE(std::equal(gi.begin(), gi.end(), wi.begin(), wi.end()))
+        << where << " v=" << v;
+    for (std::size_t k = 0; k < gi.size(); ++k) {
+      const std::span<const std::uint64_t> gw = got.SliceWords(v, k);
+      const std::span<const std::uint64_t> ww = want.SliceWords(v, k);
+      ASSERT_TRUE(std::equal(gw.begin(), gw.end(), ww.begin(), ww.end()))
+          << where << " v=" << v << " k=" << k;
+      ASSERT_EQ(got.GlobalOrdinal(v, k), want.GlobalOrdinal(v, k))
+          << where << " v=" << v << " k=" << k;
+    }
+  }
+}
+
 TEST(SlicedStoreEdits, RandomizedEditsMatchFreshBuild) {
+  // Three full slabs and a partial fourth; |S| up to 512 still leaves
+  // 24 slice positions per vector. Slab 1 only ever takes in-place
+  // edits, slab 2 is untouched in even rounds and rebuilt in odd ones,
+  // slabs 0 and 3 are rebuilt. Vectors 3, 44, 85, 126, 167 and 208
+  // are hubs with (nearly) every slice valid.
+  constexpr std::uint32_t kSlab = bit::SlicedStore::kSlabVectors;
+  constexpr std::uint32_t kVectors = 3 * kSlab + 17;
+  constexpr std::uint64_t kUniverse = 24 * 512;
+  const obs::Counter& bytes_counter =
+      obs::Registry::Global().GetCounter("store.apply.bytes_copied_total");
   util::Xoshiro256 rng(7);
-  for (int round = 0; round < 20; ++round) {
-    const std::uint32_t n = 24;
-    const std::uint32_t slice_bits = round % 2 == 0 ? 64 : 32;
-    std::vector<std::vector<std::uint32_t>> rows(n);
-    std::vector<std::vector<bool>> dense(n, std::vector<bool>(n, false));
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (rng() % 4 == 0) {
-          rows[v].push_back(p);
-          dense[v][p] = true;
+  for (const std::uint32_t slice_bits : {32u, 64u, 100u, 512u}) {
+    const std::uint64_t spv = (kUniverse + slice_bits - 1) / slice_bits;
+    for (int round = 0; round < 6; ++round) {
+      const std::string where = "|S|=" + std::to_string(slice_bits) +
+                                " round " + std::to_string(round);
+      const bool grow = round % 3 == 2;
+      const bool hold_copy = round % 2 == 1;
+      const std::uint32_t new_n = grow ? kVectors + 70 : kVectors;
+      const std::uint64_t new_universe =
+          grow ? kUniverse + 3 * slice_bits + 7 : kUniverse;
+      const auto is_hub = [](std::uint32_t v) { return v % 41 == 3; };
+
+      DenseRows before(kVectors, std::vector<bool>(kUniverse, false));
+      for (std::uint32_t v = 0; v < kVectors; ++v) {
+        if (is_hub(v)) {
+          for (std::uint64_t sl = 0; sl < spv; ++sl) {
+            if (rng() % 16 == 0) continue;  // a few holes to insert into
+            const std::uint64_t lo = sl * slice_bits;
+            const std::uint64_t width =
+                std::min<std::uint64_t>(slice_bits, kUniverse - lo);
+            before[v][lo + rng() % width] = true;
+          }
+        }
+        const std::uint64_t bits = 24 + rng() % 40;
+        for (std::uint64_t b = 0; b < bits; ++b) {
+          before[v][rng() % kUniverse] = true;
         }
       }
-    }
-    bit::SlicedStore store = StoreFromRows(rows, n, slice_bits);
-    // Random flip batch (unique positions).
-    std::vector<bit::SliceEdit> edits;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (rng() % 5 == 0) {
-          edits.push_back(bit::SliceEdit{v, p, !dense[v][p]});
-          dense[v][p] = !dense[v][p];
+      bit::SlicedStore store = StoreFromDense(before, kUniverse, slice_bits);
+      const std::size_t old_slabs = store.slab_count();
+
+      DenseRows after = before;
+      after.resize(new_n);
+      for (auto& row : after) row.resize(new_universe, false);
+      std::vector<bit::SliceEdit> edits;
+      std::vector<std::vector<bool>> edited(
+          new_n, std::vector<bool>(new_universe, false));
+      const auto flip = [&](std::uint32_t v, std::uint64_t p) {
+        if (edited[v][p]) return;
+        edited[v][p] = true;
+        edits.push_back(bit::SliceEdit{v, static_cast<std::uint32_t>(p),
+                                       !after[v][p]});
+        after[v][p] = !after[v][p];
+      };
+      // A random bit of slice `sl` (clamped to the old universe).
+      const auto in_slice = [&](std::uint64_t sl) {
+        const std::uint64_t lo = sl * slice_bits;
+        return lo + rng() % std::min<std::uint64_t>(slice_bits,
+                                                    kUniverse - lo);
+      };
+      std::vector<std::uint32_t> rebuilt_slabs = {0, 3};
+      if (round % 2 == 1) rebuilt_slabs.push_back(2);
+      const auto structural_vector = [&] {
+        const std::uint32_t s = rebuilt_slabs[rng() % rebuilt_slabs.size()];
+        const std::uint32_t width = std::min(kSlab, kVectors - s * kSlab);
+        return s * kSlab + static_cast<std::uint32_t>(rng() % width);
+      };
+
+      for (int k = 0; k < 40; ++k) {  // scattered flips
+        flip(structural_vector(), rng() % kUniverse);
+      }
+      for (const std::uint32_t s : rebuilt_slabs) {  // run bounds
+        flip(s * kSlab, in_slice(0));
+        flip(std::min(s * kSlab + kSlab - 1, kVectors - 1),
+             in_slice(spv - 1));
+      }
+      for (int k = 0; k < 4; ++k) {  // first, middle and last slices
+        const std::uint32_t v = structural_vector();
+        flip(v, in_slice(0));
+        flip(v, in_slice(spv / 2));
+        flip(v, in_slice(spv - 1));
+      }
+      for (int k = 0; k < 3; ++k) {  // several edits in one slice
+        const std::uint32_t v = structural_vector();
+        const std::uint64_t sl = rng() % spv;
+        for (int j = 0; j < 5; ++j) flip(v, in_slice(sl));
+      }
+      for (int k = 0; k < 2; ++k) {  // vectors emptied completely
+        const std::uint32_t v = structural_vector();
+        for (std::uint64_t p = 0; p < kUniverse; ++p) {
+          if (after[v][p] && !edited[v][p]) flip(v, p);
         }
       }
-    }
-    (void)store.ApplyEdits(edits, n, n);
-    // The patched store must equal a store built from the edited rows.
-    std::vector<std::vector<std::uint32_t>> expected_rows(n);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (dense[v][p]) expected_rows[v].push_back(p);
+      for (const std::uint32_t hub : {3u, 167u, 208u}) {  // hub edits
+        if (hub >= 2 * kSlab && hub < 3 * kSlab && round % 2 == 0) continue;
+        for (int j = 0; j < 6; ++j) flip(hub, in_slice(rng() % spv));
       }
-    }
-    const bit::SlicedStore fresh = StoreFromRows(expected_rows, n, slice_bits);
-    ASSERT_EQ(store.valid_slice_count(), fresh.valid_slice_count());
-    ASSERT_EQ(store.set_bit_count(), fresh.set_bit_count());
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (std::uint32_t p = 0; p < n; ++p) {
-        ASSERT_EQ(store.TestBit(v, p), dense[v][p])
-            << "round " << round << " v=" << v << " p=" << p;
+      for (int k = 0; k < 12; ++k) {  // slab 1: sets in valid slices
+        const std::uint32_t v =
+            kSlab + static_cast<std::uint32_t>(rng() % kSlab);
+        std::uint64_t q = rng() % kUniverse;
+        while (!before[v][q]) q = (q + 1) % kUniverse;
+        const std::uint64_t p = in_slice(q / slice_bits);
+        if (!after[v][p]) flip(v, p);
+      }
+      if (grow) {  // new vectors, a new slab and the grown universe
+        flip(kVectors + 5, rng() % new_universe);
+        flip(new_n - 1, rng() % new_universe);
+        flip(new_n - 1, new_universe - 1);
+        flip(structural_vector(),
+             kUniverse + rng() % (new_universe - kUniverse));
+      }
+
+      // Oracle from the dense before/after states.
+      std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> groups;
+      for (const bit::SliceEdit& edit : edits) {
+        ++groups[{edit.vector, edit.position / slice_bits}];
+      }
+      bit::PatchStats want;
+      std::set<std::size_t> touched;
+      std::set<std::size_t> structural;
+      for (const auto& [key, count] : groups) {
+        const auto [v, sl] = key;
+        const bool was = SliceHasBits(before, v, sl, slice_bits);
+        const bool is = SliceHasBits(after, v, sl, slice_bits);
+        ASSERT_TRUE(was || is) << where;
+        const std::size_t slab = v / kSlab;
+        touched.insert(slab);
+        if (was && is) {
+          want.bits_patched += count;
+        } else {
+          structural.insert(slab);
+          (is ? want.slices_inserted : want.slices_removed) += 1;
+        }
+      }
+      ASSERT_FALSE(structural.count(1)) << where;
+      ASSERT_TRUE(touched.count(1)) << where;
+      ASSERT_EQ(touched.count(2) != 0, round % 2 == 1) << where;
+      const std::uint64_t touched_old = static_cast<std::uint64_t>(
+          std::count_if(touched.begin(), touched.end(),
+                        [&](std::size_t s) { return s < old_slabs; }));
+
+      std::optional<bit::SlicedStore> copy;
+      if (hold_copy) copy = store;
+      const std::uint64_t bytes_before = bytes_counter.Value();
+      const bit::PatchStats got =
+          store.ApplyEdits(edits, new_n, new_universe);
+      const std::uint64_t bytes = bytes_counter.Value() - bytes_before;
+
+      const bit::SlicedStore fresh =
+          StoreFromDense(after, new_universe, slice_bits);
+      ExpectSameStore(store, fresh, where);
+      EXPECT_EQ(got.bits_patched, want.bits_patched) << where;
+      EXPECT_EQ(got.slices_inserted, want.slices_inserted) << where;
+      EXPECT_EQ(got.slices_removed, want.slices_removed) << where;
+      EXPECT_EQ(got.slabs_touched, touched.size()) << where;
+      EXPECT_EQ(got.rebuilt, !structural.empty() || grow) << where;
+      EXPECT_EQ(got.slabs_cow_cloned, hold_copy ? touched_old : 0u) << where;
+
+      // Bytes written: each rebuilt slab's fresh arrays, and each cloned
+      // in-place slab's arrays.
+      std::uint64_t want_bytes = 0;
+      for (const std::size_t s : touched) {
+        if (!structural.count(s) && !(hold_copy && s < old_slabs)) continue;
+        std::uint64_t slices = 0;
+        for (std::uint32_t v = static_cast<std::uint32_t>(s * kSlab);
+             v < std::min<std::uint64_t>(new_n, (s + 1) * kSlab); ++v) {
+          slices += fresh.SliceCount(v);
+        }
+        want_bytes += (kSlab + 1) * sizeof(std::uint64_t) +
+                      slices * (store.words_per_slice() * 8 + 4);
+      }
+      EXPECT_EQ(bytes, want_bytes) << where;
+
+      if (hold_copy) {
+        // The copy held across the batch still reads the old store, and
+        // shares every slab the batch did not touch.
+        ExpectSameStore(*copy, StoreFromDense(before, kUniverse, slice_bits),
+                        where + " (copy)");
+        EXPECT_EQ(bit::SharedSlabCount(store, *copy), old_slabs - touched_old)
+            << where;
       }
     }
   }

@@ -9,7 +9,7 @@
 // id-shuffled instance standing in for real SNAP labelings, plus the
 // wall time of choosing and applying it. Every count is cross-checked
 // against the CPU baseline and the results land in a machine-readable
-// BENCH_kernels.json (schema_version 9; see docs/KERNELS.md for the
+// BENCH_kernels.json (schema_version 10; see docs/KERNELS.md for the
 // schema and the regression workflow). Every dump is stamped with run
 // metadata — UTC date, compiler, TCIM_SCALE — so archived JSONs stay
 // attributable.
@@ -56,8 +56,8 @@ struct EndToEndResult {
   std::uint32_t slice_bits = 64;
   std::uint64_t triangles = 0;
   bool verified = false;
-  /// The host pass's pair count and pivot on this row (a function of
-  /// the matrix alone).
+  /// The host pass's pair count, pivot and hub-route share on this row
+  /// (a function of the matrix alone).
   bit::PairPathCounters paths;
   /// The matrix's two probe totals, which pick the gathered pivot.
   std::uint64_t row_pivot_probes = 0;
@@ -278,7 +278,7 @@ void WriteJson(const std::string& path,
   }
   os << "{\n";
   os << "  \"bench\": \"kernels\",\n";
-  os << "  \"schema_version\": 9,\n";
+  os << "  \"schema_version\": 10,\n";
   os << "  \"scale\": " << util::WorkloadScale(0.25) << ",\n";
   os << "  \"seed\": " << util::BaseSeed() << ",\n";
   // v3: run-attribution stamp (obs::CollectRunMetadata).
@@ -286,7 +286,8 @@ void WriteJson(const std::string& path,
 
   // v7: one host-pass time per row (the kernel has one implementation);
   // v8: + the gathered pivot and the two probe totals behind it;
-  // v9: - the route and per-pair pair count (the pass has one route).
+  // v9: - the route and per-pair pair count (the pass has one route);
+  // v10: + the pairs summed on the hub-pivot route.
   os << "  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < end_to_end.size(); ++i) {
     const auto& e = end_to_end[i];
@@ -294,7 +295,8 @@ void WriteJson(const std::string& path,
        << "\", \"slice_bits\": " << e.slice_bits
        << ", \"triangles\": " << e.triangles
        << ", \"verified\": " << (e.verified ? "true" : "false")
-       << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs << "}"
+       << ", \"pairs\": {\"zerocopy\": " << e.paths.zero_copy_pairs
+       << ", \"hub_route\": " << e.paths.hub_route_pairs << "}"
        << ", \"pivot\": \"" << e.Pivot() << "\""
        << ", \"probes\": {\"row_pivot\": " << e.row_pivot_probes
        << ", \"column_pivot\": " << e.column_pivot_probes << "}"

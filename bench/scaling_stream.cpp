@@ -6,10 +6,11 @@
 // For each dataset a stream::IncrementalCounter maintains the count
 // while batches of growing size (fractions of the current edge count,
 // half deletes of existing edges / half inserts of fresh pairs) are
-// applied. Each cell reports the incremental batch latency next to
+// applied. Each cell applies kBatchesPerCell batches of its size and
+// reports the median incremental batch latency next to the median of
 // what a snapshot pipeline would pay for the same update — re-slice
-// the whole matrix and rerun the full Eq. (5) pass — and the speedup.
-// Exactness is asserted on every cell: the incremental total must
+// the whole matrix and rerun the full Eq. (5) pass — and their ratio.
+// Exactness is asserted on every batch: the incremental total must
 // equal the recount of the evolved graph, and the final graph is
 // cross-checked against baseline::cpu_tc.
 //
@@ -59,6 +60,16 @@ using namespace tcim;
 
 constexpr double kBatchFractions[] = {0.0001, 0.001, 0.01};
 constexpr double kFallbackFraction = 0.10;
+/// Batches per cell: one timing of either side swings the ratio up to
+/// 2x between identical runs; the medians of five hold it steady.
+constexpr int kBatchesPerCell = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 != 0 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
 
 /// Builds a mixed batch: half deletes sampled from the live edges,
 /// half inserts of pairs not currently present.
@@ -228,8 +239,9 @@ int main(int argc, char** argv) {
       "Stream scaling: incremental vs recount latency per update batch",
       "Mixed insert/delete batches sized as a fraction of the live edge "
       "count; 'recount' is the snapshot pipeline (full re-slice + full "
-      "Eq. (5) pass) on the same post-batch graph. Every cell asserts the "
-      "incremental total equals the recount.");
+      "Eq. (5) pass) on the same post-batch graph. Each cell is the median "
+      "of 5 batches, and every batch asserts the incremental total equals "
+      "its recount.");
 
   std::vector<std::string> headers = {"Dataset", "Edges"};
   for (const double f : kBatchFractions) {
@@ -263,32 +275,37 @@ int main(int argc, char** argv) {
           2, static_cast<std::uint64_t>(fraction *
                                         static_cast<double>(
                                             counter.graph().num_edges())));
-      const stream::EdgeDelta delta =
-          MakeBatch(counter.graph(), target_ops, rng);
-      const stream::BatchResult r = counter.ApplyBatch(delta);
+      std::vector<double> incremental_seconds;
+      std::vector<double> recount_seconds;
+      for (int b = 0; b < kBatchesPerCell; ++b) {
+        const stream::EdgeDelta delta =
+            MakeBatch(counter.graph(), target_ops, rng);
+        const stream::BatchResult r = counter.ApplyBatch(delta);
 
-      // The snapshot pipeline's cost for the same update: re-slice the
-      // evolved graph from scratch and run the full bitwise pass.
-      const graph::Graph snapshot = counter.graph().ToGraph();
-      std::uint64_t recount = 0;
-      const double recount_seconds = util::TimeOnce([&] {
-        const stream::DynamicGraph rebuilt(snapshot, config.orientation,
-                                           config.slice_bits);
-        recount = rebuilt.matrix().AndPopcountAllEdges() /
-                  graph::CountMultiplier(config.orientation);
-      });
-      if (r.triangles != recount) {
-        std::cerr << "COUNT MISMATCH on " << ref.name << " at fraction "
-                  << fraction << ": incremental " << r.triangles
-                  << " vs recount " << recount << "\n";
-        return 1;
+        // The snapshot pipeline's cost for the same update: re-slice
+        // the evolved graph from scratch and run the full bitwise pass.
+        const graph::Graph snapshot = counter.graph().ToGraph();
+        std::uint64_t recount = 0;
+        recount_seconds.push_back(util::TimeOnce([&] {
+          const stream::DynamicGraph rebuilt(snapshot, config.orientation,
+                                             config.slice_bits);
+          recount = rebuilt.matrix().AndPopcountAllEdges() /
+                    graph::CountMultiplier(config.orientation);
+        }));
+        if (r.triangles != recount) {
+          std::cerr << "COUNT MISMATCH on " << ref.name << " at fraction "
+                    << fraction << ", batch " << b << ": incremental "
+                    << r.triangles << " vs recount " << recount << "\n";
+          return 1;
+        }
+        incremental_seconds.push_back(r.stats.host_seconds);
       }
-      const double win = r.stats.host_seconds > 0.0
-                             ? recount_seconds / r.stats.host_seconds
-                             : 1.0;
+      const double incremental = Median(std::move(incremental_seconds));
+      const double recount = Median(std::move(recount_seconds));
+      const double win = incremental > 0.0 ? recount / incremental : 1.0;
       if (fraction == kBatchFractions[0]) smallest_fraction_win = win;
-      row.push_back(util::FormatSeconds(r.stats.host_seconds));
-      row.push_back(util::FormatSeconds(recount_seconds));
+      row.push_back(util::FormatSeconds(incremental));
+      row.push_back(util::FormatSeconds(recount));
       row.push_back(util::TablePrinter::Ratio(win, 1));
     }
     if (smallest_fraction_win >= 5.0) ++small_batch_wins;

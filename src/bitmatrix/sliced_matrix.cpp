@@ -311,28 +311,164 @@ struct PassRect {
   bool mask_value;
 };
 
+// Calls fn(q) for every vector q that an arc of `rect` pairs with
+// pivot p (column j of arc A[p][j] under the row pivot, row i of arc
+// A[i][p] under the column pivot). The row pivot walks row p's arcs
+// (ForEachArcInRect); the column pivot walks column p's set bits in
+// [row_begin, row_end) of m.cols(), which mirrors the row store bit
+// for bit.
+template <bool kPivotOnColumns, typename Fn>
+void ForEachPivotArc(const SlicedMatrix& m, const PassRect& rect,
+                     std::uint32_t p, Fn&& fn) {
+  if constexpr (kPivotOnColumns) {
+    const auto select = [&](std::uint64_t i) {
+      fn(static_cast<std::uint32_t>(i));
+    };
+    if (rect.row_begin == 0 && rect.row_end == m.num_vertices()) {
+      m.cols().ForEachSetBit(p, select);
+    } else {
+      m.cols().ForEachSetBitInRange(p, rect.row_begin, rect.row_end, select);
+    }
+  } else {
+    m.ForEachArcInRect(p, rect.col_begin, rect.col_end, rect.col_mask,
+                       rect.mask_value, fn);
+  }
+}
+
+// Calls pair(pivot_words, probe_words) for every valid slice of
+// `probe` that the pivot, indexed in `ordinal_of_slice`, also holds.
+template <typename Pair>
+void ForEachMatchedSlice(const SlicedStore::VectorSlices& pivot,
+                         const std::int32_t* ordinal_of_slice,
+                         const SlicedStore::VectorSlices& probe,
+                         std::size_t width, Pair&& pair) {
+  for (std::size_t b = 0; b < probe.indices.size(); ++b) {
+    const std::int32_t a = ordinal_of_slice[probe.indices[b]];
+    if (a >= 0) {
+      pair(pivot.words + static_cast<std::size_t>(a) * width,
+           probe.words + b * width);
+    }
+  }
+}
+
+// The descriptor stream of the gathered pass (see GatherPass) over the
+// pivots from p on: each pivot's valid slices are indexed in
+// `ordinal_of_slice`, its probes matched against them, and every
+// matched pair pushed to `exec` as a (row words, column words)
+// descriptor, whose prefetch window spans pivots. Stops at the first
+// pivot with at least kHubPivotMinSlices valid slices and returns it
+// (the end of the pivot range when there is none): hub pivots take
+// HubPivotPass, which the caller runs, so that this loop holds no call
+// besides the window's flush. With the hub call inside it, roadNet-CA,
+// whose pivots never take the route, ran ~4% slower.
+template <bool kPivotOnColumns>
+[[gnu::noinline]] std::uint32_t DescriptorRun(const SlicedMatrix& m,
+                                              const SlicedStore& cols,
+                                              const PassRect& rect,
+                                              std::uint32_t p,
+                                              std::int32_t* ordinal_of_slice,
+                                              PairStreamExecutor& exec) {
+  const SlicedStore& pivots = kPivotOnColumns ? cols : m.rows();
+  const SlicedStore& probes = kPivotOnColumns ? m.rows() : cols;
+  const std::size_t width = pivots.words_per_slice();
+  const std::uint32_t pivot_end = kPivotOnColumns ? rect.col_end : rect.row_end;
+  for (; p < pivot_end; ++p) {
+    if (kPivotOnColumns && rect.col_mask != nullptr &&
+        (rect.col_mask[p] != 0) != rect.mask_value) {
+      continue;
+    }
+    const SlicedStore::VectorSlices pivot = pivots.Slices(p);
+    if (pivot.indices.empty()) continue;
+    if (pivot.indices.size() >= SlicedMatrix::kHubPivotMinSlices) return p;
+    for (std::size_t a = 0; a < pivot.indices.size(); ++a) {
+      ordinal_of_slice[pivot.indices[a]] = static_cast<std::int32_t>(a);
+    }
+    ForEachPivotArc<kPivotOnColumns>(m, rect, p, [&](std::uint32_t q) {
+      // An arc joins p and q, so q has valid slices.
+      ForEachMatchedSlice(pivot, ordinal_of_slice, probes.Slices(q), width,
+                          [&](const std::uint64_t* pivot_words,
+                              const std::uint64_t* probe_words) {
+                            if constexpr (kPivotOnColumns) {
+                              exec.Push(probe_words, pivot_words);
+                            } else {
+                              exec.Push(pivot_words, probe_words);
+                            }
+                          });
+    });
+    for (const std::uint32_t slice : pivot.indices) {
+      ordinal_of_slice[slice] = -1;
+    }
+  }
+  return pivot_end;
+}
+
+// The hub-pivot route for one pivot. A hub pivot has many arcs, and
+// each arc's probe vector sits behind a chain of dependent loads (slab
+// pointer, slab, offsets, then indices and words). Resolving every
+// probe vector of the pivot first, with its indices and words
+// prefetched, lets those chains overlap instead of stalling one arc at
+// a time; the matched pairs are then ANDed in place. `resolved` is the
+// caller's scratch (per call, since bank shards share one matrix).
+// Adds the pivot's pairs to `pairs` and returns its sum.
+template <typename WalkArcs>
+[[gnu::noinline]] std::uint64_t HubPivotPass(
+    const SlicedStore& probes, const SlicedStore::VectorSlices& pivot,
+    std::int32_t* ordinal_of_slice, const WalkArcs& walk_arcs,
+    std::vector<SlicedStore::VectorSlices>& resolved, std::uint64_t& pairs) {
+  const std::size_t width = probes.words_per_slice();
+  for (std::size_t a = 0; a < pivot.indices.size(); ++a) {
+    ordinal_of_slice[pivot.indices[a]] = static_cast<std::int32_t>(a);
+  }
+  resolved.clear();
+  walk_arcs([&](std::uint32_t q) {
+    const SlicedStore::VectorSlices slices = probes.Slices(q);
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(slices.indices.data(), 0, 3);
+    __builtin_prefetch(slices.words, 0, 3);
+#endif
+    resolved.push_back(slices);
+  });
+  std::uint64_t total = 0;
+  std::uint64_t matched = 0;
+  for (const SlicedStore::VectorSlices& slices : resolved) {
+    ForEachMatchedSlice(
+        pivot, ordinal_of_slice, slices, width,
+        [&](const std::uint64_t* pivot_words,
+            const std::uint64_t* probe_words) {
+          for (std::size_t w = 0; w < width; ++w) {
+            total += static_cast<std::uint64_t>(
+                std::popcount(pivot_words[w] & probe_words[w]));
+          }
+          ++matched;
+        });
+  }
+  for (const std::uint32_t slice : pivot.indices) {
+    ordinal_of_slice[slice] = -1;
+  }
+  pairs += matched;
+  return total;
+}
+
 // The gathered pass, one body for both pivots: for every pivot vector
 // p (row i, or column j), p's valid slices are indexed ONCE into a
 // sparse lookup table (the §IV-A row-reuse idea on the host); then
 // each vector q an arc pairs with p (column j of arc A[i][j], or row i)
-// is probed, one table lookup per valid slice of q. The row pivot
-// walks rows i of the rectangle and row i's arcs (ForEachArcInRect);
-// the column pivot walks the columns j the range and mask select and
-// column j's set bits in [row_begin, row_end), read off m.cols(), which
-// mirrors the row store bit for bit. Either way round, a matched pair
-// lands as the same (row words, column words) descriptor. Returns the
-// pass total and sets `pairs` to the pairs it summed. Kept out of line:
-// inlined beside the other pivot, the hot loop spilled its registers
-// and the row pivot ran ~10% slower on com-youtube.
+// is probed, one table lookup per valid slice of q. Either way round,
+// a matched pair sums the same (row words, column words) pair. Runs of
+// pivots take the descriptor stream (DescriptorRun); each pivot with
+// at least kHubPivotMinSlices valid slices that ends a run takes
+// HubPivotPass. Returns the pass total and sets the pair counts of
+// `pairs`. Kept out of line, like DescriptorRun: inlined beside the
+// other pivot, the hot loop spilled its registers and the row pivot ran
+// ~10% slower on com-youtube.
 template <bool kPivotOnColumns>
 [[gnu::noinline]] std::uint64_t GatherPass(const SlicedMatrix& m,
                                            const SlicedStore& cols,
                                            const PassRect& rect,
-                                           std::uint64_t& pairs) {
+                                           PairPathCounters& pairs) {
   const SlicedStore& pivots = kPivotOnColumns ? cols : m.rows();
   const SlicedStore& probes = kPivotOnColumns ? m.rows() : cols;
-  const std::size_t width = pivots.words_per_slice();
-  PairStreamExecutor exec(width);
+  PairStreamExecutor exec(pivots.words_per_slice());
   // ordinal_of_slice[k] = ordinal of slice k within the current pivot,
   // or -1. Only the pivot's own entries are ever written and reset, so
   // the table costs O(|pivot|) per pivot after one O(slots) init.
@@ -340,57 +476,21 @@ template <bool kPivotOnColumns>
       static_cast<std::size_t>(
           std::max(pivots.slices_per_vector(), probes.slices_per_vector())),
       -1);
-  const std::uint32_t pivot_begin =
-      kPivotOnColumns ? rect.col_begin : rect.row_begin;
+  std::vector<SlicedStore::VectorSlices> resolved;
+  std::uint64_t hub_total = 0;
   const std::uint32_t pivot_end = kPivotOnColumns ? rect.col_end : rect.row_end;
-  const bool all_rows = rect.row_begin == 0 && rect.row_end == m.num_vertices();
-  for (std::uint32_t p = pivot_begin; p < pivot_end; ++p) {
-    if (kPivotOnColumns && rect.col_mask != nullptr &&
-        (rect.col_mask[p] != 0) != rect.mask_value) {
-      continue;
-    }
-    const SlicedStore::VectorSlices pivot = pivots.Slices(p);
-    if (pivot.indices.empty()) continue;
-    for (std::size_t a = 0; a < pivot.indices.size(); ++a) {
-      ordinal_of_slice[pivot.indices[a]] = static_cast<std::int32_t>(a);
-    }
-    const auto probe = [&](std::uint32_t q) {
-      // An arc joins p and q, so q has valid slices.
-      const SlicedStore::VectorSlices slices = probes.Slices(q);
-      for (std::size_t b = 0; b < slices.indices.size(); ++b) {
-        const std::int32_t a = ordinal_of_slice[slices.indices[b]];
-        if (a >= 0) {
-          const std::uint64_t* pivot_words =
-              pivot.words + static_cast<std::size_t>(a) * width;
-          const std::uint64_t* probe_words = slices.words + b * width;
-          if constexpr (kPivotOnColumns) {
-            exec.Push(probe_words, pivot_words);
-          } else {
-            exec.Push(pivot_words, probe_words);
-          }
-        }
-      }
-    };
-    if constexpr (kPivotOnColumns) {
-      const auto select = [&](std::uint64_t i) {
-        probe(static_cast<std::uint32_t>(i));
-      };
-      if (all_rows) {
-        m.cols().ForEachSetBit(p, select);
-      } else {
-        m.cols().ForEachSetBitInRange(p, rect.row_begin, rect.row_end,
-                                      select);
-      }
-    } else {
-      m.ForEachArcInRect(p, rect.col_begin, rect.col_end, rect.col_mask,
-                         rect.mask_value, probe);
-    }
-    for (const std::uint32_t slice : pivot.indices) {
-      ordinal_of_slice[slice] = -1;
-    }
+  for (std::uint32_t p = kPivotOnColumns ? rect.col_begin : rect.row_begin;
+       (p = DescriptorRun<kPivotOnColumns>(m, cols, rect, p,
+                                           ordinal_of_slice.data(), exec)) <
+       pivot_end;
+       ++p) {
+    hub_total += HubPivotPass(
+        probes, pivots.Slices(p), ordinal_of_slice.data(),
+        [&](auto&& fn) { ForEachPivotArc<kPivotOnColumns>(m, rect, p, fn); },
+        resolved, pairs.hub_route_pairs);
   }
-  const std::uint64_t total = exec.Finish();
-  pairs = exec.pairs();
+  const std::uint64_t total = exec.Finish() + hub_total;
+  pairs.zero_copy_pairs = exec.pairs() + pairs.hub_route_pairs;
   return total;
 }
 
@@ -401,13 +501,13 @@ template <bool kPivotOnColumns>
 std::uint64_t EvaluatePass(const SlicedMatrix& m, const SlicedStore& cols,
                            const PassRect& rect, PairPathCounters* counters) {
   const bool column_pivot = m.PrefersColumnPivot();
-  std::uint64_t pairs = 0;
+  PairPathCounters pairs;
   const std::uint64_t total = column_pivot
                                   ? GatherPass<true>(m, cols, rect, pairs)
                                   : GatherPass<false>(m, cols, rect, pairs);
   if (counters != nullptr) {
-    counters->zero_copy_pairs += pairs;
-    if (column_pivot) counters->column_pivot_pairs += pairs;
+    if (column_pivot) pairs.column_pivot_pairs = pairs.zero_copy_pairs;
+    *counters += pairs;
   }
   return total;
 }

@@ -79,9 +79,10 @@ struct SliceStats {
 };
 
 /// Pair accounting of one host Eq. (5) pass: how many valid slice
-/// pairs the gather consumed, and which pivot it took. The pivot is
-/// otherwise invisible from outside — these counters are how tests pin
-/// it and how the runtime.bank.pairs_*_total metrics report it.
+/// pairs the gather consumed, which pivot it took and which route. The
+/// pivot and route are otherwise invisible from outside — these
+/// counters are how tests pin them and how the
+/// runtime.bank.pairs_*_total metrics report them.
 struct PairPathCounters {
   std::uint64_t zero_copy_pairs = 0;
   /// Always 0 (the host pass has no per-pair route). Kept until the
@@ -90,10 +91,15 @@ struct PairPathCounters {
   /// The subset of zero_copy_pairs gathered under the column pivot
   /// (SlicedMatrix::PrefersColumnPivot); the rest took the row pivot.
   std::uint64_t column_pivot_pairs = 0;
+  /// The subset of zero_copy_pairs summed on the hub-pivot route: pivots
+  /// with at least SlicedMatrix::kHubPivotMinSlices valid slices, whose
+  /// probe vectors are resolved ahead and ANDed in place.
+  std::uint64_t hub_route_pairs = 0;
 
   PairPathCounters& operator+=(const PairPathCounters& o) noexcept {
     zero_copy_pairs += o.zero_copy_pairs;
     column_pivot_pairs += o.column_pivot_pairs;
+    hub_route_pairs += o.hub_route_pairs;
     return *this;
   }
 };
@@ -206,9 +212,11 @@ class SlicedMatrix {
   /// slices against it, one lookup per probed slice: pivoting on row i
   /// costs |Cj| lookups per arc, pivoting on column j costs |Ri|, and
   /// the pass takes the side whose whole-matrix total is smaller
-  /// (PrefersColumnPivot). When `counters` is non-null the pair
-  /// accounting of this pass is accumulated into it. Equivalent to
-  /// AndPopcountRect over every row and column with no mask.
+  /// (PrefersColumnPivot). Pivots with at least kHubPivotMinSlices
+  /// valid slices take the hub-pivot route instead of the descriptor
+  /// stream. When `counters` is non-null the pair accounting of this
+  /// pass is accumulated into it. Equivalent to AndPopcountRect over
+  /// every row and column with no mask.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
       PairPathCounters* counters = nullptr) const;
 
@@ -261,6 +269,18 @@ class SlicedMatrix {
   [[nodiscard]] bool PrefersColumnPivot() const noexcept {
     return column_pivot_probes_ < row_pivot_probes_;
   }
+
+  /// The gather's hub-pivot route takes every pivot vector with at
+  /// least this many valid slices (so at least as many arcs): it
+  /// resolves all of the pivot's probe vectors first, so their slab
+  /// lookups overlap, then ANDs each matched pair in place instead of
+  /// queueing a descriptor. A rectangle may select fewer of the pivot's
+  /// arcs; both routes are exact, so that only moves pairs between
+  /// them. Smaller pivots keep the descriptor stream, whose prefetch
+  /// window spans pivots. The test reads the slice count the lookup
+  /// already loaded: counting set bits instead cost roadNet-CA, none of
+  /// whose pivots qualify either way, 4–10% of its pass.
+  static constexpr std::uint64_t kHubPivotMinSlices = 8;
 
   /// Full statistics pass (Tables III/IV); costs one walk over every
   /// arc's valid slice pairs. The reference for the stats the

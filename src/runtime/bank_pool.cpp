@@ -117,6 +117,7 @@ void RecordPairPathMetrics(std::span<const bit::PairPathCounters> per_bank) {
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
   metrics.pairs_zero_copy.Add(total.zero_copy_pairs);
   metrics.pairs_column_pivot.Add(total.column_pivot_pairs);
+  metrics.pairs_hub_route.Add(total.hub_route_pairs);
 }
 
 std::uint32_t ThreadCount(const BankPoolConfig& config) {

@@ -75,6 +75,7 @@ BankPoolMetrics& BankPoolMetrics::Get() {
         reg.GetGauge("runtime.bank.tile_imbalance"),
         reg.GetCounter("runtime.bank.pairs_zerocopy_total"),
         reg.GetCounter("runtime.bank.pairs_colpivot_total"),
+        reg.GetCounter("runtime.bank.pairs_hubroute_total"),
     };
   }();
   return *metrics;

@@ -60,9 +60,11 @@ struct BankPoolMetrics {
   obs::Gauge& replica_bytes;         // hub-replica bytes, last plan
   obs::Gauge& tile_imbalance;        // max/mean bank load, last plan
   // Host Eq. (5) pair accounting on the host-kernel count path: valid
-  // pairs consumed, and which pivot gathered them (bit::PairPathCounters).
+  // pairs consumed, which pivot gathered them and how many took the
+  // hub-pivot route (bit::PairPathCounters).
   obs::Counter& pairs_zero_copy;     // pairs via zero-copy descriptors
   obs::Counter& pairs_column_pivot;  // zero-copy pairs under the column pivot
+  obs::Counter& pairs_hub_route;     // zero-copy pairs on the hub-pivot route
 
   static BankPoolMetrics& Get();
   // Per-bank busy counter, registered on first use:

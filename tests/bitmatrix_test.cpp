@@ -604,5 +604,130 @@ TEST(SlicedMatrixProbeTotals, RejectedBatchLeavesThemUnchanged) {
   ExpectExactProbeTotals(m);
 }
 
+// --- The gather's hub-pivot route ----------------------------------------
+
+// Per-arc oracle of a whole host pass: the count with the per-word
+// SWAR strategy, the valid pairs, and the pairs whose pivot vector (row
+// i under the row pivot, column j under the column pivot) holds at
+// least kHubPivotMinSlices valid slices — the share the route must
+// report.
+struct PassOracle {
+  std::uint64_t count = 0;
+  std::uint64_t pairs = 0;
+  std::uint64_t hub_route_pairs = 0;
+};
+
+PassOracle HubRouteOracle(const SlicedMatrix& m) {
+  const bool column_pivot = m.PrefersColumnPivot();
+  PassOracle oracle;
+  for (std::uint32_t i = 0; i < m.num_vertices(); ++i) {
+    m.rows().ForEachSetBit(i, [&](std::uint64_t j64) {
+      const auto j = static_cast<std::uint32_t>(j64);
+      const std::size_t pivot_slices =
+          column_pivot ? m.cols().SliceCount(j) : m.rows().SliceCount(i);
+      const bool hub = pivot_slices >= SlicedMatrix::kHubPivotMinSlices;
+      m.ForEachValidPair(i, j, [&](std::uint32_t, std::size_t ra,
+                                   std::size_t cb) {
+        oracle.count += AndPopcount(m.rows().SliceWords(i, ra),
+                                    m.cols().SliceWords(j, cb),
+                                    PopcountKind::kSwar);
+        ++oracle.pairs;
+        if (hub) ++oracle.hub_route_pairs;
+      });
+    });
+  }
+  return oracle;
+}
+
+void ExpectHubRouteMatchesOracle(const SlicedMatrix& m) {
+  const PassOracle want = HubRouteOracle(m);
+  PairPathCounters got;
+  EXPECT_EQ(m.AndPopcountAllEdges(&got), want.count);
+  EXPECT_EQ(got.zero_copy_pairs, m.ComputeStats().valid_pairs);
+  EXPECT_EQ(got.zero_copy_pairs, want.pairs);
+  EXPECT_EQ(got.hub_route_pairs, want.hub_route_pairs);
+  EXPECT_EQ(got.column_pivot_pairs, m.PrefersColumnPivot() ? want.pairs : 0);
+}
+
+TEST(SlicedMatrixProbeTotals, HubRouteMatchesOracleOnRandomCsrs) {
+  // Random directed matrices of either pivot, from a few valid slices
+  // per vector (below the route's threshold) to dozens (above it).
+  util::Xoshiro256 rng(31);
+  bool saw_column_pivot = false;
+  bool saw_split = false;
+  for (const std::uint32_t n : {129u, 300u, 1000u}) {
+    for (const double density : {0.005, 0.01, 0.03, 0.25}) {
+      const Csr csr = RandomCsr(n, density, rng);
+      for (const std::uint32_t bits : {32u, 64u, 100u, 512u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " density=" + std::to_string(density) +
+                     " slice_bits=" + std::to_string(bits));
+        const SlicedMatrix m =
+            SlicedMatrix::FromCsr(n, csr.offsets, csr.neighbors, bits);
+        ExpectHubRouteMatchesOracle(m);
+        const PassOracle oracle = HubRouteOracle(m);
+        saw_column_pivot = saw_column_pivot || m.PrefersColumnPivot();
+        saw_split = saw_split || (oracle.hub_route_pairs > 0 &&
+                                  oracle.hub_route_pairs < oracle.pairs);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_column_pivot);
+  EXPECT_TRUE(saw_split);
+}
+
+TEST(SlicedMatrixProbeTotals, HubRouteFollowsEditsAcrossTheThreshold) {
+  // Streamed edits move vectors across kHubPivotMinSlices valid slices
+  // in both directions; after each batch the pass over the edited
+  // matrix equals the oracle and a fresh build, pairs and route share
+  // alike. Ten slices per vector, each bit set with probability 1.4/|S|,
+  // puts ~7.5 valid slices in an average vector.
+  for (const std::uint32_t bits : {8u, 32u, 64u, 100u}) {
+    SCOPED_TRACE("slice_bits=" + std::to_string(bits));
+    util::Xoshiro256 rng(500 + bits);
+    ArcModel model;
+    model.Grow(10 * bits);
+    for (auto& row : model.arcs) {
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        row[j] = rng.Bernoulli(1.4 / bits);
+      }
+    }
+    SlicedMatrix m = model.Fresh(bits);
+    std::uint64_t crossings = 0;
+    for (int batch = 0; batch < 30; ++batch) {
+      const PassOracle before = HubRouteOracle(m);
+      std::vector<ArcEdit> edits;
+      std::vector<std::vector<bool>> seen(model.n,
+                                          std::vector<bool>(model.n));
+      const int count = 1 + static_cast<int>(rng() % 24);
+      for (int e = 0; e < count; ++e) {
+        // Edits pile onto a few rows and columns, so their slice counts
+        // cross the threshold.
+        const auto from = static_cast<std::uint32_t>(rng() % 6);
+        const auto to = static_cast<std::uint32_t>(rng() % model.n);
+        const bool mirrored = rng() % 2 == 0;
+        const std::uint32_t f = mirrored ? to : from;
+        const std::uint32_t t = mirrored ? model.n - 1 - from : to;
+        if (seen[f][t]) continue;
+        seen[f][t] = true;
+        const bool set = !model.arcs[f][t];
+        edits.push_back(ArcEdit{f, t, set});
+        model.arcs[f][t] = set;
+      }
+      (void)m.ApplyArcEdits(edits, model.n);
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      ExpectHubRouteMatchesOracle(m);
+      PairPathCounters edited;
+      PairPathCounters fresh;
+      EXPECT_EQ(m.AndPopcountAllEdges(&edited),
+                model.Fresh(bits).AndPopcountAllEdges(&fresh));
+      EXPECT_EQ(edited.hub_route_pairs, fresh.hub_route_pairs);
+      crossings += HubRouteOracle(m).hub_route_pairs != before.hub_route_pairs;
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(crossings, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace tcim::bit

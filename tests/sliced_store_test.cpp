@@ -576,7 +576,19 @@ TEST(SlicedMatrixRoute, GatheredRouteIsExactOnEveryEntryPoint) {
 // hub-skewed matrices whose hubs sit on the column side (the gather
 // pivots on columns) or on the row side (it pivots on rows).
 
-enum class Shape { kRandom, kHubColumns, kHubRows };
+enum class Shape {
+  kRandom,
+  kHubColumns,
+  kHubRows,
+  kThresholdColumns,
+  kThresholdRows,
+};
+
+/// Whether `shape` puts its hubs (or its threshold-sized vectors) on
+/// the column side, where the gather then pivots.
+bool OnColumns(Shape shape) {
+  return shape == Shape::kHubColumns || shape == Shape::kThresholdColumns;
+}
 
 /// Graph of local band edges (each vertex links to ~avg_degree/2 of
 /// the next 24 ids, so a row or column spans few slices) plus n/16
@@ -606,25 +618,144 @@ SlicedMatrix UpperMatrix(const graph::Graph& g, std::uint32_t slice_bits) {
                                slice_bits);
 }
 
+/// The shapes of the pivot vectors a threshold matrix cycles through:
+/// valid slices and set bits per slice. They sit at the hub-pivot
+/// route's boundary (kHubPivotMinSlices - 1 and kHubPivotMinSlices
+/// slices) and clear of it on both sides, and two of them hold more
+/// than kHubPivotMinSlices bits in fewer slices, which the route must
+/// leave on the descriptor stream.
+constexpr std::uint64_t kMinSlices = SlicedMatrix::kHubPivotMinSlices;
+struct PivotShape {
+  std::uint64_t slices;
+  std::uint64_t bits_per_slice;
+};
+constexpr PivotShape kThresholdShapes[] = {
+    {kMinSlices - 1, 1}, {kMinSlices, 1},     {1, 1},
+    {kMinSlices + 1, 1}, {2, kMinSlices},     {kMinSlices - 1, 2},
+    {kMinSlices, 1},     {3, 1},              {2 * kMinSlices, 1},
+};
+
+/// Upper-triangular matrix whose rows (or, with `on_columns`, columns)
+/// cycle through kThresholdShapes: row i takes the next slices after
+/// its own, one after another, with random bits in each. Rows too close
+/// to the last slice keep fewer slices. Four hub rows link to every
+/// later id, which tips the probe totals to the row pivot; `on_columns`
+/// mirrors every arc (i, j) to (n-1-j, n-1-i), which turns rows into
+/// columns and the pivot with them (n is a multiple of |S|, so slices
+/// mirror onto slices). n grows to at least kHubPivotMinSlices + 4
+/// slices, so that the boundary shapes fit.
+SlicedMatrix ThresholdMatrix(std::uint32_t n, std::uint32_t slice_bits,
+                             std::uint64_t seed, bool on_columns) {
+  const auto slices =
+      static_cast<std::uint32_t>(std::max<std::uint64_t>(
+          kMinSlices + 4, (n + slice_bits - 1) / slice_bits));
+  n = slices * slice_bits;
+  util::Xoshiro256 rng(seed);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;
+  const auto add = [&](std::uint32_t i, std::uint32_t j) {
+    arcs.emplace_back(on_columns ? n - 1 - j : i, on_columns ? n - 1 - i : j);
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i < 4) {
+      for (std::uint32_t j = i + 1; j < n; ++j) add(i, j);
+      continue;
+    }
+    const PivotShape shape = kThresholdShapes[i % std::size(kThresholdShapes)];
+    const std::uint32_t first = i / slice_bits + 1;
+    for (std::uint32_t s = first; s < slices && s < first + shape.slices; ++s) {
+      std::vector<std::uint32_t> bits(slice_bits);
+      for (std::uint32_t b = 0; b < slice_bits; ++b) bits[b] = b;
+      const auto take = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(shape.bits_per_slice, slice_bits));
+      for (std::uint32_t b = 0; b < take; ++b) {
+        std::swap(bits[b], bits[b + rng.UniformBelow(slice_bits - b)]);
+        add(i, s * slice_bits + bits[b]);
+      }
+    }
+  }
+  std::sort(arcs.begin(), arcs.end());
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::uint32_t> neighbors;
+  for (const auto& [from, to] : arcs) {
+    ++offsets[from + 1];
+    neighbors.push_back(to);
+  }
+  for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return SlicedMatrix::FromCsr(n, offsets, neighbors, slice_bits);
+}
+
 SlicedMatrix ShapedMatrix(Shape shape, std::uint32_t n,
                           std::uint32_t avg_degree, std::uint32_t slice_bits,
                           std::uint64_t seed) {
-  if (shape == Shape::kRandom) {
-    return RandomUpperMatrix(n, avg_degree, slice_bits, seed);
+  switch (shape) {
+    case Shape::kRandom:
+      return RandomUpperMatrix(n, avg_degree, slice_bits, seed);
+    case Shape::kThresholdColumns:
+    case Shape::kThresholdRows:
+      return ThresholdMatrix(n, slice_bits, seed, OnColumns(shape));
+    case Shape::kHubColumns:
+    case Shape::kHubRows:
+      break;
   }
-  return UpperMatrix(
-      HubGraph(n, avg_degree, seed, shape == Shape::kHubColumns), slice_bits);
+  return UpperMatrix(HubGraph(n, avg_degree, seed, OnColumns(shape)),
+                     slice_bits);
 }
 
 /// A hub-skewed shape takes its own side's pivot wherever a vector
 /// spans more than one slice (with one slice per vector both totals
 /// count arcs, and the tie keeps the row pivot).
 void ExpectShapePivot(const SlicedMatrix& m, Shape shape) {
-  if (shape == Shape::kHubRows || m.rows().slices_per_vector() == 1) {
+  if (shape == Shape::kRandom) return;
+  if (!OnColumns(shape) || m.rows().slices_per_vector() == 1) {
     EXPECT_FALSE(m.PrefersColumnPivot());
-  } else if (shape == Shape::kHubColumns) {
+  } else {
     EXPECT_TRUE(m.PrefersColumnPivot());
   }
+}
+
+/// The Eq. (5) oracle of one rectangle pass (arcs selected as in
+/// AndPopcountRect, rows read from m.rows(), columns from m.cols()):
+/// its count with the per-word SWAR strategy, its valid pairs, and the
+/// pairs whose pivot vector — row i under the row pivot, column j
+/// under the column pivot — holds at least `min_slices` valid slices.
+struct RectOracle {
+  std::uint64_t count = 0;
+  std::uint64_t pairs = 0;
+  std::uint64_t hub_route_pairs = 0;
+};
+
+RectOracle RectReference(const SlicedMatrix& m, std::uint32_t row_begin,
+                         std::uint32_t row_end, std::uint32_t col_begin,
+                         std::uint32_t col_end,
+                         const std::uint8_t* col_mask = nullptr,
+                         bool mask_value = true,
+                         std::uint64_t min_slices = kMinSlices) {
+  const SlicedStore& pivots = m.PrefersColumnPivot() ? m.cols() : m.rows();
+  RectOracle oracle;
+  for (std::uint32_t i = row_begin; i < row_end; ++i) {
+    m.ForEachArcInRect(i, col_begin, col_end, col_mask, mask_value,
+                       [&](std::uint32_t j) {
+      const bool hub =
+          pivots.SliceCount(m.PrefersColumnPivot() ? j : i) >= min_slices;
+      m.ForEachValidPair(i, j, [&](std::uint32_t, std::size_t ra,
+                                   std::size_t cb) {
+        oracle.count += AndPopcount(m.rows().SliceWords(i, ra),
+                                    m.cols().SliceWords(j, cb),
+                                    PopcountKind::kSwar);
+        ++oracle.pairs;
+        if (hub) ++oracle.hub_route_pairs;
+      });
+    });
+  }
+  return oracle;
+}
+
+/// The hub-route pairs of a whole pass. A pivot qualifies by its full
+/// slice count, not by the arcs a rectangle selects, so any family of
+/// rectangles that partitions the arcs sums to this.
+std::uint64_t HubRoutePairsOf(const SlicedMatrix& m) {
+  const std::uint32_t n = m.num_vertices();
+  return RectReference(m, 0, n, 0, n).hub_route_pairs;
 }
 
 /// Column-pivot pairs a pass of `valid_pairs` pairs reports: all of
@@ -653,9 +784,11 @@ void ExpectRowShardsRectAndAllEdgesMatchPerPair(std::uint32_t slice_bits,
   PairPathCounters rect;
   EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, nullptr, true, nullptr, &rect),
             expected);
+  const std::uint64_t hub_route_pairs = HubRoutePairsOf(m);
   for (const PairPathCounters& c : {all, rows, rect}) {
     EXPECT_EQ(c.zero_copy_pairs, valid_pairs);
     EXPECT_EQ(c.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
+    EXPECT_EQ(c.hub_route_pairs, hub_route_pairs);
   }
 }
 
@@ -669,6 +802,7 @@ void ExpectColumnRangesAndGridTileTheMatrix(std::uint32_t slice_bits,
   const std::uint32_t n = m.num_vertices();
   const std::uint64_t total = PerPairReference(m);
   const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
+  const std::uint64_t hub_route_pairs = HubRoutePairsOf(m);
   for (const std::uint32_t parts : {1u, 2u, 5u}) {
     std::uint64_t by_cols = 0;
     std::uint64_t by_grid = 0;
@@ -686,6 +820,7 @@ void ExpectColumnRangesAndGridTileTheMatrix(std::uint32_t slice_bits,
     EXPECT_EQ(by_grid, total) << "parts=" << parts;
     EXPECT_EQ(grid.zero_copy_pairs, valid_pairs);
     EXPECT_EQ(grid.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
+    EXPECT_EQ(grid.hub_route_pairs, hub_route_pairs);
   }
   EXPECT_EQ(m.AndPopcountRect(0, n, 7, 7), 0u);
   EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
@@ -718,14 +853,15 @@ void ExpectMaskedRectWithReplicaSplitsTheTotal(std::uint32_t slice_bits,
   const std::uint64_t valid_pairs = m.ComputeStats().valid_pairs;
   EXPECT_EQ(counters.zero_copy_pairs, valid_pairs);
   EXPECT_EQ(counters.column_pivot_pairs, ColumnPivotPairsFor(m, valid_pairs));
+  EXPECT_EQ(counters.hub_route_pairs, HubRoutePairsOf(m));
   // The replica holds bit-identical hub columns, so reading them from
   // the shared column store gives the same hub lane.
   EXPECT_EQ(m.AndPopcountRect(0, n, 0, n, hub_mask.data(), true), hub_lane);
 }
 
 /// The slice widths every enumerator case runs at: 1 to 8 words per
-/// slice, with zero-padded tail words at 8, 100 and 192.
-constexpr std::uint32_t kCaseWidths[] = {8, 64, 100, 192, 512};
+/// slice, with zero-padded tail words at 8, 32, 100 and 192.
+constexpr std::uint32_t kCaseWidths[] = {8, 32, 64, 100, 192, 512};
 
 std::string WidthName(std::uint32_t slice_bits) {
   return "bits" + std::to_string(slice_bits);
@@ -759,8 +895,10 @@ struct HubCase {
 // Prints the case for the test listing (gtest would dump its bytes,
 // padding included).
 void PrintTo(const HubCase& c, std::ostream* os) {
-  *os << "|S|=" << c.slice_bits
-      << (c.shape == Shape::kHubColumns ? " on hub columns" : " on hub rows");
+  const bool threshold = c.shape == Shape::kThresholdColumns ||
+                         c.shape == Shape::kThresholdRows;
+  *os << "|S|=" << c.slice_bits << (threshold ? " on threshold" : " on hub")
+      << (OnColumns(c.shape) ? " columns" : " rows");
 }
 
 std::vector<HubCase> CasesOf(Shape shape) {
@@ -798,6 +936,14 @@ INSTANTIATE_TEST_SUITE_P(HubColumns, EnumeratorHubTest,
 INSTANTIATE_TEST_SUITE_P(HubRows, EnumeratorHubTest,
                          ::testing::ValuesIn(CasesOf(Shape::kHubRows)),
                          CaseName);
+// Pivots on both sides of kHubPivotMinSlices, so one pass splits its
+// pairs between the hub-pivot route and the descriptor stream.
+INSTANTIATE_TEST_SUITE_P(ThresholdColumns, EnumeratorHubTest,
+                         ::testing::ValuesIn(CasesOf(Shape::kThresholdColumns)),
+                         CaseName);
+INSTANTIATE_TEST_SUITE_P(ThresholdRows, EnumeratorHubTest,
+                         ::testing::ValuesIn(CasesOf(Shape::kThresholdRows)),
+                         CaseName);
 
 // The pivot each hub shape must take, read off column_pivot_pairs,
 // with the count pinned to the CPU baseline and the pair total to the
@@ -819,6 +965,99 @@ TEST(SlicedMatrixPivot, HubColumnsTakeTheColumnPivotAndHubRowsTheRowPivot) {
       EXPECT_EQ(counters.zero_copy_pairs, valid_pairs);
       EXPECT_EQ(counters.column_pivot_pairs,
                 hubs_on_columns ? valid_pairs : 0u);
+      EXPECT_EQ(counters.hub_route_pairs, HubRoutePairsOf(m));
+    }
+  }
+}
+
+// The hub-pivot route on both pivots: pivots with kHubPivotMinSlices - 1
+// valid slices keep the descriptor stream, pivots with
+// kHubPivotMinSlices take the route, and every rectangle, mask lane and
+// replica read stays exact with its pairs attributed to the right
+// route.
+TEST(SlicedMatrixPivot, HubRouteSplitsPivotsAtTheThreshold) {
+  for (const bool on_columns : {true, false}) {
+    for (const std::uint32_t slice_bits : {32u, 64u, 100u, 512u}) {
+      SCOPED_TRACE(std::string(on_columns ? "columns" : "rows") +
+                   " slice_bits=" + std::to_string(slice_bits));
+      const SlicedMatrix m = ThresholdMatrix(1200, slice_bits, 17, on_columns);
+      const std::uint32_t n = m.num_vertices();
+      ASSERT_EQ(m.PrefersColumnPivot(), on_columns)
+          << "row pivot probes " << m.row_pivot_probes()
+          << ", column pivot probes " << m.column_pivot_probes();
+
+      // Pivots sit exactly at the boundary, and they carry pairs: the
+      // route's share moves when the threshold moves by one either way.
+      // Some pivots below it hold more set bits than it.
+      const SlicedStore& pivots = on_columns ? m.cols() : m.rows();
+      std::uint32_t below = 0;
+      std::uint32_t at = 0;
+      std::uint32_t dense_below = 0;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const std::size_t slices = pivots.SliceCount(v);
+        below += slices == kMinSlices - 1 ? 1 : 0;
+        at += slices == kMinSlices ? 1 : 0;
+        dense_below += slices < kMinSlices &&
+                               pivots.ToBitVector(v).Count() >= kMinSlices
+                           ? 1
+                           : 0;
+      }
+      EXPECT_GT(below, 0u);
+      EXPECT_GT(at, 0u);
+      EXPECT_GT(dense_below, 0u);
+      const RectOracle whole = RectReference(m, 0, n, 0, n);
+      EXPECT_GT(RectReference(m, 0, n, 0, n, nullptr, true, kMinSlices - 1)
+                    .hub_route_pairs,
+                whole.hub_route_pairs);
+      EXPECT_LT(RectReference(m, 0, n, 0, n, nullptr, true, kMinSlices + 1)
+                    .hub_route_pairs,
+                whole.hub_route_pairs);
+      EXPECT_GT(whole.hub_route_pairs, 0u);
+      EXPECT_LT(whole.hub_route_pairs, whole.pairs);
+
+      PairPathCounters all;
+      EXPECT_EQ(m.AndPopcountAllEdges(&all), whole.count);
+      EXPECT_EQ(all.zero_copy_pairs, m.ComputeStats().valid_pairs);
+      EXPECT_EQ(all.zero_copy_pairs, whole.pairs);
+      EXPECT_EQ(all.hub_route_pairs, whole.hub_route_pairs);
+
+      const auto expect_rect = [&](std::uint32_t r0, std::uint32_t r1,
+                                   std::uint32_t c0, std::uint32_t c1,
+                                   const std::uint8_t* mask, bool mask_value,
+                                   const SlicedStore* cols_override) {
+        SCOPED_TRACE("rows [" + std::to_string(r0) + ", " +
+                     std::to_string(r1) + ") cols [" + std::to_string(c0) +
+                     ", " + std::to_string(c1) + ")" +
+                     (mask == nullptr ? ""
+                                      : mask_value ? " hub lane" : " tail") +
+                     (cols_override == nullptr ? "" : " via replica"));
+        const RectOracle want =
+            RectReference(m, r0, r1, c0, c1, mask, mask_value);
+        PairPathCounters got;
+        EXPECT_EQ(m.AndPopcountRect(r0, r1, c0, c1, mask, mask_value,
+                                    cols_override, &got),
+                  want.count);
+        EXPECT_EQ(got.zero_copy_pairs, want.pairs);
+        EXPECT_EQ(got.hub_route_pairs, want.hub_route_pairs);
+        EXPECT_EQ(got.column_pivot_pairs, on_columns ? want.pairs : 0u);
+      };
+      expect_rect(0, n / 3, n / 4, n, nullptr, true, nullptr);
+      expect_rect(n / 3, n, n / 2, n, nullptr, true, nullptr);
+      expect_rect(100, 900, 0, n, nullptr, true, nullptr);
+      expect_rect(0, n, 300, 700, nullptr, true, nullptr);
+
+      std::vector<std::uint8_t> hub_mask(n, 0);
+      std::vector<std::uint32_t> hubs;
+      for (std::uint32_t j = 0; j < n; j += 3) {
+        hub_mask[j] = 1;
+        hubs.push_back(j);
+      }
+      const SlicedStore replica = m.cols().ExtractVectors(hubs);
+      expect_rect(0, n, 0, n, hub_mask.data(), true, &replica);
+      expect_rect(0, n, 0, n, hub_mask.data(), true, nullptr);
+      expect_rect(0, n, 0, n, hub_mask.data(), false, nullptr);
+      expect_rect(n / 4, n, n / 3, n, hub_mask.data(), true, &replica);
+      expect_rect(n / 4, n, n / 3, n, hub_mask.data(), false, nullptr);
     }
   }
 }

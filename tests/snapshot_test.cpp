@@ -404,6 +404,26 @@ TEST(SnapshotPivot, HubGraphQueriesTakeTheColumnPivotOnPinnedEpochs) {
   }
   EXPECT_EQ(OracleCount(last), last->triangles);
   EXPECT_EQ(OracleCount(pin0), pin0->triangles);
+
+  // Two queries at once on one pinned epoch: four shards gather over
+  // one matrix concurrently, the hub columns on the hub-pivot route,
+  // whose scratch is local to each call.
+  const std::uint64_t zero_copy = metrics.pairs_zero_copy.Value();
+  const std::uint64_t hub_route = metrics.pairs_hub_route.Value();
+  std::uint64_t answers[2] = {0, 0};
+  {
+    std::thread first([&] { answers[0] = pool.HostCountEpoch(*last); });
+    std::thread second([&] { answers[1] = pool.HostCountEpoch(*last); });
+    first.join();
+    second.join();
+  }
+  EXPECT_EQ(answers[0], last->triangles);
+  EXPECT_EQ(answers[1], last->triangles);
+  const std::uint64_t valid_pairs = last->matrix->ComputeStats().valid_pairs;
+  EXPECT_EQ(metrics.pairs_zero_copy.Value() - zero_copy, 2 * valid_pairs);
+  const std::uint64_t hub_pairs = metrics.pairs_hub_route.Value() - hub_route;
+  EXPECT_GT(hub_pairs, 0u);
+  EXPECT_LE(hub_pairs, 2 * valid_pairs);
 }
 
 // --- 2D serving-plan cache under streaming updates -------------------------
